@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .corpus import Passage, PassageStore
 from .errors import EmptyCorpus, ParseError, UnsupportedVersion
-from .questions import Question, answer_exclusion_strings, text_contains_any
+from .questions import Question, answer_exclusion_strings, contains_answer
 from .results import RetrievalResult, hits_from_ranking
 
 INDEX_FORMAT = "deskdpr-bm25"
@@ -160,8 +160,9 @@ def mine_hard_negatives(
 
     Candidates come from the top_n BM25 pool for the question text; a
     candidate is rejected if its text contains any exclusion string
-    (answers for factoid questions, gold snippets for yes/no) or if its
-    id is explicitly excluded (e.g. the known positive).
+    (answers for factoid questions, gold snippets for yes/no) by
+    ``contains_answer``, or if its id is explicitly excluded (e.g. the
+    known positive).
     """
     excluded = set(exclude_ids)
     needles = answer_exclusion_strings(question)
@@ -170,7 +171,7 @@ def mine_hard_negatives(
         passage = store.get(hit.passage_id)
         if passage.passage_id in excluded:
             continue
-        if text_contains_any(passage.text, needles):
+        if contains_answer(passage.text, needles):
             continue
         mined.append(passage)
         if len(mined) == n:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import logging
 import random
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -20,18 +19,11 @@ from typing import Iterable, Sequence
 from .bm25 import InvertedIndex, mine_hard_negatives
 from .corpus import Passage, PassageStore
 from .errors import ParseError
-from .questions import Question
+from .questions import Question, match_needles, normalize_for_match
 
 log = logging.getLogger(__name__)
 
 SPLIT_NAMES = ("train", "dev", "test")
-
-_WS_RE = re.compile(r"\s+")
-
-
-def normalize_for_match(text: str) -> str:
-    """Lowercase and collapse whitespace, for containment tests."""
-    return _WS_RE.sub(" ", text.lower()).strip()
 
 
 @dataclass(frozen=True)
@@ -71,14 +63,15 @@ def align_positive(
 ) -> Passage | None:
     """First passage containing a gold snippet, else one containing an answer.
 
-    Matching is case-insensitive with collapsed whitespace on both sides.
+    Matching is ``questions.contains_answer``, with the store's texts
+    normalized once (``normalized_texts``, when the caller has them).
     Ties go to the lowest passage ordinal.  Returns None when nothing in
     the store contains any snippet or answer.
     """
     if normalized_texts is None:
         normalized_texts = [normalize_for_match(p.text) for p in store]
     for needles in (question.gold_snippets, question.answers):
-        wanted = [normalize_for_match(n) for n in needles if n.strip()]
+        wanted = match_needles(needles)
         if not wanted:
             continue
         for ordinal, text in enumerate(normalized_texts):

@@ -48,10 +48,14 @@ def featurize_texts(texts: Sequence[str], hash_dim: int = DEFAULT_HASH_DIM) -> s
     indptr = [0]
     indices: list[int] = []
     data: list[float] = []
+    # token -> bucket for this call only: texts share most of their tokens
+    buckets: dict[str, int] = {}
     for text in texts:
         counts: dict[int, float] = {}
         for token in tokenize(text):
-            bucket = hash_token(token, hash_dim)
+            bucket = buckets.get(token)
+            if bucket is None:
+                bucket = buckets[token] = hash_token(token, hash_dim)
             counts[bucket] = counts.get(bucket, 0.0) + 1.0
         row_indices = sorted(counts)
         row_values = np.array([counts[i] for i in row_indices], dtype=np.float64)
@@ -68,7 +72,15 @@ def featurize_texts(texts: Sequence[str], hash_dim: int = DEFAULT_HASH_DIM) -> s
 
 @dataclass
 class EncoderModel:
-    """Two projection matrices over the shared hashed feature space."""
+    """Two projection matrices over the shared hashed feature space.
+
+    Each tower has the logical shape (d, hash_dim) and is stored
+    Fortran-ordered, so ``w.T`` is a C-contiguous (hash_dim, d) array:
+    projections (``features @ w.T``) and gradients read and write it
+    without copying.  Construction converts C-ordered towers; a C-ordered
+    array assigned afterwards still computes the same numbers, only
+    slower.
+    """
 
     d: int
     hash_dim: int
@@ -81,6 +93,8 @@ class EncoderModel:
                 raise DimensionError(
                     f"{name} has shape {w.shape}, expected ({self.d}, {self.hash_dim})"
                 )
+        self.w_q = np.asfortranarray(self.w_q)
+        self.w_p = np.asfortranarray(self.w_p)
 
 
 def init_model(d: int = DEFAULT_DIM, hash_dim: int = DEFAULT_HASH_DIM, seed: int = 0) -> EncoderModel:
@@ -89,13 +103,15 @@ def init_model(d: int = DEFAULT_DIM, hash_dim: int = DEFAULT_HASH_DIM, seed: int
         raise ValueError(f"d and hash_dim must be >= 1, got d={d}, hash_dim={hash_dim}")
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(hash_dim)
-    w_q = rng.uniform(-bound, bound, size=(d, hash_dim))
-    w_p = rng.uniform(-bound, bound, size=(d, hash_dim))
+    # one tower at a time, so only one C-ordered draw is alive at once
+    w_q = np.asfortranarray(rng.uniform(-bound, bound, size=(d, hash_dim)))
+    w_p = np.asfortranarray(rng.uniform(-bound, bound, size=(d, hash_dim)))
     return EncoderModel(d=d, hash_dim=hash_dim, w_q=w_q, w_p=w_p)
 
 
 def _project(features: sparse.csr_array, w: np.ndarray) -> np.ndarray:
     # sparse @ dense; row results are independent of batch composition.
+    # w.T of a Fortran-ordered tower is C-contiguous, so nothing is copied.
     return features @ w.T
 
 
@@ -126,7 +142,8 @@ def sim(q_emb: np.ndarray, p_emb: np.ndarray) -> float:
 
 def save_model(model: EncoderModel, path: str | Path) -> None:
     """Binary layout: magic, u32 version, u32 d, u32 hash_dim, then both
-    matrices as float32 little-endian row-major (question tower first)."""
+    (d, hash_dim) matrices as float32 little-endian row-major (question
+    tower first), whatever the towers' memory order."""
     with open(path, "wb") as f:
         f.write(MODEL_MAGIC)
         f.write(struct.pack("<III", MODEL_VERSION, model.d, model.hash_dim))
@@ -150,4 +167,9 @@ def load_model(path: str | Path) -> EncoderModel:
         raise ParseError(f"{path}: expected {expected} bytes for d={d} hash_dim={hash_dim}, found {len(raw)}")
     w_q = np.frombuffer(raw, dtype="<f4", count=d * hash_dim, offset=16).reshape(d, hash_dim)
     w_p = np.frombuffer(raw, dtype="<f4", count=d * hash_dim, offset=16 + matrix_bytes).reshape(d, hash_dim)
-    return EncoderModel(d=d, hash_dim=hash_dim, w_q=w_q.astype(np.float64), w_p=w_p.astype(np.float64))
+    return EncoderModel(
+        d=d,
+        hash_dim=hash_dim,
+        w_q=w_q.astype(np.float64, order="F"),
+        w_p=w_p.astype(np.float64, order="F"),
+    )

@@ -16,10 +16,10 @@ from typing import Sequence
 
 from .corpus import PassageStore
 from .dataset import TrainingInstance
-from .encoder import EncoderModel, encode_question
+from .encoder import EncoderModel, encode_questions
 from .errors import EmptyEvaluation, ParseError
 from .flat_index import FlatIndex, search
-from .questions import Question, answer_exclusion_strings, text_contains_any
+from .questions import Question, answer_exclusion_strings, contains_answer
 from .results import RetrievalResult
 
 log = logging.getLogger(__name__)
@@ -59,8 +59,8 @@ def judge_hit(
 ) -> bool:
     """Whether any retrieved passage answers the question.
 
-    answer_string: case-insensitive containment of any answer (gold
-    snippets for yes/no questions) in a retrieved passage's text.
+    answer_string: any answer (gold snippets for yes/no questions) is in
+    a retrieved passage's text by ``contains_answer``.
     gold_passage_id: any retrieved id is in gold_ids.
     """
     if mode not in MATCH_MODES:
@@ -68,7 +68,7 @@ def judge_hit(
     if mode == "gold_passage_id":
         return any(hit.passage_id in gold_ids for hit in result)
     needles = answer_exclusion_strings(question)
-    return any(text_contains_any(store.get(hit.passage_id).text, needles) for hit in result)
+    return any(contains_answer(store.get(hit.passage_id).text, needles) for hit in result)
 
 
 def evaluate_results(
@@ -127,9 +127,9 @@ def evaluate(
     if not instances:
         raise EmptyEvaluation("no questions to evaluate")
     k_max = max(cfg.k_values)
-    results = [
-        search(index, encode_question(model, inst.question.text), k_max) for inst in instances
-    ]
+    # one batch: each embedding row is independent of the rows beside it
+    q = encode_questions(model, [inst.question.text for inst in instances])
+    results = [search(index, row, k_max) for row in q]
     return evaluate_results(results, instances, store, cfg, meta)
 
 

@@ -8,14 +8,18 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from .errors import ParseError
 
 log = logging.getLogger(__name__)
 
 QUESTION_TYPES = ("factoid", "yesno")
+
+_WS_RE = re.compile(r"\s+")
 
 
 @dataclass(frozen=True)
@@ -46,10 +50,28 @@ def answer_exclusion_strings(q: Question) -> tuple[str, ...]:
     return q.answers
 
 
-def text_contains_any(text: str, needles: tuple[str, ...] | list[str]) -> bool:
-    """Case-insensitive raw substring containment against any needle."""
-    hay = text.lower()
-    return any(n and n.lower() in hay for n in needles)
+def normalize_for_match(text: str) -> str:
+    """Lowercase and collapse whitespace, for containment tests."""
+    return _WS_RE.sub(" ", text.lower()).strip()
+
+
+def match_needles(needles: Iterable[str]) -> list[str]:
+    """The match form of each needle; blank needles match nothing and are dropped."""
+    return [n for n in (normalize_for_match(needle) for needle in needles) if n]
+
+
+def contains_answer(text: str, needles: Iterable[str]) -> bool:
+    """Whether text contains any needle, compared lowercase with runs of
+    whitespace collapsed to one space on both sides.
+
+    This is the one answer-matching rule: positive alignment, hard-negative
+    mining and answer-string evaluation all use it.  A caller testing many
+    texts may normalize them once with ``normalize_for_match`` and test
+    ``n in text`` for each of ``match_needles(needles)``, which is the
+    same test.
+    """
+    hay = normalize_for_match(text)
+    return any(n in hay for n in match_needles(needles))
 
 
 def _flatten_answers(value) -> list[str]:

@@ -77,22 +77,56 @@ def nll_loss(sim_positive: float, sim_negatives: Sequence[float]) -> float:
     return float(m + np.log(np.exp(scores - m).sum()) - sim_positive)
 
 
-def _batch_matrices(model: EncoderModel, instances: Sequence[TrainingInstance]):
+def _candidate_texts(instances: Sequence[TrainingInstance]) -> list[str]:
+    """Encoder inputs of a batch's candidates: every positive, then every hard negative."""
+    texts = [render_encoder_input(inst.positive) for inst in instances]
+    texts += [render_encoder_input(neg) for inst in instances for neg in inst.hard_negatives]
+    return texts
+
+
+class FeatureTable:
+    """Hashed features of the question and candidate texts of some instances.
+
+    Each distinct text is featurized once, by one ``featurize_texts``
+    call; a batch of those instances slices its rows from the table.
+    Feature rows do not depend on the batch they sit in, so a sliced
+    batch equals one featurized on its own.
+    """
+
+    def __init__(self, instances: Sequence[TrainingInstance], hash_dim: int):
+        rows: dict[str, int] = {}
+        for inst in instances:
+            rows.setdefault(inst.question.text, len(rows))
+        for text in _candidate_texts(instances):
+            rows.setdefault(text, len(rows))
+        self._rows = rows
+        self._features = featurize_texts(list(rows), hash_dim)
+
+    def batch(self, instances: Sequence[TrainingInstance]):
+        """(question features (B, H), candidate features (C, H)) of a batch."""
+        x = self._features[[self._rows[inst.question.text] for inst in instances]]
+        y = self._features[[self._rows[text] for text in _candidate_texts(instances)]]
+        return x, y
+
+
+def _batch_matrices(
+    model: EncoderModel,
+    instances: Sequence[TrainingInstance],
+    features: FeatureTable | None = None,
+):
     """Feature and embedding matrices for one batch.
 
     Returns (X, Y, Q, P, S): question features (B, H), candidate features
     (C, H), question embeddings (B, d), candidate embeddings (C, d), and
-    the score matrix S = Q P^T (B, C).
+    the score matrix S = Q P^T (B, C).  Features come from ``features``
+    when given, else from a table of this batch alone.
     """
     pids = [inst.positive.passage_id for inst in instances]
     if len(set(pids)) < len(pids):
         log.warning("batch has duplicate positive passages; their in-batch negatives overlap")
-    x = featurize_texts([inst.question.text for inst in instances], model.hash_dim)
-    candidate_texts = [render_encoder_input(inst.positive) for inst in instances]
-    candidate_texts += [
-        render_encoder_input(neg) for inst in instances for neg in inst.hard_negatives
-    ]
-    y = featurize_texts(candidate_texts, model.hash_dim)
+    if features is None:
+        features = FeatureTable(instances, model.hash_dim)
+    x, y = features.batch(instances)
     q = x @ model.w_q.T
     p = y @ model.w_p.T
     s = q @ p.T
@@ -127,12 +161,20 @@ def batch_loss(model: EncoderModel, instances: Sequence[TrainingInstance]) -> Ba
 
 
 def batch_gradients(
-    model: EncoderModel, instances: Sequence[TrainingInstance]
+    model: EncoderModel,
+    instances: Sequence[TrainingInstance],
+    features: FeatureTable | None = None,
 ) -> tuple[BatchLossReport, np.ndarray, np.ndarray]:
-    """Loss report plus exact gradients of the mean NLL w.r.t. both towers."""
+    """Loss report plus exact gradients of the mean NLL w.r.t. both towers.
+
+    ``features``, a table built over (at least) these instances, saves
+    featurizing them again.  Each gradient has the towers' shape
+    (d, hash_dim) and layout: Fortran-ordered, a transposed view of the
+    C-ordered (hash_dim, d) product.
+    """
     if len(instances) < 2:
         raise ValueError("in-batch negatives need at least 2 instances per batch")
-    x, y, q, p, s = _batch_matrices(model, instances)
+    x, y, q, p, s = _batch_matrices(model, instances, features)
     report = _report_from_scores(s)
     b = s.shape[0]
     g = softmax_rows(s)
@@ -140,9 +182,7 @@ def batch_gradients(
     g /= b
     d_q = g @ p
     d_p = g.T @ q
-    g_wq = (x.T @ d_q).T
-    g_wp = (y.T @ d_p).T
-    return report, np.ascontiguousarray(g_wq), np.ascontiguousarray(g_wp)
+    return report, (x.T @ d_q).T, (y.T @ d_p).T
 
 
 class SgdOptimizer:
@@ -155,6 +195,23 @@ class SgdOptimizer:
 
 
 class AdamOptimizer:
+    """Dense Adam, computed in place.
+
+    Each step evaluates, element by element and in this order,
+
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * (g * g)
+        p -= lr * (m / bias1) / (sqrt(v / bias2) + epsilon)
+
+    as ``out=`` ufuncs into two scratch blocks reused across steps, one
+    block of ``BLOCK_ROWS`` rows of the towers' (hash_dim, d) view at a
+    time so the working set stays in cache.  Every operation rounds
+    exactly as the whole-array formula does, so the result is bitwise
+    the same.
+    """
+
+    BLOCK_ROWS = 512
+
     def __init__(
         self,
         learning_rate: float,
@@ -167,24 +224,43 @@ class AdamOptimizer:
         self.beta2 = beta2
         self.epsilon = epsilon
         self.t = 0
+        # moments and scratch, all in the (hash_dim, d) layout of w.T
         self._m: list[np.ndarray] | None = None
         self._v: list[np.ndarray] | None = None
+        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
 
     def step(self, model: EncoderModel, g_wq: np.ndarray, g_wp: np.ndarray) -> None:
-        grads = [g_wq, g_wp]
-        params = [model.w_q, model.w_p]
+        params = [model.w_q.T, model.w_p.T]
+        grads = [g_wq.T, g_wp.T]
         if self._m is None:
-            self._m = [np.zeros_like(p) for p in params]
-            self._v = [np.zeros_like(p) for p in params]
+            self._m = [np.zeros(p.shape) for p in params]
+            self._v = [np.zeros(p.shape) for p in params]
+            shape = (min(self.BLOCK_ROWS, params[0].shape[0]), params[0].shape[1])
+            self._scratch = (np.empty(shape), np.empty(shape))
         self.t += 1
         bias1 = 1.0 - self.beta1**self.t
         bias2 = 1.0 - self.beta2**self.t
         for p, g, m, v in zip(params, grads, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + self.epsilon)
+            for lo in range(0, p.shape[0], self.BLOCK_ROWS):
+                hi = lo + self.BLOCK_ROWS
+                self._update(p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], bias1, bias2)
+
+    def _update(self, p, g, m, v, bias1: float, bias2: float) -> None:
+        a, b = (s[: p.shape[0]] for s in self._scratch)
+        m *= self.beta1
+        np.multiply(1.0 - self.beta1, g, out=a)
+        m += a
+        v *= self.beta2
+        np.multiply(g, g, out=a)
+        np.multiply(1.0 - self.beta2, a, out=a)
+        v += a
+        np.divide(m, bias1, out=a)
+        np.multiply(self.learning_rate, a, out=a)
+        np.divide(v, bias2, out=b)
+        np.sqrt(b, out=b)
+        b += self.epsilon
+        a /= b
+        p -= a
 
 
 def make_optimizer(name: str, learning_rate: float):
@@ -243,6 +319,8 @@ def train(
     metrics: list[dict] = []
     dropped_batches = 0
     instances = train_split.instances
+    # features do not depend on the weights: featurize every text once
+    features = FeatureTable(instances, model.hash_dim)
     for epoch in range(1, cfg.epochs + 1):
         start = time.perf_counter()
         perm = rng.permutation(len(instances))
@@ -253,7 +331,7 @@ def train(
             if len(batch) < 2:
                 dropped_batches += 1
                 continue
-            report, g_wq, g_wp = batch_gradients(model, batch)
+            report, g_wq, g_wp = batch_gradients(model, batch, features)
             optimizer.step(model, g_wq, g_wp)
             loss_sum += sum(report.per_question_loss)
             questions_seen += len(batch)

@@ -30,7 +30,7 @@ from deskdpr.encoder import featurize_texts, init_model
 from deskdpr.evaluation import EvalConfig, evaluate, evaluate_results, write_report
 from deskdpr.flat_index import FlatIndex, search, search_naive
 from deskdpr.flat_index import build_index as build_dense_index
-from deskdpr.questions import answer_exclusion_strings, parse_bioasq, text_contains_any
+from deskdpr.questions import answer_exclusion_strings, contains_answer, parse_bioasq
 from deskdpr.synthetic import generate, write_corpus_jsonl, write_questions_json
 from deskdpr.training import TrainConfig, batch_gradients, batch_loss, nll_loss, train
 
@@ -272,7 +272,7 @@ def test_07_mined_negatives_never_contain_answers(pipeline):
         )
         assert mined, f"no candidates at all for {inst.question.question_id}"
         for p in list(mined) + list(inst.hard_negatives):
-            assert not text_contains_any(p.text, needles), (
+            assert not contains_answer(p.text, needles), (
                 f"{p.passage_id} contains an answer for {inst.question.question_id}"
             )
             checked += 1

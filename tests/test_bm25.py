@@ -14,6 +14,7 @@ from deskdpr.bm25 import (
     save_bm25_index,
     tokenize,
 )
+from deskdpr.dataset import align_positive
 from deskdpr.errors import EmptyCorpus, ParseError, UnsupportedVersion
 
 from helpers import factoid, random_text, store_of, yesno
@@ -248,6 +249,17 @@ class TestMining:
         # both query tokens match d0 and d1; length normalization puts
         # the shorter passage first
         assert [p.passage_id for p in mined] == ["d0#0", "d1#0"]
+
+    def test_whitespace_variant_of_snippet_is_not_mined(self):
+        # alignment finds the snippet "alpha  beta" in d0 with whitespace
+        # collapsed; mining must apply the same rule and reject d1
+        store = store_of("alpha beta", "gamma alpha beta delta zeta", "beta blockers only")
+        index = build_index(store)
+        q = yesno("q1", "does alpha beta bind", "yes", snippets=["alpha  beta"])
+        positive = align_positive(q, store)
+        assert positive is not None and positive.passage_id == "d0#0"
+        mined = mine_hard_negatives(index, store, q, n=3, exclude_ids=(positive.passage_id,))
+        assert [p.passage_id for p in mined] == ["d2#0"]
 
     def test_mined_never_contains_exclusion_strings(self):
         rng = random.Random(7)

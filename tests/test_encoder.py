@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from deskdpr.bm25 import tokenize
 from deskdpr.encoder import (
     EncoderModel,
     encode_passage,
@@ -85,6 +86,24 @@ class TestFeaturize:
         row = featurize("one two three four five six")
         assert list(row.indices) == sorted(row.indices)
 
+    def test_rows_equal_rows_hashed_token_by_token(self):
+        # featurize_texts remembers each token's bucket within one call;
+        # every row must still be the one hash_token gives token by token
+        texts = ["alpha beta alpha", "beta gamma", "", "gamma gamma delta alpha", "beta"]
+        batch = featurize_texts(texts, hash_dim=64)
+        for i, text in enumerate(texts):
+            counts = {}
+            for token in tokenize(text):
+                bucket = hash_token(token, 64)
+                counts[bucket] = counts.get(bucket, 0.0) + 1.0
+            indices = sorted(counts)
+            values = np.array([counts[j] for j in indices])
+            if values.size:
+                values /= np.sqrt((values * values).sum())
+            row = batch[[i]]
+            assert row.indices.tolist() == indices
+            assert np.array_equal(row.data, values)
+
     def test_bad_hash_dim_rejected(self):
         with pytest.raises(ValueError):
             featurize("a", hash_dim=0)
@@ -122,6 +141,41 @@ class TestInitModel:
     def test_wrong_shape_rejected(self):
         with pytest.raises(DimensionError):
             EncoderModel(d=4, hash_dim=8, w_q=np.zeros((4, 8)), w_p=np.zeros((8, 4)))
+
+    def test_draws_question_tower_first_in_row_major_order(self):
+        model = init_model(d=8, hash_dim=32, seed=4)
+        rng = np.random.default_rng(4)
+        bound = 1 / np.sqrt(32)
+        assert np.array_equal(model.w_q, rng.uniform(-bound, bound, size=(8, 32)))
+        assert np.array_equal(model.w_p, rng.uniform(-bound, bound, size=(8, 32)))
+
+
+class TestTowerLayout:
+    """Towers are (d, hash_dim) Fortran-ordered, so w.T is C-contiguous."""
+
+    def test_init_model(self):
+        model = init_model(d=8, hash_dim=32, seed=0)
+        assert model.w_q.T.flags.c_contiguous and model.w_p.T.flags.c_contiguous
+
+    def test_load_model(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(init_model(d=8, hash_dim=32, seed=0), path)
+        model = load_model(path)
+        assert model.w_q.T.flags.c_contiguous and model.w_p.T.flags.c_contiguous
+
+    def test_construction_converts_c_order(self):
+        w = np.arange(32.0).reshape(4, 8)
+        model = EncoderModel(d=4, hash_dim=8, w_q=w, w_p=w.copy())
+        assert model.w_q.T.flags.c_contiguous and model.w_p.T.flags.c_contiguous
+        assert np.array_equal(model.w_q, w)
+
+    def test_assigned_c_order_tower_encodes_identically(self):
+        model = init_model(d=16, hash_dim=128, seed=5)
+        texts = ["alpha beta gamma", "delta alpha", ""]
+        expected = encode_questions(model, texts)
+        model.w_q = np.ascontiguousarray(model.w_q)
+        assert not model.w_q.T.flags.c_contiguous
+        assert np.array_equal(encode_questions(model, texts), expected)
 
 
 def distinct_bucket_tokens(n, hash_dim):
@@ -218,6 +272,16 @@ class TestPersistence:
         save_model(model, first)
         save_model(load_model(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_body_is_row_major_towers(self, tmp_path):
+        # the file keeps the v1 layout whatever the towers' memory order
+        model = init_model(d=8, hash_dim=32, seed=9)
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        expected = b"".join(
+            np.array(w.tolist(), dtype="<f4").tobytes() for w in (model.w_q, model.w_p)
+        )
+        assert path.read_bytes()[16:] == expected
 
     def test_loaded_weights_writeable(self, tmp_path):
         model = init_model(d=4, hash_dim=16, seed=0)

@@ -80,6 +80,13 @@ class TestJudgeHit:
         assert judge_hit(ranking("d1#0"), q, store, mode="answer_string")
         assert not judge_hit(ranking("d0#0"), q, store, mode="answer_string")
 
+    def test_snippet_matches_with_whitespace_collapsed(self):
+        # the rule alignment used to pick the positive
+        store = store_of("gamma alpha beta delta", "alphabeta")
+        q = yesno("q1", "is alpha beta", "yes", snippets=["alpha  beta"])
+        assert judge_hit(ranking("d0#0"), q, store, mode="answer_string")
+        assert not judge_hit(ranking("d1#0"), q, store, mode="answer_string")
+
     def test_unknown_mode_rejected(self):
         store = store_of("a")
         q = factoid("q1", "find it", ["a"])

@@ -6,8 +6,9 @@ from deskdpr.errors import ParseError
 from deskdpr.questions import (
     Question,
     answer_exclusion_strings,
+    contains_answer,
+    match_needles,
     parse_bioasq,
-    text_contains_any,
 )
 
 from helpers import factoid, yesno
@@ -48,15 +49,24 @@ class TestExclusionStrings:
         assert answer_exclusion_strings(q) == ("the gold snippet",)
 
 
-class TestTextContainsAny:
+class TestContainsAnswer:
     def test_case_insensitive(self):
-        assert text_contains_any("The RNA Polymerase story", ["rna polymerase"])
+        assert contains_answer("The RNA Polymerase story", ["rna polymerase"])
 
     def test_no_match(self):
-        assert not text_contains_any("nothing here", ["absent"])
+        assert not contains_answer("nothing here", ["absent"])
 
     def test_empty_needles(self):
-        assert not text_contains_any("anything", [])
+        assert not contains_answer("anything", [])
+
+    def test_whitespace_runs_collapse_on_both_sides(self):
+        assert contains_answer("gamma alpha beta delta", ["alpha  beta"])
+        assert contains_answer("gamma alpha\n\tbeta delta", ["alpha beta"])
+        assert not contains_answer("alphabeta", ["alpha beta"])
+
+    def test_blank_needles_match_nothing(self):
+        assert not contains_answer("some text here", [" ", "\t", ""])
+        assert match_needles([" A  b ", "  ", "C"]) == ["a b", "c"]
 
 
 class TestParseBioasq:

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from deskdpr.corpus import render_encoder_input
 from deskdpr.dataset import DatasetSplit
-from deskdpr.encoder import EncoderModel, init_model
+from deskdpr.encoder import EncoderModel, featurize_texts, init_model
 from deskdpr.training import (
     AdamOptimizer,
+    FeatureTable,
     SgdOptimizer,
     TrainConfig,
     batch_gradients,
@@ -222,7 +224,101 @@ class TestGradients:
                 assert fd == pytest.approx(grad[i, j], rel=1e-5, abs=1e-9)
 
 
+def hard_negative_split(n):
+    """separable_split plus one shared-text hard negative per question."""
+    instances = []
+    for i in range(n):
+        q = factoid(f"q{i}", f"find marker{i}token now", [f"marker{i}token"])
+        p = passage(f"marker{i}token data row", pid=f"d{i}#0", title="rec")
+        hard = passage(f"marker{(i + 1) % n}token decoy row", pid=f"h{i}#0", title="rec")
+        instances.append(instance(q, p, hard=(hard,)))
+    return instances
+
+
+class TestFeatureTable:
+    def test_batch_equals_featurizing_the_batch(self):
+        instances = hard_negative_split(6)
+        table = FeatureTable(instances, 256)
+        batch = [instances[4], instances[1], instances[3]]
+        x, y = table.batch(batch)
+        x_ref = featurize_texts([inst.question.text for inst in batch], 256)
+        candidates = [render_encoder_input(inst.positive) for inst in batch]
+        candidates += [render_encoder_input(h) for inst in batch for h in inst.hard_negatives]
+        y_ref = featurize_texts(candidates, 256)
+        for got, ref in ((x, x_ref), (y, y_ref)):
+            assert got.shape == ref.shape
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.array_equal(got.data, ref.data)
+
+    def test_each_distinct_text_featurized_once(self, monkeypatch):
+        calls = []
+
+        def counting(texts, hash_dim):
+            calls.append(list(texts))
+            return featurize_texts(texts, hash_dim)
+
+        monkeypatch.setattr("deskdpr.training.featurize_texts", counting)
+        instances = hard_negative_split(4)
+        table = FeatureTable(instances + instances[:2], 256)
+        table.batch(instances[:2])
+        table.batch(instances[2:])
+        # one call: 4 questions, 4 positives, 4 hard negatives
+        assert len(calls) == 1
+        assert len(calls[0]) == len(set(calls[0])) == 12
+
+    def test_cached_gradients_equal_public_path(self):
+        model = init_model(d=8, hash_dim=256, seed=6)
+        instances = hard_negative_split(6)
+        table = FeatureTable(instances, 256)
+        batch = instances[1:5]
+        report, g_wq, g_wp = batch_gradients(model, batch)
+        cached_report, c_wq, c_wp = batch_gradients(model, batch, table)
+        assert cached_report == report
+        assert np.array_equal(c_wq, g_wq) and np.array_equal(c_wp, g_wp)
+
+    def test_gradients_share_the_tower_layout(self):
+        model = init_model(d=8, hash_dim=256, seed=6)
+        _, g_wq, g_wp = batch_gradients(model, hard_negative_split(3))
+        assert g_wq.shape == g_wp.shape == (8, 256)
+        assert g_wq.T.flags.c_contiguous and g_wp.T.flags.c_contiguous
+
+
+def reference_adam(params, grads_per_step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The whole-array, out-of-place Adam formula the optimizer must match bit for bit."""
+    params = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grads_per_step, start=1):
+        bias1 = 1.0 - beta1**t
+        bias2 = 1.0 - beta2**t
+        for p, g, m_i, v_i in zip(params, grads, m, v):
+            m_i *= beta1
+            m_i += (1.0 - beta1) * g
+            v_i *= beta2
+            v_i += (1.0 - beta2) * (g * g)
+            p -= lr * (m_i / bias1) / (np.sqrt(v_i / bias2) + eps)
+    return params
+
+
 class TestOptimizers:
+    def test_adam_matches_reference_formula_bitwise(self):
+        # hash_dim spans two full row blocks and a partial one
+        hash_dim = 2 * AdamOptimizer.BLOCK_ROWS + 77
+        model = init_model(d=8, hash_dim=hash_dim, seed=11)
+        rng = np.random.default_rng(11)
+        steps = [
+            (rng.normal(size=(8, hash_dim)), np.asfortranarray(rng.normal(scale=3.0, size=(8, hash_dim))))
+            for _ in range(5)
+        ]
+        expected = reference_adam([model.w_q, model.w_p], steps, lr=0.01)
+        opt = AdamOptimizer(learning_rate=0.01)
+        for g_wq, g_wp in steps:
+            opt.step(model, g_wq, g_wp)
+        assert np.array_equal(model.w_q, expected[0])
+        assert np.array_equal(model.w_p, expected[1])
+
+
     def test_sgd_step(self):
         model = init_model(d=2, hash_dim=4, seed=0)
         before_q = model.w_q.copy()
@@ -389,6 +485,10 @@ class TestTrain:
         for ra, rb in zip(metrics_a, metrics_b):
             assert ra["mean_train_loss"] == rb["mean_train_loss"]
             assert ra["epoch"] == rb["epoch"]
+
+    def test_trained_towers_keep_their_layout(self):
+        trained, _ = self.run(epochs=2)
+        assert trained.w_q.T.flags.c_contiguous and trained.w_p.T.flags.c_contiguous
 
     def test_different_seed_changes_weights(self):
         trained_a, _ = self.run(seed=1, epochs=2)
