@@ -2,9 +2,10 @@
 Exact inner-product search over a flat vector index
 ===================================================
 
-The index is a single float32 matrix.  Search scans it in blocks with a
-bounded heap; the slow full-sort path exists purely as a cross-check,
-and the two agree hit for hit.
+The index is a single float32 matrix.  Search scores every row with a
+float32 matrix product, then rescores exactly the few rows a rounding
+bound cannot rule out; the slow full-sort path exists purely as a
+cross-check, and the two agree hit for hit.
 """
 
 import tempfile
@@ -29,7 +30,7 @@ for hit in hits:
 naive = search_naive(index, query, k=5)
 assert [(h.passage_id, h.score) for h in hits] == \
        [(h.passage_id, h.score) for h in naive]
-print("blocked scan matches the naive ranking")
+print("fast search matches the naive ranking")
 
 # the on-disk format round-trips bit for bit and is checksummed
 with tempfile.TemporaryDirectory() as tmp:

@@ -6,6 +6,7 @@ with k1=1.2, b=0.75 defaults.  No stemming, no stopword removal.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
@@ -231,14 +232,22 @@ def load_bm25_index(path: str | Path) -> InvertedIndex:
         except (json.JSONDecodeError, KeyError) as exc:
             raise ParseError(f"{path}: line 3: malformed passage_ids ({exc})") from exc
         postings: dict[str, list[tuple[int, int]]] = {}
-        for lineno, line in enumerate(f, start=4):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                postings[row["t"]] = [(int(o), int(tf)) for o, tf in row["p"]]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}: line {lineno}: malformed posting ({exc})") from exc
+        # Millions of posting tuples and no cycles among them: with the
+        # cyclic GC on, its repeated full scans make the parse superlinear.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for lineno, line in enumerate(f, start=4):
+                if not line.strip():
+                    continue
+                try:
+                    row = json.loads(line)
+                    postings[row["t"]] = [(int(o), int(tf)) for o, tf in row["p"]]
+                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                    raise ParseError(f"{path}: line {lineno}: malformed posting ({exc})") from exc
+        finally:
+            if gc_was_enabled:
+                gc.enable()
     if len(postings) != header.get("n_tokens"):
         raise ParseError(
             f"{path}: truncated index: header says {header.get('n_tokens')} tokens, "

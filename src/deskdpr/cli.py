@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 import traceback
@@ -464,6 +465,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # the package's warnings reach stderr once, for this call only
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setLevel(logging.WARNING)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    package_log = logging.getLogger("deskdpr")
+    propagate = package_log.propagate
+    package_log.addHandler(handler)
+    package_log.propagate = False
     try:
         return args.func(args)
     except StaleInput as exc:
@@ -475,6 +484,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception:
         traceback.print_exc()
         return 1
+    finally:
+        package_log.removeHandler(handler)
+        package_log.propagate = propagate
 
 
 if __name__ == "__main__":

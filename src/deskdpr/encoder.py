@@ -132,7 +132,7 @@ def encode_passage(model: EncoderModel, text: str) -> np.ndarray:
 
 
 def sim(q_emb: np.ndarray, p_emb: np.ndarray) -> float:
-    """Dot-product similarity, multiply-then-sum so blocked search matches."""
+    """Dot-product similarity, multiply-then-sum as search scores rows."""
     if q_emb.shape != p_emb.shape:
         raise DimensionError(f"embedding shapes differ: {q_emb.shape} vs {p_emb.shape}")
     a = np.asarray(q_emb, dtype=np.float64)

@@ -18,7 +18,7 @@ from .corpus import PassageStore
 from .dataset import TrainingInstance
 from .encoder import EncoderModel, encode_questions
 from .errors import EmptyEvaluation, ParseError
-from .flat_index import FlatIndex, search
+from .flat_index import FlatIndex, search_many
 from .questions import Question, answer_exclusion_strings, contains_answer
 from .results import RetrievalResult
 
@@ -129,7 +129,7 @@ def evaluate(
     k_max = max(cfg.k_values)
     # one batch: each embedding row is independent of the rows beside it
     q = encode_questions(model, [inst.question.text for inst in instances])
-    results = [search(index, row, k_max) for row in q]
+    results = search_many(index, q, k_max)
     return evaluate_results(results, instances, store, cfg, meta)
 
 

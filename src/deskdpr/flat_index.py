@@ -1,15 +1,31 @@
 """Exact dot-product search over float32 passage embeddings.
 
-Search scans the matrix in blocks, keeping a bounded heap of the best k
-candidates.  Scores are computed as elementwise multiply then sum, which
-gives bit-identical results whether a row is scored alone, inside a
-block, or by the naive reference scan.  Ties break toward the lower row
-ordinal.
+A row's score is ``(vectors[i] * q).sum()`` with the row widened to
+float64: elementwise multiply, then numpy's pairwise sum.  Results are
+ordered by score, highest first, and ties break toward the lower row
+ordinal.  ``search_naive`` evaluates that definition row by row and is
+kept as the reference the fast kernel is tested against.
+
+``search`` returns exactly the same hits, score bits and ranks at the
+speed of a float32 matrix-vector product.  It
+
+1. scores every row approximately with float32 products of
+   ``block_rows`` rows each, and shortlists every row whose approximate
+   score is within a rigorous rounding bound of the k-th best;
+2. rescores only the shortlist with the defining float64 expression;
+3. orders the rescored rows by (score descending, ordinal ascending).
+
+The bound is Higham's gamma_n analysis of a dot product summed in any
+order, so it holds for whatever order the BLAS adds in.  It scales with
+the largest entry of the rows, found block by block during the same
+scan, so an index edited between calls stays exact.  A query whose
+float32 cast, approximate scores or bound is not finite has every row
+rescored.  ``search_many`` runs ``search`` for each row of a matrix.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -66,6 +82,11 @@ def build_index(model: EncoderModel, store: PassageStore, batch_rows: int = 1024
     return FlatIndex(d=model.d, ids=ids, vectors=np.vstack(rows))
 
 
+# Unit roundoffs of float32 and float64.
+_U32 = 2.0**-24
+_U64 = 2.0**-53
+
+
 def _check_query(index: FlatIndex, q_emb: np.ndarray, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -75,30 +96,96 @@ def _check_query(index: FlatIndex, q_emb: np.ndarray, k: int) -> np.ndarray:
     return q.astype(np.float64)
 
 
+def _gamma(n: int, u: float) -> float:
+    """Higham's gamma_n = n u / (1 - n u)."""
+    return n * u / (1.0 - n * u) if n * u < 1.0 else math.inf
+
+
+def _approximation_bound(d: int, row_max: float, q_l1: float) -> float:
+    """A bound on |exact score - float32 product score| over rows whose
+    entries are all at most ``row_max`` in magnitude.
+
+    With S = sum_j |v_j q_j| <= row_max * ||q||_1, the float64 rescore is
+    within gamma_{d+1}(u64) S of v.q, casting q to float32 moves v.q by
+    at most u32 S, and the float32 product is within
+    gamma_{d+1}(u32) (1 + u32) S of v.fl32(q).  Underflow, even where
+    subnormals are flushed to zero, adds at most
+    2^-125 (||q||_1 + d (row_max + 1)).  The result is doubled to cover
+    the rounding of this computation and of the threshold built from it.
+    """
+    relative = _gamma(d + 1, _U64) + _U32 + _gamma(d + 1, _U32) * (1.0 + _U32)
+    return 2.0 * (relative * row_max * q_l1 + 2.0**-125 * (q_l1 + d * (row_max + 1.0)))
+
+
+def _shortlist(approx: np.ndarray, bound: float, k: int) -> np.ndarray:
+    """Ordinals of the rows that may be in the top k.
+
+    ``approx`` holds the rows' approximate scores and ``bound`` the
+    query's rounding bound.  A row more than twice the bound below the
+    k-th best approximate score is beaten, in exact score, by k rows, so
+    it is not in the top k.  If a score or the bound is not finite,
+    every row is kept.
+    """
+    m = len(approx)
+    if m <= k:
+        return np.arange(m)
+    threshold = float(np.partition(approx, m - k)[m - k]) - 2.0 * bound
+    if not (math.isfinite(threshold) and np.isfinite(approx).all()):
+        return np.arange(m)
+    # the comparison runs in float32: round the threshold down, never up
+    threshold32 = np.float32(threshold)
+    if float(threshold32) > threshold:
+        threshold32 = np.nextafter(threshold32, np.float32(-np.inf))
+    return np.flatnonzero(approx >= threshold32)
+
+
+def _ranked(index: FlatIndex, rows: np.ndarray, q: np.ndarray, k: int, block_rows: int) -> RetrievalResult:
+    """The top k of ``rows`` by the defining expression, rescored
+    ``block_rows`` rows at a time, ties toward the lower ordinal."""
+    scores = np.concatenate(
+        [(index.vectors[rows[lo : lo + block_rows]] * q).sum(axis=1) for lo in range(0, len(rows), block_rows)]
+    )
+    top = np.lexsort((rows, -scores))[:k]
+    return RetrievalResult(
+        hits=[
+            SearchHit(passage_id=index.ids[rows[j]], score=float(scores[j]), rank=rank)
+            for rank, j in enumerate(top, start=1)
+        ]
+    )
+
+
 def search(index: FlatIndex, q_emb: np.ndarray, k: int, block_rows: int = 4096) -> RetrievalResult:
-    """Top-k rows by dot product, blocked scan with a bounded heap."""
+    """Top-k rows by dot product for one query.
+
+    Equals ``search_naive(index, q_emb, k)`` in ids, score bits and
+    ranks.  Each float32 product scores ``block_rows`` rows.
+    """
     if block_rows < 1:
         raise ValueError(f"block_rows must be >= 1, got {block_rows}")
     q = _check_query(index, q_emb, k)
-    # Heap holds (score, -ordinal); among equal scores the larger ordinal
-    # is the smaller tuple, so it is evicted first and low ordinals win.
-    heap: list[tuple[float, int]] = []
-    for lo in range(0, len(index), block_rows):
-        block = index.vectors[lo : lo + block_rows]
-        scores = (block * q).sum(axis=1)
-        for offset, score in enumerate(scores):
-            item = (float(score), -(lo + offset))
-            if len(heap) < k:
-                heapq.heappush(heap, item)
-            elif item > heap[0]:
-                heapq.heapreplace(heap, item)
-    ranked = sorted(heap, key=lambda item: (-item[0], -item[1]))
-    return RetrievalResult(
-        hits=[
-            SearchHit(passage_id=index.ids[-neg_ordinal], score=score, rank=rank)
-            for rank, (score, neg_ordinal) in enumerate(ranked, start=1)
-        ]
-    )
+    m = len(index)
+    if m == 0:
+        return RetrievalResult(hits=[])
+    approx = np.empty(m, dtype=np.float32)
+    block_max = np.empty(-(-m // block_rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q32 = q.astype(np.float32)
+        for i, lo in enumerate(range(0, m, block_rows)):
+            block = index.vectors[lo : lo + block_rows]
+            np.matmul(block, q32, out=approx[lo : lo + block_rows])
+            block_max[i] = max(block.max(), -block.min())
+        bound = _approximation_bound(index.d, float(block_max.max()), float(np.abs(q).sum()))
+        return _ranked(index, _shortlist(approx, bound, k), q, k, block_rows)
+
+
+def search_many(
+    index: FlatIndex, queries: np.ndarray, k: int, block_rows: int = 4096
+) -> list[RetrievalResult]:
+    """``search`` for each row of ``queries`` (n, d)."""
+    queries = np.asarray(queries)
+    if queries.ndim != 2 or queries.shape[1] != index.d:
+        raise DimensionError(f"queries shape {queries.shape} does not match index dimension {index.d}")
+    return [search(index, q, k, block_rows) for q in queries]
 
 
 def search_naive(index: FlatIndex, q_emb: np.ndarray, k: int) -> RetrievalResult:

@@ -20,8 +20,8 @@ import numpy as np
 
 from .corpus import render_encoder_input
 from .dataset import DatasetSplit, TrainingInstance
-from .encoder import EncoderModel, encode_passages, encode_questions, featurize_texts
-from .flat_index import FlatIndex, search
+from .encoder import EncoderModel, featurize_texts
+from .flat_index import FlatIndex, search_many
 
 log = logging.getLogger(__name__)
 
@@ -271,32 +271,46 @@ def make_optimizer(name: str, learning_rate: float):
     raise ValueError(f"unknown optimizer {name!r}")
 
 
-def dev_hit_at_k(model: EncoderModel, dev_split: DatasetSplit, k: int = 10) -> float:
-    """hit@k over a dense index rebuilt on the dev split's passage pool.
+class DevPool:
+    """A dev split's passage pool and the feature rows dev scoring needs.
 
     The pool is every distinct passage mentioned by a dev instance
     (positives, hard negatives, random negatives) in first-appearance
-    order; a question scores a hit when its positive lands in the top k
-    by dot product.
+    order.  Features do not depend on the weights, so ``train`` builds
+    one pool and each epoch only projects it through the current towers.
     """
-    pool: list = []
-    seen: set[str] = set()
-    for inst in dev_split:
-        for passage in (inst.positive, *inst.hard_negatives, *inst.random_negatives):
-            if passage.passage_id not in seen:
-                seen.add(passage.passage_id)
-                pool.append(passage)
-    if not pool:
-        raise ValueError("dev split mentions no passages")
-    vectors = encode_passages(model, [render_encoder_input(p) for p in pool]).astype(np.float32)
-    index = FlatIndex(d=model.d, ids=[p.passage_id for p in pool], vectors=vectors)
-    q = encode_questions(model, [inst.question.text for inst in dev_split])
-    hits = 0
-    for i, inst in enumerate(dev_split):
-        retrieved = search(index, q[i], k)
-        if inst.positive.passage_id in retrieved.ids():
-            hits += 1
-    return hits / len(dev_split)
+
+    def __init__(self, dev_split: DatasetSplit, hash_dim: int):
+        pool: list = []
+        seen: set[str] = set()
+        for inst in dev_split:
+            for passage in (inst.positive, *inst.hard_negatives, *inst.random_negatives):
+                if passage.passage_id not in seen:
+                    seen.add(passage.passage_id)
+                    pool.append(passage)
+        if not pool:
+            raise ValueError("dev split mentions no passages")
+        self.ids = [p.passage_id for p in pool]
+        self.positives = [inst.positive.passage_id for inst in dev_split]
+        self.passage_features = featurize_texts([render_encoder_input(p) for p in pool], hash_dim)
+        self.question_features = featurize_texts([inst.question.text for inst in dev_split], hash_dim)
+
+
+def dev_hit_at_k(
+    model: EncoderModel, dev_split: DatasetSplit, k: int = 10, pool: DevPool | None = None
+) -> float:
+    """hit@k over a dense index built on the dev split's passage pool.
+
+    A question scores a hit when its positive lands in the top k by dot
+    product.  ``pool``, built over this split, saves featurizing it again.
+    """
+    if pool is None:
+        pool = DevPool(dev_split, model.hash_dim)
+    vectors = (pool.passage_features @ model.w_p.T).astype(np.float32)
+    index = FlatIndex(d=model.d, ids=pool.ids, vectors=vectors)
+    results = search_many(index, pool.question_features @ model.w_q.T, k)
+    hits = sum(positive in result.ids() for positive, result in zip(pool.positives, results))
+    return hits / len(pool.positives)
 
 
 def train(
@@ -321,6 +335,7 @@ def train(
     instances = train_split.instances
     # features do not depend on the weights: featurize every text once
     features = FeatureTable(instances, model.hash_dim)
+    dev_pool = DevPool(dev_split, model.hash_dim) if dev_split and len(dev_split) else None
     for epoch in range(1, cfg.epochs + 1):
         start = time.perf_counter()
         perm = rng.permutation(len(instances))
@@ -335,7 +350,7 @@ def train(
             optimizer.step(model, g_wq, g_wp)
             loss_sum += sum(report.per_question_loss)
             questions_seen += len(batch)
-        dev_hit = dev_hit_at_k(model, dev_split, k=10) if dev_split and len(dev_split) else None
+        dev_hit = dev_hit_at_k(model, dev_split, k=10, pool=dev_pool) if dev_pool is not None else None
         metrics.append(
             {
                 "epoch": epoch,
@@ -345,7 +360,7 @@ def train(
             }
         )
     if dropped_batches:
-        log.info("dropped %d single-instance trailing batches", dropped_batches)
+        log.warning("dropped %d single-instance trailing batches", dropped_batches)
     return model, metrics
 
 

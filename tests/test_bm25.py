@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -335,3 +336,23 @@ class TestPersistence:
         loaded = load_bm25_index(path)
         for token in index.postings:
             assert loaded.idf(token) == index.idf(token)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_restored_after_load(self, tmp_path, enabled):
+        index = build_index(store_of("a b", "b c"))
+        good = tmp_path / "bm25.jsonl"
+        save_bm25_index(index, good)
+        bad = tmp_path / "bad.jsonl"
+        lines = good.read_text(encoding="utf-8").splitlines()
+        lines[4] = "{not json"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            assert load_bm25_index(good).postings == index.postings
+            assert gc.isenabled() is enabled
+            with pytest.raises(ParseError):
+                load_bm25_index(bad)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()

@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import subprocess
 import sys
 
@@ -331,6 +332,32 @@ class TestTrain:
         ])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_dropped_batches_shown_once_on_stderr(self, pipeline, tmp_path, capsys):
+        train_json = pipeline["dataset"] / "train.json"
+        n_train = len(json.loads(train_json.read_text(encoding="utf-8")))
+        package_log = logging.getLogger("deskdpr")
+        handlers = list(package_log.handlers)
+        root_handler = logging.StreamHandler(sys.stderr)
+        logging.getLogger().addHandler(root_handler)
+        try:
+            rc = main([
+                "train",
+                "--train", str(train_json),
+                "--out", str(tmp_path / "m.bin"),
+                # one instance is left over for a trailing batch of its own
+                "--batch-size", str(n_train - 1),
+                "--epochs", "1",
+                "--d", "8",
+                "--hash-dim", "64",
+            ])
+        finally:
+            logging.getLogger().removeHandler(root_handler)
+        assert rc == 0
+        # a handler on the root logger does not print the line a second time
+        assert capsys.readouterr().err.count("WARNING deskdpr.training: dropped 1 single-instance trailing batches") == 1
+        assert package_log.handlers == handlers
+        assert package_log.propagate
 
     def test_missing_train_file(self, tmp_path, capsys):
         rc = main(["train", "--train", str(tmp_path / "absent.json"), "--out", str(tmp_path / "m.bin")])

@@ -7,7 +7,9 @@ import pytest
 
 from deskdpr.corpus import render_encoder_input
 from deskdpr.dataset import DatasetSplit
-from deskdpr.encoder import EncoderModel, featurize_texts, init_model
+from deskdpr import training
+from deskdpr.encoder import EncoderModel, encode_passages, encode_questions, featurize_texts, init_model
+from deskdpr.flat_index import FlatIndex, search
 from deskdpr.training import (
     AdamOptimizer,
     FeatureTable,
@@ -499,6 +501,51 @@ class TestTrain:
         with caplog.at_level(logging.INFO, logger="deskdpr.training"):
             self.run(n=5, batch_size=2, epochs=1)
         assert any("dropped" in rec.message for rec in caplog.records)
+
+    def test_dev_pool_featurized_once_with_per_epoch_values(self, monkeypatch):
+        def per_epoch_dev_hit(model, split, k):
+            """Dev scoring as it ran before the pool was kept: featurize and
+            encode everything again, one search per question."""
+            pool = {}
+            for inst in split:
+                for p in (inst.positive, *inst.hard_negatives, *inst.random_negatives):
+                    pool.setdefault(p.passage_id, p)
+            vectors = encode_passages(model, [render_encoder_input(p) for p in pool.values()])
+            index = FlatIndex(d=model.d, ids=list(pool), vectors=vectors.astype(np.float32))
+            q = encode_questions(model, [inst.question.text for inst in split])
+            hits = sum(inst.positive.passage_id in search(index, q[i], k).ids() for i, inst in enumerate(split))
+            return hits / len(split)
+
+        pooled, fresh = [], []
+        scored = training.dev_hit_at_k
+
+        def recording(model, split, k=10, pool=None):
+            pooled.append(scored(model, split, k, pool))
+            fresh.append(per_epoch_dev_hit(model, split, k))
+            return pooled[-1]
+
+        calls = []
+        featurize = training.featurize_texts
+
+        def counting(texts, hash_dim):
+            calls.append(len(texts))
+            return featurize(texts, hash_dim)
+
+        monkeypatch.setattr(training, "dev_hit_at_k", recording)
+        monkeypatch.setattr(training, "featurize_texts", counting)
+        dev = separable_split(12, name="dev")
+        dev = DatasetSplit(
+            name="dev",
+            instances=tuple(
+                instance(inst.question, inst.positive, hard=[passage(f"noise row {i}", pid=f"n{i}#0")])
+                for i, inst in enumerate(dev)
+            ),
+        )
+        _, metrics = self.run(dev=dev, epochs=4, n=10, lr=0.05)
+        assert [m["dev_hit_at_10"] for m in metrics] == pooled == fresh
+        assert len(set(pooled)) > 1  # the values move as the model trains
+        # the training table, then the dev pool's passages and questions
+        assert calls == [calls[0], 24, 12]
 
     def test_too_few_instances_rejected(self):
         model = init_model(d=16, hash_dim=512, seed=0)
