@@ -1,13 +1,16 @@
 """Command-line pipeline: ingest, index, mine, build, train, search, evaluate.
 
-Every subcommand reads prior artifacts by path, refuses to run when an
-artifact's recorded inputs have changed on disk (exit 3), writes a
-manifest before its own artifact, and exits 0 on success, 2 on usage or
-validation problems, 1 on unexpected internal errors.
-
-Option values resolve in precedence order: command-line flag, then
---config file (key=value lines), then the DPR_SEED environment variable
-for the seed, then built-in defaults.
+Each subcommand is one row of ``STAGES``: its path and option flags and a
+function doing the stage's own work; one runner does the rest.  Option
+values resolve in precedence order: command-line flag, then --config file
+(key=value lines; unknown keys and values outside a flag's choices are
+refused), then the DPR_SEED environment variable for the seed, then
+built-in defaults.  A stage refuses to run (exit 3) when an input's bytes
+or the inputs recorded in its manifest changed since it was written.  Each
+artifact goes to a temp file beside its target; its manifest, with the
+artifact's sha256, is written the same way, and both are moved into place
+with ``os.replace``, manifest first.  Exit codes: 0 on success, 2 on usage
+or validation problems, 1 on unexpected internal errors.
 """
 
 from __future__ import annotations
@@ -18,7 +21,10 @@ import logging
 import os
 import sys
 import traceback
+from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from . import __version__
@@ -31,19 +37,64 @@ from .errors import DeskdprError, StaleInput
 from .evaluation import EvalConfig, evaluate, write_report
 from .flat_index import build_index as build_dense_index
 from .flat_index import load_index, save_index, search
-from .manifest import read_manifest, verify_inputs, write_manifest
+from .manifest import read_manifest, verify_inputs, write_artifacts
 from .questions import parse_bioasq
 from .training import TrainConfig, save_metrics, train
 
 SEED_ENV_VAR = "DPR_SEED"
 
 
+@dataclass(frozen=True)
+class PathFlag:
+    """A path flag: an input, named `what` when it is not found, or an output."""
+
+    flag: str
+    help: str
+    what: str | None = None  # None marks an output
+    required: bool = True
+
+    @property
+    def key(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
+
+
+@dataclass(frozen=True)
+class Option:
+    """A value set by flag, config key or default, in that order."""
+
+    flag: str
+    key: str  # config key, and the option's name in the manifest and the stage
+    type: Callable
+    default: object
+    help: str
+    choices: tuple[str, ...] = ()
+    parse: Callable | None = None  # turns the resolved string into a tuple
+
+
+@dataclass(frozen=True)
+class Stage:
+    """A subcommand: its flags in manifest order, and the function doing its own work.
+
+    run(values, write) gets every flag's value and the seed by key;
+    write({path: writer}) commits the stage's outputs, calling writer(tmp_path).
+    """
+
+    name: str
+    help: str
+    run: Callable
+    flags: tuple[PathFlag | Option, ...]
+
+
+SEED = Option("--seed", "seed", int, 0, f"RNG seed, also read from {SEED_ENV_VAR}")
+
+
 def _load_config(path: str | None) -> dict[str, str]:
-    """key=value lines; blank lines and #-comments ignored."""
+    """key=value lines; blank lines and #-comments ignored; unknown keys refused."""
     if path is None:
         return {}
     if not Path(path).is_file():
         raise ValueError(f"config file not found: {path}")
+    known = {f.key for stage in STAGES for f in (*stage.flags, SEED) if isinstance(f, Option)}
     out: dict[str, str] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
@@ -52,39 +103,29 @@ def _load_config(path: str | None) -> dict[str, str]:
         if "=" not in stripped:
             raise ValueError(f"{path}: line {lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
+        if key.strip() not in known:
+            raise ValueError(f"{path}: line {lineno}: unknown config key {key.strip()!r}")
         out[key.strip()] = value.strip()
     return out
 
 
-def _resolve(flag_value, config: dict[str, str], key: str, default, cast: Callable):
-    """Flag beats config beats default; config values are cast from strings."""
+def _resolve(opt: Option, flag_value, config: dict[str, str]):
+    """Flag beats config beats DPR_SEED (for the seed) beats default; strings are cast."""
     if flag_value is not None:
         return flag_value
-    if key in config:
-        try:
-            return cast(config[key])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"config key {key}: cannot read {config[key]!r} as {cast.__name__}") from exc
-    return default
-
-
-def _resolve_seed(flag_value, config: dict[str, str]) -> int:
-    if flag_value is not None:
-        return flag_value
-    if "seed" in config:
-        return int(config["seed"])
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return 0
-
-
-def _require_file(path: str, what: str) -> None:
-    if not Path(path).is_file():
-        raise ValueError(f"{what} not found: {path}")
+    if opt.key in config:
+        source, raw = f"config key {opt.key}", config[opt.key]
+    elif opt is SEED and SEED_ENV_VAR in os.environ:
+        source, raw = SEED_ENV_VAR, os.environ[SEED_ENV_VAR]
+    else:
+        return opt.default
+    try:
+        value = opt.type(raw)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{source}: cannot read {raw!r} as {opt.type.__name__}") from exc
+    if opt.choices and value not in opt.choices:
+        raise ValueError(f"{source}: {raw!r} is not one of {', '.join(opt.choices)}")
+    return value
 
 
 def _parse_k_values(raw: str) -> tuple[int, ...]:
@@ -95,264 +136,151 @@ def _parse_k_values(raw: str) -> tuple[int, ...]:
 
 
 def _parse_fractions(raw: str) -> tuple[float, float, float]:
-    parts = raw.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"--split must be three comma-separated fractions, got {raw!r}")
     try:
-        a, b, c = (float(p) for p in parts)
+        a, b, c = (float(p) for p in raw.split(","))
     except ValueError as exc:
         raise ValueError(f"--split must be three comma-separated fractions, got {raw!r}") from exc
     return a, b, c
 
 
-def _cmd_ingest(args) -> int:
+def _run(stage: Stage, args: argparse.Namespace) -> int:
+    """Resolve, check and verify everything a stage reads, run it, commit what it writes."""
     config = _load_config(args.config)
-    chunk_size = _resolve(args.chunk_size, config, "chunk_size", 100, int)
-    seed = _resolve_seed(args.seed, config)
-    _require_file(args.corpus, "corpus")
-    store, stats = ingest_corpus(args.corpus, chunk_size)
-    snapshot = {"corpus": args.corpus, "out": args.out, "chunk_size": chunk_size}
-    write_manifest(args.out, "ingest", snapshot, seed, [args.corpus])
-    save_store(store, args.out)
+    seed = _resolve(SEED, args.seed, config)
+    values, inputs = {}, []
+    for f in stage.flags:
+        value = getattr(args, f.key)
+        if isinstance(f, Option):
+            value = _resolve(f, value, config)
+            value = f.parse(value) if f.parse else value
+        elif f.what and value is not None:
+            if not Path(value).is_file():
+                raise ValueError(f"{f.what} not found: {value}")
+            inputs.append(value)
+        values[f.key] = value
+    digests: dict[str, str] = {}
+    for path in inputs:
+        verify_inputs(path, digests)
+    snapshot = {k: ",".join(map(str, v)) if isinstance(v, tuple) else v for k, v in values.items()}
+    write = partial(write_artifacts, command=stage.name, config=snapshot, seed=seed, inputs=inputs, digests=digests)
+    stage.run(SimpleNamespace(**values, seed=seed), write)
+    return 0
+
+
+# -- each stage's own work ------------------------------------------------------
+
+
+def _ingest(v, write) -> None:
+    store, stats = ingest_corpus(v.corpus, v.chunk_size)
+    write({v.out: partial(save_store, store)})
     print(
-        f"wrote {args.out}: {stats.documents} documents, "
+        f"wrote {v.out}: {stats.documents} documents, "
         f"{stats.passages} passages, {stats.dropped_empty} dropped empty"
     )
-    return 0
 
 
-def _cmd_index_bm25(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(args.seed, config)
-    _require_file(args.corpus, "passage store")
-    verify_inputs(args.corpus)
-    store = load_store(args.corpus)
-    index = build_bm25_index(store)
-    snapshot = {"corpus": args.corpus, "out": args.out}
-    write_manifest(args.out, "index-bm25", snapshot, seed, [args.corpus])
-    save_bm25_index(index, args.out)
-    print(f"wrote {args.out}: {index.n_passages} passages, {len(index.postings)} distinct tokens")
-    return 0
+def _index_bm25(v, write) -> None:
+    index = build_bm25_index(load_store(v.corpus))
+    write({v.out: partial(save_bm25_index, index)})
+    print(f"wrote {v.out}: {index.n_passages} passages, {len(index.postings)} distinct tokens")
 
 
-def _cmd_mine_negatives(args) -> int:
-    config = _load_config(args.config)
-    top_n = _resolve(args.top_n, config, "top_n", 100, int)
-    seed = _resolve_seed(args.seed, config)
-    for path, what in ((args.index, "index"), (args.store, "passage store"), (args.questions, "questions file")):
-        _require_file(path, what)
-    verify_inputs(args.index)
-    verify_inputs(args.store)
-    index = load_bm25_index(args.index)
-    store = load_store(args.store)
-    questions = parse_bioasq(args.questions)
-    snapshot = {
-        "index": args.index,
-        "store": args.store,
-        "questions": args.questions,
-        "top_n": top_n,
-        "out": args.out,
-    }
-    write_manifest(args.out, "mine-negatives", snapshot, seed, [args.index, args.store, args.questions])
-    mined_total = 0
-    with open(args.out, "w", encoding="utf-8") as f:
-        for q in questions:
-            mined = mine_hard_negatives(index, store, q, top_n=top_n, n=1)
-            mined_total += len(mined)
-            row = {"question_id": q.question_id, "hard_negative_ids": [p.passage_id for p in mined]}
-            f.write(json.dumps(row, ensure_ascii=False) + "\n")
-    print(f"wrote {args.out}: {mined_total} hard negatives for {len(questions)} questions")
-    return 0
+def _mine_negatives(v, write) -> None:
+    index = load_bm25_index(v.index)
+    store = load_store(v.store)
+    questions = parse_bioasq(v.questions)
+    lines, mined_total = [], 0
+    for q in questions:
+        mined = mine_hard_negatives(index, store, q, top_n=v.top_n, n=1)
+        mined_total += len(mined)
+        row = {"question_id": q.question_id, "hard_negative_ids": [p.passage_id for p in mined]}
+        lines.append(json.dumps(row, ensure_ascii=False) + "\n")
+    write({v.out: lambda tmp: tmp.write_text("".join(lines), encoding="utf-8")})
+    print(f"wrote {v.out}: {mined_total} hard negatives for {len(questions)} questions")
 
 
-def _cmd_build_dataset(args) -> int:
-    config = _load_config(args.config)
-    n_hard = _resolve(args.n_hard, config, "n_hard", 1, int)
-    n_random = _resolve(args.n_random, config, "n_random", 0, int)
-    top_n = _resolve(args.top_n, config, "top_n", 100, int)
-    fractions = _parse_fractions(_resolve(args.split, config, "split", "0.8,0.1,0.1", str))
-    seed = _resolve_seed(args.seed, config)
-    for path, what in ((args.questions, "questions file"), (args.store, "passage store"), (args.index, "index")):
-        _require_file(path, what)
-    verify_inputs(args.store)
-    verify_inputs(args.index)
-    questions = parse_bioasq(args.questions)
-    store = load_store(args.store)
-    index = load_bm25_index(args.index)
+def _build_dataset(v, write) -> None:
+    questions = parse_bioasq(v.questions)
+    store = load_store(v.store)
+    index = load_bm25_index(v.index)
     aligned, dropped = align_questions(questions, store)
     instances, short_of_hard = attach_negatives(
-        aligned, store, index, n_hard=n_hard, n_random=n_random, top_n=top_n, seed=seed
+        aligned, store, index, n_hard=v.n_hard, n_random=v.n_random, top_n=v.top_n, seed=v.seed
     )
-    splits = split_instances(instances, fractions, seed=seed)
-    out_dir = Path(args.out_dir)
+    splits = split_instances(instances, v.split, seed=v.seed)
+    out_dir = Path(v.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    snapshot = {
-        "questions": args.questions,
-        "store": args.store,
-        "index": args.index,
-        "out_dir": args.out_dir,
-        "split": ",".join(str(f) for f in fractions),
-        "n_hard": n_hard,
-        "n_random": n_random,
-        "top_n": top_n,
-    }
-    inputs = [args.questions, args.store, args.index]
-    sizes = []
-    for name in ("train", "dev", "test"):
-        out_path = out_dir / f"{name}.json"
-        write_manifest(out_path, "build-dataset", snapshot, seed, inputs)
-        emit_dpr_json(splits[name], out_path)
-        sizes.append(f"{name}={len(splits[name])}")
-    print(
-        f"wrote {out_dir}: {' '.join(sizes)} "
-        f"(dropped {dropped} unaligned, {short_of_hard} short of hard negatives)"
-    )
-    return 0
+    write({out_dir / f"{name}.json": partial(emit_dpr_json, split) for name, split in splits.items()})
+    sizes = " ".join(f"{name}={len(split)}" for name, split in splits.items())
+    print(f"wrote {out_dir}: {sizes} (dropped {dropped} unaligned, {short_of_hard} short of hard negatives)")
 
 
-def _cmd_train(args) -> int:
-    config = _load_config(args.config)
-    cfg = TrainConfig(
-        batch_size=_resolve(args.batch_size, config, "batch_size", 16, int),
-        epochs=_resolve(args.epochs, config, "epochs", 8, int),
-        learning_rate=_resolve(args.lr, config, "learning_rate", 1e-2, float),
-        seed=_resolve_seed(args.seed, config),
-        d=_resolve(args.d, config, "d", 128, int),
-        hash_dim=_resolve(args.hash_dim, config, "hash_dim", 16384, int),
-        optimizer=_resolve(args.optimizer, config, "optimizer", "adam", str),
-    )
-    _require_file(args.train, "training split")
-    verify_inputs(args.train)
-    train_split = load_dpr_json(args.train, "train")
-    dev_split = None
-    inputs = [args.train]
-    if args.dev is not None:
-        _require_file(args.dev, "dev split")
-        verify_inputs(args.dev)
-        dev_split = load_dpr_json(args.dev, "dev")
-        inputs.append(args.dev)
+def _train(v, write) -> None:
+    # train's options and the seed are named after TrainConfig's fields
+    cfg = TrainConfig(**{f.name: getattr(v, f.name) for f in fields(TrainConfig)})
+    train_split = load_dpr_json(v.train, "train")
+    dev_split = None if v.dev is None else load_dpr_json(v.dev, "dev")
     model = init_model(d=cfg.d, hash_dim=cfg.hash_dim, seed=cfg.seed)
     model, metrics = train(model, train_split, dev_split, cfg)
-    snapshot = {
-        "train": args.train,
-        "dev": args.dev,
-        "out": args.out,
-        "metrics": args.metrics,
-        "batch_size": cfg.batch_size,
-        "epochs": cfg.epochs,
-        "learning_rate": cfg.learning_rate,
-        "d": cfg.d,
-        "hash_dim": cfg.hash_dim,
-        "optimizer": cfg.optimizer,
-    }
-    write_manifest(args.out, "train", snapshot, cfg.seed, inputs)
-    save_model(model, args.out)
+    outputs = {v.out: partial(save_model, model)}
+    if v.metrics is not None:
+        outputs[v.metrics] = partial(save_metrics, metrics)
+    write(outputs)
     for row in metrics:
         dev_hit = "-" if row["dev_hit_at_10"] is None else f"{row['dev_hit_at_10']:.4f}"
         print(
             f"epoch {row['epoch']}: mean_train_loss={row['mean_train_loss']:.6f} "
             f"dev_hit@10={dev_hit} ({row['wall_seconds']:.2f}s)"
         )
-    if args.metrics is not None:
-        write_manifest(args.metrics, "train", snapshot, cfg.seed, inputs)
-        save_metrics(metrics, args.metrics)
-    print(f"wrote {args.out}")
-    return 0
+    print(f"wrote {v.out}")
 
 
-def _cmd_index_dense(args) -> int:
-    config = _load_config(args.config)
-    batch_rows = _resolve(args.batch_rows, config, "batch_rows", 1024, int)
-    seed = _resolve_seed(args.seed, config)
-    _require_file(args.model, "model")
-    _require_file(args.store, "passage store")
-    verify_inputs(args.model)
-    verify_inputs(args.store)
-    model = load_model(args.model)
-    store = load_store(args.store)
-    index = build_dense_index(model, store, batch_rows=batch_rows)
-    snapshot = {"model": args.model, "store": args.store, "out": args.out, "batch_rows": batch_rows}
-    write_manifest(args.out, "index-dense", snapshot, seed, [args.model, args.store])
-    save_index(index, args.out)
-    print(f"wrote {args.out}: {len(index)} vectors of dimension {index.d}")
-    return 0
+def _index_dense(v, write) -> None:
+    index = build_dense_index(load_model(v.model), load_store(v.store), batch_rows=v.batch_rows)
+    write({v.out: partial(save_index, index)})
+    print(f"wrote {v.out}: {len(index)} vectors of dimension {index.d}")
 
 
 def _model_meta(model_path: str) -> dict[str, str]:
     """Report metadata from the model's manifest, if one exists."""
     manifest = read_manifest(model_path)
+    config = {} if manifest is None else manifest.config
     meta = {"encoder": "hashed-bow"}
-    if manifest is not None:
-        snapshot = manifest.config
-        if "epochs" in snapshot:
-            meta["epochs"] = str(snapshot["epochs"])
-        if "batch_size" in snapshot:
-            meta["batch"] = str(snapshot["batch_size"])
+    for name, key in (("epochs", "epochs"), ("batch", "batch_size")):
+        if key in config:
+            meta[name] = str(config[key])
     return meta
 
 
-def _cmd_evaluate(args) -> int:
-    config = _load_config(args.config)
-    k_values = _parse_k_values(_resolve(args.k, config, "k", "1,5,10", str))
-    mode = _resolve(args.mode, config, "mode", "gold_passage_id", str)
-    fmt = _resolve(args.format, config, "format", "json", str)
-    seed = _resolve_seed(args.seed, config)
-    for path, what in (
-        (args.model, "model"),
-        (args.index, "index"),
-        (args.store, "passage store"),
-        (args.questions, "questions file"),
-    ):
-        _require_file(path, what)
-    for path in (args.model, args.index, args.store):
-        verify_inputs(path)
-    model = load_model(args.model)
-    index = load_index(args.index)
-    store = load_store(args.store)
-    questions = parse_bioasq(args.questions)
-    instances, dropped = align_questions(questions, store)
-    cfg = EvalConfig(k_values=k_values, match_mode=mode)
-    report = evaluate(model, index, store, instances, cfg, meta=_model_meta(args.model))
-    snapshot = {
-        "model": args.model,
-        "index": args.index,
-        "store": args.store,
-        "questions": args.questions,
-        "k": ",".join(str(k) for k in k_values),
-        "mode": mode,
-        "format": fmt,
-        "out": args.out,
-    }
-    write_manifest(args.out, "evaluate", snapshot, seed, [args.model, args.index, args.store, args.questions])
-    write_report(report, args.out, fmt)
-    for k in k_values:
+def _evaluate(v, write) -> None:
+    model = load_model(v.model)
+    index = load_index(v.index)
+    store = load_store(v.store)
+    instances, dropped = align_questions(parse_bioasq(v.questions), store)
+    cfg = EvalConfig(k_values=v.k, match_mode=v.mode)
+    report = evaluate(model, index, store, instances, cfg, meta=_model_meta(v.model))
+    write({v.out: partial(write_report, report, fmt=v.format)})
+    for k in v.k:
         row = report.per_k[k]
         print(f"hit@{k}={row['hit_rate']:.4f} precision={row['precision']:.4f} "
               f"recall={row['recall']:.4f} f1={row['f1']:.4f}")
-    print(f"evaluated {report.n_questions} questions ({dropped} dropped unaligned); wrote {args.out}")
-    return 0
+    print(f"evaluated {report.n_questions} questions ({dropped} dropped unaligned); wrote {v.out}")
 
 
-def _cmd_repl(args) -> int:
-    config = _load_config(args.config)
-    k = _resolve(args.k, config, "k", 10, int)
-    for path, what in ((args.index, "index"), (args.model, "model"), (args.store, "passage store")):
-        _require_file(path, what)
-    for path in (args.index, args.model, args.store):
-        verify_inputs(path)
-    index = load_index(args.index)
-    model = load_model(args.model)
-    store = load_store(args.store)
+def _repl(v, write) -> None:
+    index = load_index(v.index)
+    model = load_model(v.model)
+    store = load_store(v.store)
     print(f"{len(index)} passages loaded; :show <passage_id> for full text, :quit to exit")
     while True:
         try:
             line = input("dpr> ").strip()
         except EOFError:
-            return 0
+            return
         if not line:
             continue
         if line == ":quit":
-            return 0
+            return
         if line.startswith(":show"):
             pid = line[len(":show") :].strip()
             if pid in store:
@@ -364,98 +292,99 @@ def _cmd_repl(args) -> int:
         if line.startswith(":"):
             print(f"unknown command {line.split()[0]}; try :show <passage_id> or :quit")
             continue
-        result = search(index, encode_question(model, line), k)
+        result = search(index, encode_question(model, line), v.k)
         for hit in result:
             passage = store.get(hit.passage_id)
             print(f"{hit.rank:>3}  {hit.score: .6f}  {hit.passage_id}  {passage.title}  {passage.text[:120]}")
-    return 0
+
+
+# -- the stage table --------------------------------------------------------------
+
+STORE = PathFlag("--store", "passage store path", what="passage store")
+QUESTIONS = PathFlag("--questions", "questions JSON path", what="questions file")
+MODEL = PathFlag("--model", "model path", what="model")
+BM25_INDEX = PathFlag("--index", "lexical index path", what="index")
+DENSE_INDEX = PathFlag("--index", "dense index path", what="index")
+TOP_N = Option("--top-n", "top_n", int, 100, "candidate pool size")
+
+STAGES: tuple[Stage, ...] = (
+    Stage("ingest", "chunk a JSONL corpus into a passage store", _ingest, (
+        PathFlag("--corpus", "JSONL corpus, one document per line", what="corpus"),
+        PathFlag("--out", "passage store output path"),
+        Option("--chunk-size", "chunk_size", int, 100, "words per passage"),
+    )),
+    Stage("index-bm25", "build the lexical index from a passage store", _index_bm25, (
+        PathFlag("--corpus", "passage store path", what="passage store"),
+        PathFlag("--out", "index output path"),
+    )),
+    Stage("mine-negatives", "top lexical matches that lack the answer", _mine_negatives, (
+        BM25_INDEX,
+        STORE,
+        QUESTIONS,
+        TOP_N,
+        PathFlag("--out", "JSONL output path"),
+    )),
+    Stage("build-dataset", "align positives, attach negatives, split", _build_dataset, (
+        QUESTIONS,
+        STORE,
+        BM25_INDEX,
+        PathFlag("--out-dir", "directory for train/dev/test.json"),
+        Option("--split", "split", str, "0.8,0.1,0.1", "train,dev,test fractions", parse=_parse_fractions),
+        Option("--n-hard", "n_hard", int, 1, "hard negatives per question"),
+        Option("--n-random", "n_random", int, 0, "random negatives per question"),
+        TOP_N,
+    )),
+    Stage("train", "train the dual encoder", _train, (
+        PathFlag("--train", "training split JSON path", what="training split"),
+        PathFlag("--dev", "dev split JSON path (optional)", what="dev split", required=False),
+        PathFlag("--out", "model output path"),
+        PathFlag("--metrics", "per-epoch metrics JSONL output path", required=False),
+        Option("--batch-size", "batch_size", int, 16, "questions per batch"),
+        Option("--epochs", "epochs", int, 8, "passes over the training split"),
+        Option("--lr", "learning_rate", float, 1e-2, "learning rate"),
+        Option("--d", "d", int, 128, "embedding dimension"),
+        Option("--hash-dim", "hash_dim", int, 16384, "feature hash buckets"),
+        Option("--optimizer", "optimizer", str, "adam", "optimizer", choices=("adam", "sgd")),
+    )),
+    Stage("index-dense", "encode every passage into a flat vector index", _index_dense, (
+        MODEL,
+        STORE,
+        PathFlag("--out", "index output path"),
+        Option("--batch-rows", "batch_rows", int, 1024, "encoding batch size"),
+    )),
+    Stage("evaluate", "retrieval quality of a model over an index", _evaluate, (
+        MODEL,
+        DENSE_INDEX,
+        STORE,
+        QUESTIONS,
+        Option("--k", "k", str, "1,5,10", "comma-separated cutoffs", parse=_parse_k_values),
+        Option("--mode", "mode", str, "gold_passage_id", "hit judging mode", choices=("answer_string", "gold_passage_id")),
+        Option("--format", "format", str, "json", "report format", choices=("json", "markdown_table")),
+        PathFlag("--out", "report output path"),
+    )),
+    Stage("repl", "interactive retrieval against a dense index", _repl, (
+        DENSE_INDEX,
+        MODEL,
+        STORE,
+        Option("--k", "k", int, 10, "results per query"),
+    )),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="deskdpr", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"deskdpr {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for stage in STAGES:
+        p = sub.add_parser(stage.name, help=stage.help)
+        for f in (*stage.flags, SEED):
+            if isinstance(f, PathFlag):
+                p.add_argument(f.flag, dest=f.key, required=f.required, help=f.help)
+            else:
+                p.add_argument(f.flag, dest=f.key, type=f.type, choices=f.choices or None,
+                               help=f"{f.help} (default {f.default})")
         p.add_argument("--config", help="key=value config file; flags take precedence")
-        p.add_argument("--seed", type=int, help=f"RNG seed (also {SEED_ENV_VAR}; default 0)")
-
-    p = sub.add_parser("ingest", help="chunk a JSONL corpus into a passage store")
-    p.add_argument("--corpus", required=True, help="JSONL corpus, one document per line")
-    p.add_argument("--out", required=True, help="passage store output path")
-    p.add_argument("--chunk-size", type=int, help="words per passage (default 100)")
-    common(p)
-    p.set_defaults(func=_cmd_ingest)
-
-    p = sub.add_parser("index-bm25", help="build the lexical index from a passage store")
-    p.add_argument("--corpus", required=True, help="passage store path")
-    p.add_argument("--out", required=True, help="index output path")
-    common(p)
-    p.set_defaults(func=_cmd_index_bm25)
-
-    p = sub.add_parser("mine-negatives", help="top lexical matches that lack the answer")
-    p.add_argument("--index", required=True, help="lexical index path")
-    p.add_argument("--store", required=True, help="passage store path")
-    p.add_argument("--questions", required=True, help="questions JSON path")
-    p.add_argument("--top-n", type=int, help="candidate pool size (default 100)")
-    p.add_argument("--out", required=True, help="JSONL output path")
-    common(p)
-    p.set_defaults(func=_cmd_mine_negatives)
-
-    p = sub.add_parser("build-dataset", help="align positives, attach negatives, split")
-    p.add_argument("--questions", required=True, help="questions JSON path")
-    p.add_argument("--store", required=True, help="passage store path")
-    p.add_argument("--index", required=True, help="lexical index path")
-    p.add_argument("--out-dir", required=True, help="directory for train/dev/test.json")
-    p.add_argument("--split", help="train,dev,test fractions (default 0.8,0.1,0.1)")
-    p.add_argument("--n-hard", type=int, help="hard negatives per question (default 1)")
-    p.add_argument("--n-random", type=int, help="random negatives per question (default 0)")
-    p.add_argument("--top-n", type=int, help="mining pool size (default 100)")
-    common(p)
-    p.set_defaults(func=_cmd_build_dataset)
-
-    p = sub.add_parser("train", help="train the dual encoder")
-    p.add_argument("--train", required=True, help="training split JSON path")
-    p.add_argument("--dev", help="dev split JSON path (optional)")
-    p.add_argument("--out", required=True, help="model output path")
-    p.add_argument("--metrics", help="per-epoch metrics JSONL output path")
-    p.add_argument("--batch-size", type=int, help="questions per batch (default 16)")
-    p.add_argument("--epochs", type=int, help="passes over the training split (default 8)")
-    p.add_argument("--lr", type=float, help="learning rate (default 0.01)")
-    p.add_argument("--d", type=int, help="embedding dimension (default 128)")
-    p.add_argument("--hash-dim", type=int, help="feature hash buckets (default 16384)")
-    p.add_argument("--optimizer", choices=["adam", "sgd"], help="optimizer (default adam)")
-    common(p)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("index-dense", help="encode every passage into a flat vector index")
-    p.add_argument("--model", required=True, help="model path")
-    p.add_argument("--store", required=True, help="passage store path")
-    p.add_argument("--out", required=True, help="index output path")
-    p.add_argument("--batch-rows", type=int, help="encoding batch size (default 1024)")
-    common(p)
-    p.set_defaults(func=_cmd_index_dense)
-
-    p = sub.add_parser("evaluate", help="retrieval quality of a model over an index")
-    p.add_argument("--model", required=True, help="model path")
-    p.add_argument("--index", required=True, help="dense index path")
-    p.add_argument("--store", required=True, help="passage store path")
-    p.add_argument("--questions", required=True, help="questions JSON path")
-    p.add_argument("--k", help="comma-separated cutoffs (default 1,5,10)")
-    p.add_argument("--mode", choices=["answer_string", "gold_passage_id"], help="hit judging mode")
-    p.add_argument("--out", required=True, help="report output path")
-    p.add_argument("--format", choices=["json", "markdown_table"], help="report format (default json)")
-    common(p)
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("repl", help="interactive retrieval against a dense index")
-    p.add_argument("--index", required=True, help="dense index path")
-    p.add_argument("--model", required=True, help="model path")
-    p.add_argument("--store", required=True, help="passage store path")
-    p.add_argument("--k", type=int, help="results per query (default 10)")
-    common(p)
-    p.set_defaults(func=_cmd_repl)
-
+        p.set_defaults(stage=stage)
     return parser
 
 
@@ -474,7 +403,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     package_log.addHandler(handler)
     package_log.propagate = False
     try:
-        return args.func(args)
+        return _run(args.stage, args)
     except StaleInput as exc:
         print(f"stale input: {exc}", file=sys.stderr)
         return 3

@@ -1,12 +1,17 @@
+import argparse
+import contextlib
 import io
 import json
 import logging
+import re
 import subprocess
 import sys
 
 import pytest
 
-from deskdpr.cli import main
+import deskdpr.manifest
+from deskdpr import cli
+from deskdpr.cli import build_parser, main
 from deskdpr.corpus import load_store
 from deskdpr.evaluation import load_report
 from deskdpr.flat_index import load_index
@@ -59,6 +64,7 @@ def pipeline(tmp_path_factory):
             "--store", str(paths["store"]),
             "--index", str(paths["bm25"]),
             "--out-dir", str(paths["dataset"]),
+            "--split", "0.80,0.1,0.1",
         ],
         [
             "train",
@@ -84,12 +90,208 @@ def pipeline(tmp_path_factory):
             "--store", str(paths["store"]),
             "--questions", str(questions),
             "--out", str(paths["report"]),
+            "--k", "1,05,10",
         ],
     ]
+    paths["stdout"] = {}
     for argv in steps:
-        rc = main(argv)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = main(argv)
         assert rc == 0, f"pipeline step {argv[0]} exited {rc}"
+        paths["stdout"][argv[0]] = buf.getvalue()
     return paths
+
+
+# What each artifact stage of the fixture run above records and prints:
+# "<root>" stands for the fixture directory and "<s>" for a timing.  The
+# split and k values show that "0.80" and "05" are written normalized.
+_DATASET_CONFIG = {
+    "questions": "<root>/questions.json",
+    "store": "<root>/passages.jsonl",
+    "index": "<root>/bm25.jsonl",
+    "out_dir": "<root>/dataset",
+    "split": "0.8,0.1,0.1",
+    "n_hard": 1,
+    "n_random": 0,
+    "top_n": 100,
+}
+_TRAIN_CONFIG = {
+    "train": "<root>/dataset/train.json",
+    "dev": "<root>/dataset/dev.json",
+    "out": "<root>/model.bin",
+    "metrics": "<root>/metrics.jsonl",
+    "batch_size": 4,
+    "epochs": 2,
+    "learning_rate": 0.01,
+    "d": 32,
+    "hash_dim": 1024,
+    "optimizer": "adam",
+}
+EXPECTED_MANIFESTS = {
+    # artifact: (command, config, input paths)
+    "passages.jsonl": (
+        "ingest",
+        {"corpus": "<root>/corpus.jsonl", "out": "<root>/passages.jsonl", "chunk_size": 20},
+        {"<root>/corpus.jsonl"},
+    ),
+    "bm25.jsonl": (
+        "index-bm25",
+        {"corpus": "<root>/passages.jsonl", "out": "<root>/bm25.jsonl"},
+        {"<root>/passages.jsonl"},
+    ),
+    "mined.jsonl": (
+        "mine-negatives",
+        {
+            "index": "<root>/bm25.jsonl",
+            "store": "<root>/passages.jsonl",
+            "questions": "<root>/questions.json",
+            "top_n": 100,
+            "out": "<root>/mined.jsonl",
+        },
+        {"<root>/bm25.jsonl", "<root>/passages.jsonl", "<root>/questions.json"},
+    ),
+    **{
+        f"dataset/{name}.json": (
+            "build-dataset",
+            _DATASET_CONFIG,
+            {"<root>/bm25.jsonl", "<root>/passages.jsonl", "<root>/questions.json"},
+        )
+        for name in ("train", "dev", "test")
+    },
+    **{
+        name: ("train", _TRAIN_CONFIG, {"<root>/dataset/train.json", "<root>/dataset/dev.json"})
+        for name in ("model.bin", "metrics.jsonl")
+    },
+    "dense.bin": (
+        "index-dense",
+        {"model": "<root>/model.bin", "store": "<root>/passages.jsonl", "out": "<root>/dense.bin", "batch_rows": 1024},
+        {"<root>/model.bin", "<root>/passages.jsonl"},
+    ),
+    "report.json": (
+        "evaluate",
+        {
+            "model": "<root>/model.bin",
+            "index": "<root>/dense.bin",
+            "store": "<root>/passages.jsonl",
+            "questions": "<root>/questions.json",
+            "k": "1,5,10",
+            "mode": "gold_passage_id",
+            "format": "json",
+            "out": "<root>/report.json",
+        },
+        {"<root>/model.bin", "<root>/dense.bin", "<root>/passages.jsonl", "<root>/questions.json"},
+    ),
+}
+EXPECTED_STDOUT = {
+    "ingest": ["wrote <root>/passages.jsonl: 46 documents, 120 passages, 0 dropped empty"],
+    "index-bm25": ["wrote <root>/bm25.jsonl: 120 passages, 430 distinct tokens"],
+    "mine-negatives": ["wrote <root>/mined.jsonl: 16 hard negatives for 16 questions"],
+    "build-dataset": [
+        "wrote <root>/dataset: train=13 dev=2 test=1 (dropped 0 unaligned, 0 short of hard negatives)"
+    ],
+    "train": [
+        "epoch 1: mean_train_loss=2.077812 dev_hit@10=1.0000 (<s>)",
+        "epoch 2: mean_train_loss=1.996934 dev_hit@10=1.0000 (<s>)",
+        "wrote <root>/model.bin",
+    ],
+    "index-dense": ["wrote <root>/dense.bin: 120 vectors of dimension 32"],
+    "evaluate": [
+        "hit@1=0.1250 precision=0.1250 recall=0.1250 f1=0.1250",
+        "hit@5=0.5000 precision=0.1000 recall=0.5000 f1=0.1667",
+        "hit@10=0.6875 precision=0.0688 recall=0.6875 f1=0.1250",
+        "evaluated 16 questions (0 dropped unaligned); wrote <root>/report.json",
+    ],
+}
+_COMMON = {("--config", None, None, False), ("--seed", None, None, False)}
+EXPECTED_FLAGS = {
+    # subcommand: (flag, default, choices, required) of each option
+    "ingest": {("--corpus", None, None, True), ("--out", None, None, True), ("--chunk-size", None, None, False)},
+    "index-bm25": {("--corpus", None, None, True), ("--out", None, None, True)},
+    "mine-negatives": {
+        ("--index", None, None, True),
+        ("--store", None, None, True),
+        ("--questions", None, None, True),
+        ("--top-n", None, None, False),
+        ("--out", None, None, True),
+    },
+    "build-dataset": {
+        ("--questions", None, None, True),
+        ("--store", None, None, True),
+        ("--index", None, None, True),
+        ("--out-dir", None, None, True),
+        ("--split", None, None, False),
+        ("--n-hard", None, None, False),
+        ("--n-random", None, None, False),
+        ("--top-n", None, None, False),
+    },
+    "train": {
+        ("--train", None, None, True),
+        ("--dev", None, None, False),
+        ("--out", None, None, True),
+        ("--metrics", None, None, False),
+        ("--batch-size", None, None, False),
+        ("--epochs", None, None, False),
+        ("--lr", None, None, False),
+        ("--d", None, None, False),
+        ("--hash-dim", None, None, False),
+        ("--optimizer", None, ("adam", "sgd"), False),
+    },
+    "index-dense": {
+        ("--model", None, None, True),
+        ("--store", None, None, True),
+        ("--out", None, None, True),
+        ("--batch-rows", None, None, False),
+    },
+    "evaluate": {
+        ("--model", None, None, True),
+        ("--index", None, None, True),
+        ("--store", None, None, True),
+        ("--questions", None, None, True),
+        ("--k", None, None, False),
+        ("--mode", None, ("answer_string", "gold_passage_id"), False),
+        ("--out", None, None, True),
+        ("--format", None, ("json", "markdown_table"), False),
+    },
+    "repl": {
+        ("--index", None, None, True),
+        ("--model", None, None, True),
+        ("--store", None, None, True),
+        ("--k", None, None, False),
+    },
+}
+
+
+def _rooted(value, root):
+    return value.replace(str(root), "<root>") if isinstance(value, str) else value
+
+
+class TestStageContract:
+    @pytest.mark.parametrize("artifact", sorted(EXPECTED_MANIFESTS))
+    def test_manifest(self, pipeline, artifact):
+        command, config, inputs = EXPECTED_MANIFESTS[artifact]
+        manifest = read_manifest(pipeline["root"] / artifact)
+        assert manifest.command == command
+        assert {k: _rooted(v, pipeline["root"]) for k, v in manifest.config.items()} == config
+        assert manifest.seed == 0
+        assert {_rooted(p, pipeline["root"]) for p in manifest.input_checksums} == inputs
+
+    @pytest.mark.parametrize("stage", sorted(EXPECTED_STDOUT))
+    def test_stdout(self, pipeline, stage):
+        out = _rooted(pipeline["stdout"][stage], pipeline["root"])
+        assert re.sub(r"\(\d+\.\d+s\)", "(<s>)", out).splitlines() == EXPECTED_STDOUT[stage]
+
+    def test_parser_flags(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(EXPECTED_FLAGS)
+        for name, subparser in sub.choices.items():
+            flags = {
+                (a.option_strings[-1], a.default, tuple(a.choices) if a.choices else None, a.required)
+                for a in subparser._actions
+                if a.dest != "help"
+            }
+            assert flags == EXPECTED_FLAGS[name] | _COMMON, name
 
 
 class TestArgumentHandling:
@@ -229,6 +431,147 @@ class TestStaleness:
         assert main(["ingest", "--corpus", str(corpus), "--out", str(store), "--chunk-size", "20"]) == 0
         assert main(["index-bm25", "--corpus", str(store), "--out", str(tmp_path / "bm25.jsonl")]) == 0
         capsys.readouterr()
+
+    def test_truncated_artifact_blocks_downstream(self, pipeline, tmp_path, capsys):
+        out_dir = tmp_path / "dataset"
+        assert main(build_dataset_argv(pipeline, out_dir)) == 0
+        train_json = out_dir / "train.json"
+        train_json.write_bytes(train_json.read_bytes()[:100])
+        rc = main(["train", "--train", str(train_json), "--out", str(tmp_path / "m.bin")])
+        assert rc == 3
+        assert "stale input" in capsys.readouterr().err
+        assert not (tmp_path / "m.bin").exists()
+
+    def test_each_file_hashed_once_per_stage(self, pipeline, tmp_path, monkeypatch, capsys):
+        hashed = []
+        sha256_file = deskdpr.manifest.sha256_file
+
+        def counting(path):
+            hashed.append(str(path))
+            return sha256_file(path)
+
+        monkeypatch.setattr(deskdpr.manifest, "sha256_file", counting)
+        # the model, index and store manifests share inputs with each other
+        assert main(evaluate_argv(pipeline, tmp_path / "report.json")) == 0
+        capsys.readouterr()
+        assert str(pipeline["model"]) in hashed
+        assert len(hashed) == len(set(hashed))
+
+
+def build_dataset_argv(pipeline, out_dir):
+    return [
+        "build-dataset",
+        "--questions", str(pipeline["questions"]),
+        "--store", str(pipeline["store"]),
+        "--index", str(pipeline["bm25"]),
+        "--out-dir", str(out_dir),
+    ]
+
+
+def evaluate_argv(pipeline, out):
+    return [
+        "evaluate",
+        "--model", str(pipeline["model"]),
+        "--index", str(pipeline["dense"]),
+        "--store", str(pipeline["store"]),
+        "--questions", str(pipeline["questions"]),
+        "--out", str(out),
+    ]
+
+
+def snapshot_dir(root):
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestAtomicWrites:
+    def test_failed_writer_leaves_previous_artifacts(self, pipeline, tmp_path, monkeypatch, capsys):
+        out_dir = tmp_path / "dataset"
+        assert main(build_dataset_argv(pipeline, out_dir)) == 0
+        before = snapshot_dir(tmp_path)
+        emit_dpr_json = cli.emit_dpr_json
+
+        def half_then_fail(split, path):
+            # the dev split is the second of three outputs
+            emit_dpr_json(split, path)
+            if split.name == "dev":
+                data = path.read_bytes()
+                path.write_bytes(data[: len(data) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "emit_dpr_json", half_then_fail)
+        rc = main(build_dataset_argv(pipeline, out_dir) + ["--seed", "3"])
+        assert rc == 2
+        assert "disk full" in capsys.readouterr().err
+        assert snapshot_dir(tmp_path) == before
+
+    def test_manifest_and_artifact_replaced_together(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(evaluate_argv(pipeline, out)) == 0
+        assert main(evaluate_argv(pipeline, out) + ["--format", "markdown_table"]) == 0
+        capsys.readouterr()
+        assert read_manifest(out).config["format"] == "markdown_table"
+        assert out.read_text(encoding="utf-8").startswith("| Encoder |")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "report.json.manifest.json"]
+
+
+class TestConfigChecks:
+    def test_unknown_key_names_key_and_file(self, pipeline, tmp_path, capsys):
+        config = tmp_path / "train.conf"
+        config.write_text("lr=0.5\n", encoding="utf-8")
+        rc = main([
+            "train",
+            "--train", str(pipeline["dataset"] / "train.json"),
+            "--out", str(tmp_path / "m.bin"),
+            "--config", str(config),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'lr'" in err and str(config) in err
+        assert not (tmp_path / "m.bin").exists()
+
+    def test_key_of_another_stage_accepted(self, tmp_path, capsys):
+        corpus, _ = write_fixture(tmp_path, n_passages=10, n_questions=2)
+        config = tmp_path / "run.conf"
+        config.write_text("chunk_size=7\nlearning_rate=0.5\nformat=json\n", encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        assert main(["ingest", "--corpus", str(corpus), "--out", str(out), "--config", str(config)]) == 0
+        assert load_store(out).chunk_size == 7
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("line", ["format=html", "mode=x"])
+    def test_evaluate_value_outside_choices(self, pipeline, tmp_path, capsys, line):
+        out = tmp_path / "report.json"
+        assert main(evaluate_argv(pipeline, out)) == 0
+        before = snapshot_dir(tmp_path)
+        config = tmp_path / "eval.conf"
+        config.write_text(line + "\n", encoding="utf-8")
+        rc = main(evaluate_argv(pipeline, out) + ["--config", str(config)])
+        assert rc == 2
+        key, _, value = line.partition("=")
+        assert f"config key {key}: {value!r} is not one of" in capsys.readouterr().err
+        after = snapshot_dir(tmp_path)
+        del after[config]
+        assert after == before
+
+    def test_optimizer_outside_choices(self, pipeline, tmp_path, capsys):
+        config = tmp_path / "train.conf"
+        config.write_text("optimizer=rmsprop\n", encoding="utf-8")
+        rc = main([
+            "train",
+            "--train", str(pipeline["dataset"] / "train.json"),
+            "--out", str(tmp_path / "m.bin"),
+            "--config", str(config),
+        ])
+        assert rc == 2
+        assert "config key optimizer: 'rmsprop' is not one of adam, sgd" in capsys.readouterr().err
+
+    def test_bad_seed_value_names_key(self, tmp_path, capsys):
+        corpus, _ = write_fixture(tmp_path, n_passages=10, n_questions=2)
+        config = tmp_path / "run.conf"
+        config.write_text("seed=abc\n", encoding="utf-8")
+        rc = main(["ingest", "--corpus", str(corpus), "--out", str(tmp_path / "o"), "--config", str(config)])
+        assert rc == 2
+        assert "config key seed: cannot read 'abc' as int" in capsys.readouterr().err
 
 
 class TestMineNegatives:

@@ -10,6 +10,7 @@ from deskdpr.manifest import (
     read_manifest,
     sha256_file,
     verify_inputs,
+    write_artifacts,
     write_manifest,
 )
 
@@ -125,3 +126,68 @@ class TestVerifyInputs:
         artifact = tmp_path / "legacy.bin"
         artifact.write_bytes(b"no provenance")
         verify_inputs(artifact)
+
+
+class TestOutputChecksum:
+    def setup_artifact(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("original content\n", encoding="utf-8")
+        artifact = tmp_path / "store.jsonl"
+        write_artifacts(
+            {artifact: lambda tmp: tmp.write_text("artifact body\n", encoding="utf-8")},
+            command="ingest", config={}, seed=0, inputs=[corpus],
+        )
+        return corpus, artifact
+
+    def test_recorded(self, tmp_path):
+        _, artifact = self.setup_artifact(tmp_path)
+        assert artifact.read_text(encoding="utf-8") == "artifact body\n"
+        raw = json.loads(manifest_path(artifact).read_text(encoding="utf-8"))
+        assert raw["output_sha256"] == sha256_file(artifact)
+        assert read_manifest(artifact).output_sha256 == sha256_file(artifact)
+        verify_inputs(artifact)
+
+    def test_edited_artifact_detected(self, tmp_path):
+        _, artifact = self.setup_artifact(tmp_path)
+        artifact.write_text("artifact bo", encoding="utf-8")
+        with pytest.raises(StaleInput, match="changed since it was written"):
+            verify_inputs(artifact)
+
+    def test_manifest_without_output_checksum_still_verifies(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("original content\n", encoding="utf-8")
+        artifact = tmp_path / "store.jsonl"
+        artifact.write_text("artifact body\n", encoding="utf-8")
+        # the layout written before manifests carried output_sha256
+        manifest_path(artifact).write_text(json.dumps({
+            "command": "ingest",
+            "config": {"corpus": str(corpus)},
+            "seed": 0,
+            "input_checksums": {str(corpus): sha256_file(corpus)},
+            "tool_version": "0.1.0",
+            "created_utc": "2026-10-17T00:00:00+00:00",
+        }), encoding="utf-8")
+        assert read_manifest(artifact).output_sha256 is None
+        verify_inputs(artifact)
+        corpus.write_text("tampered content\n", encoding="utf-8")
+        with pytest.raises(StaleInput, match=str(corpus)):
+            verify_inputs(artifact)
+
+    def test_digests_reused(self, tmp_path, monkeypatch):
+        corpus, artifact = self.setup_artifact(tmp_path)
+        digests = {}
+        verify_inputs(artifact, digests)
+        assert digests == {str(artifact): sha256_file(artifact), str(corpus): sha256_file(corpus)}
+        monkeypatch.setattr("deskdpr.manifest.sha256_file", lambda path: pytest.fail(f"hashed {path} again"))
+        verify_inputs(artifact, digests)
+        write_manifest(tmp_path / "next.jsonl", "index-bm25", {}, 0, [artifact, corpus], digests=digests)
+        assert read_manifest(tmp_path / "next.jsonl").input_checksums == {
+            str(artifact): digests[str(artifact)],
+            str(corpus): digests[str(corpus)],
+        }
+
+    def test_no_temp_file_left(self, tmp_path):
+        self.setup_artifact(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "corpus.jsonl", "store.jsonl", "store.jsonl.manifest.json",
+        ]
