@@ -13,7 +13,7 @@ from pathlib import Path
 from deskdpr.bm25 import build_index
 from deskdpr.corpus import Document, build_store, render_encoder_input
 from deskdpr.dataset import DatasetSplit, align_questions, attach_negatives
-from deskdpr.encoder import encode_passage, encode_question, init_model, sim
+from deskdpr.encoder import encode_passages, encode_question, init_model
 from deskdpr.questions import parse_bioasq
 from deskdpr.synthetic import generate, write_questions_json
 from deskdpr.training import TrainConfig, train
@@ -39,6 +39,7 @@ for row in metrics:
 # after training, a question scores its own passage above a stranger's
 inst = instances[0]
 q_emb = encode_question(model, inst.question.text)
-own = sim(q_emb, encode_passage(model, render_encoder_input(inst.positive)))
-other = sim(q_emb, encode_passage(model, render_encoder_input(instances[1].positive)))
+own_emb, other_emb = encode_passages(
+    model, [render_encoder_input(inst.positive), render_encoder_input(instances[1].positive)])
+own, other = float(q_emb @ own_emb), float(q_emb @ other_emb)
 print(f"own passage {own:.4f}  vs  other passage {other:.4f}")

@@ -180,18 +180,6 @@ def mine_hard_negatives(
     return mined
 
 
-def mine_hard_negative(
-    index: InvertedIndex,
-    store: PassageStore,
-    question: Question,
-    top_n: int = 100,
-    exclude_ids: Sequence[str] = (),
-) -> Passage | None:
-    """The single best hard negative, or None if the top_n pool has none."""
-    mined = mine_hard_negatives(index, store, question, top_n=top_n, n=1, exclude_ids=exclude_ids)
-    return mined[0] if mined else None
-
-
 def save_bm25_index(index: InvertedIndex, path: str | Path) -> None:
     """Persist the index as JSONL: header, doc lengths, one posting per line."""
     with open(path, "w", encoding="utf-8") as f:

@@ -1,22 +1,24 @@
-"""Command-line pipeline: ingest, index, mine, build, train, search, evaluate.
+"""Command-line pipeline: ingest, BM25 index, dataset, train, dense index, evaluate, repl.
 
-Each subcommand is one row of ``STAGES``: its path and option flags and a
-function doing the stage's own work; one runner does the rest.  Option
-values resolve in precedence order: command-line flag, then --config file
-(key=value lines; unknown keys and values outside a flag's choices are
-refused), then the DPR_SEED environment variable for the seed, then
-built-in defaults.  A stage refuses to run (exit 3) when an input's bytes
-or the inputs recorded in its manifest changed since it was written.  Each
-artifact goes to a temp file beside its target; its manifest, with the
-artifact's sha256, is written the same way, and both are moved into place
-with ``os.replace``, manifest first.  Exit codes: 0 on success, 2 on usage
-or validation problems, 1 on unexpected internal errors.
+Six stages write artifacts: ingest, index-bm25, build-dataset (which also
+mines the hard negatives), train, index-dense and evaluate; repl searches
+a dense index interactively.  Each subcommand is one row of ``STAGES``:
+its path and option flags and a function doing the stage's own work; one
+runner does the rest.  Option values resolve in precedence order:
+command-line flag, then --config file (key=value lines; unknown keys and
+values outside a flag's choices are refused), then the DPR_SEED
+environment variable for the seed, then built-in defaults.  A stage
+refuses to run (exit 3) when an input's bytes or the inputs recorded in
+its manifest changed since it was written.  Each artifact goes to a temp
+file beside its target; its manifest, with the artifact's sha256, is
+written the same way, and both are moved into place with ``os.replace``,
+manifest first.  Exit codes: 0 on success, 2 on usage or validation
+problems, 1 on unexpected internal errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -29,7 +31,7 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .bm25 import build_index as build_bm25_index
-from .bm25 import load_bm25_index, mine_hard_negatives, save_bm25_index
+from .bm25 import load_bm25_index, save_bm25_index
 from .corpus import ingest_corpus, load_store, save_store
 from .dataset import align_questions, attach_negatives, emit_dpr_json, load_dpr_json, split_instances
 from .encoder import encode_question, init_model, load_model, save_model
@@ -185,20 +187,6 @@ def _index_bm25(v, write) -> None:
     print(f"wrote {v.out}: {index.n_passages} passages, {len(index.postings)} distinct tokens")
 
 
-def _mine_negatives(v, write) -> None:
-    index = load_bm25_index(v.index)
-    store = load_store(v.store)
-    questions = parse_bioasq(v.questions)
-    lines, mined_total = [], 0
-    for q in questions:
-        mined = mine_hard_negatives(index, store, q, top_n=v.top_n, n=1)
-        mined_total += len(mined)
-        row = {"question_id": q.question_id, "hard_negative_ids": [p.passage_id for p in mined]}
-        lines.append(json.dumps(row, ensure_ascii=False) + "\n")
-    write({v.out: lambda tmp: tmp.write_text("".join(lines), encoding="utf-8")})
-    print(f"wrote {v.out}: {mined_total} hard negatives for {len(questions)} questions")
-
-
 def _build_dataset(v, write) -> None:
     questions = parse_bioasq(v.questions)
     store = load_store(v.store)
@@ -303,9 +291,7 @@ def _repl(v, write) -> None:
 STORE = PathFlag("--store", "passage store path", what="passage store")
 QUESTIONS = PathFlag("--questions", "questions JSON path", what="questions file")
 MODEL = PathFlag("--model", "model path", what="model")
-BM25_INDEX = PathFlag("--index", "lexical index path", what="index")
 DENSE_INDEX = PathFlag("--index", "dense index path", what="index")
-TOP_N = Option("--top-n", "top_n", int, 100, "candidate pool size")
 
 STAGES: tuple[Stage, ...] = (
     Stage("ingest", "chunk a JSONL corpus into a passage store", _ingest, (
@@ -317,22 +303,15 @@ STAGES: tuple[Stage, ...] = (
         PathFlag("--corpus", "passage store path", what="passage store"),
         PathFlag("--out", "index output path"),
     )),
-    Stage("mine-negatives", "top lexical matches that lack the answer", _mine_negatives, (
-        BM25_INDEX,
-        STORE,
-        QUESTIONS,
-        TOP_N,
-        PathFlag("--out", "JSONL output path"),
-    )),
     Stage("build-dataset", "align positives, attach negatives, split", _build_dataset, (
         QUESTIONS,
         STORE,
-        BM25_INDEX,
+        PathFlag("--index", "lexical index path", what="index"),
         PathFlag("--out-dir", "directory for train/dev/test.json"),
         Option("--split", "split", str, "0.8,0.1,0.1", "train,dev,test fractions", parse=_parse_fractions),
         Option("--n-hard", "n_hard", int, 1, "hard negatives per question"),
         Option("--n-random", "n_random", int, 0, "random negatives per question"),
-        TOP_N,
+        Option("--top-n", "top_n", int, 100, "candidate pool size"),
     )),
     Stage("train", "train the dual encoder", _train, (
         PathFlag("--train", "training split JSON path", what="training split"),

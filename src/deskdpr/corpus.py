@@ -95,9 +95,6 @@ class PassageStore:
             and self.corpus_checksum == other.corpus_checksum
         )
 
-    def ordinal_of(self, passage_id: str) -> int:
-        return self._ordinal[passage_id]
-
     def get(self, passage_id: str) -> Passage:
         return self.passages[self._ordinal[passage_id]]
 

@@ -127,19 +127,6 @@ def encode_question(model: EncoderModel, text: str) -> np.ndarray:
     return encode_questions(model, [text])[0]
 
 
-def encode_passage(model: EncoderModel, text: str) -> np.ndarray:
-    return encode_passages(model, [text])[0]
-
-
-def sim(q_emb: np.ndarray, p_emb: np.ndarray) -> float:
-    """Dot-product similarity, multiply-then-sum as search scores rows."""
-    if q_emb.shape != p_emb.shape:
-        raise DimensionError(f"embedding shapes differ: {q_emb.shape} vs {p_emb.shape}")
-    a = np.asarray(q_emb, dtype=np.float64)
-    b = np.asarray(p_emb, dtype=np.float64)
-    return float((a * b).sum())
-
-
 def save_model(model: EncoderModel, path: str | Path) -> None:
     """Binary layout: magic, u32 version, u32 d, u32 hash_dim, then both
     (d, hash_dim) matrices as float32 little-endian row-major (question

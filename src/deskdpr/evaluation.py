@@ -17,7 +17,7 @@ from typing import Sequence
 from .corpus import PassageStore
 from .dataset import TrainingInstance
 from .encoder import EncoderModel, encode_questions
-from .errors import EmptyEvaluation, ParseError
+from .errors import EmptyEvaluation
 from .flat_index import FlatIndex, search_many
 from .questions import Question, answer_exclusion_strings, contains_answer
 from .results import RetrievalResult
@@ -165,21 +165,3 @@ def write_report(report: EvalReport, path: str | Path, fmt: str = "json") -> Non
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
         raise ValueError(f"format must be 'json' or 'markdown_table', got {fmt!r}")
-
-
-def load_report(path: str | Path) -> EvalReport:
-    """Read a JSON report written by write_report."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            payload = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    try:
-        per_k = {int(k): dict(v) for k, v in payload["per_k"].items()}
-        return EvalReport(
-            per_k=per_k,
-            n_questions=payload["n_questions"],
-            meta=dict(payload.get("meta", {})),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed report ({exc})") from exc

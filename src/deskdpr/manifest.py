@@ -170,9 +170,9 @@ def verify_inputs(artifact_path: str | Path, digests: dict[str, str] | None = No
         return
     digests = {} if digests is None else digests
     if manifest.output_sha256 is not None and _digest(artifact_path, digests) != manifest.output_sha256:
-        raise StaleInput(f"stale input: {artifact_path} changed since it was written")
+        raise StaleInput(f"{artifact_path} changed since it was written")
     for path, recorded in manifest.input_checksums.items():
         if not Path(path).exists():
-            raise StaleInput(f"stale input: {path} (recorded for {artifact_path}) is missing")
+            raise StaleInput(f"{path} (recorded for {artifact_path}) is missing")
         if _digest(path, digests) != recorded:
-            raise StaleInput(f"stale input: {path} changed since {artifact_path} was built")
+            raise StaleInput(f"{path} changed since {artifact_path} was built")

@@ -133,11 +133,6 @@ def _batch_matrices(
     return x, y, q, p, s
 
 
-def candidate_scores(model: EncoderModel, instances: Sequence[TrainingInstance]) -> np.ndarray:
-    """The (B, C) score matrix a batch would train on."""
-    return _batch_matrices(model, instances)[4]
-
-
 def _report_from_scores(s: np.ndarray) -> BatchLossReport:
     b = s.shape[0]
     rows = np.arange(b)

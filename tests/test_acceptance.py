@@ -310,7 +310,6 @@ def run_cli_pipeline(root):
     paths = {
         "store": root / "passages.jsonl",
         "bm25": root / "bm25.jsonl",
-        "mined": root / "mined.jsonl",
         "train": root / "dataset" / "train.json",
         "dev": root / "dataset" / "dev.json",
         "test": root / "dataset" / "test.json",
@@ -323,8 +322,6 @@ def run_cli_pipeline(root):
         ["ingest", "--corpus", str(corpus), "--out", str(paths["store"]),
          "--chunk-size", "20", "--seed", "0"],
         ["index-bm25", "--corpus", str(paths["store"]), "--out", str(paths["bm25"]), "--seed", "0"],
-        ["mine-negatives", "--index", str(paths["bm25"]), "--store", str(paths["store"]),
-         "--questions", str(questions), "--out", str(paths["mined"]), "--seed", "0"],
         ["build-dataset", "--questions", str(questions), "--store", str(paths["store"]),
          "--index", str(paths["bm25"]), "--out-dir", str(root / "dataset"),
          "--n-random", "1", "--seed", "0"],
@@ -349,7 +346,7 @@ def test_10_same_seed_runs_byte_identical(tmp_path_factory, capsys):
     a = run_cli_pipeline(tmp_path_factory.mktemp("run_a"))
     b = run_cli_pipeline(tmp_path_factory.mktemp("run_b"))
     capsys.readouterr()
-    for key in ("store", "bm25", "mined", "train", "dev", "test", "model", "dense", "report"):
+    for key in ("store", "bm25", "train", "dev", "test", "model", "dense", "report"):
         assert a[key].read_bytes() == b[key].read_bytes(), f"{key} differs between runs"
     # per-epoch metrics match apart from wall-clock timings
     rows_a = [json.loads(line) for line in a["metrics"].read_text(encoding="utf-8").splitlines()]

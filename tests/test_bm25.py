@@ -10,7 +10,6 @@ from deskdpr.bm25 import (
     bm25_top_k,
     build_index,
     load_bm25_index,
-    mine_hard_negative,
     mine_hard_negatives,
     save_bm25_index,
     tokenize,
@@ -208,21 +207,21 @@ class TestMining:
         q = factoid("q1", "what are mitochondria", ["powerhouse"])
         top = bm25_top_k(index, q.text, 2)
         assert top.ids()[0] == "d0#0"
-        mined = mine_hard_negative(index, store, q)
-        assert mined is not None and mined.passage_id == "d1#0"
+        mined = mine_hard_negatives(index, store, q, n=1)
+        assert [p.passage_id for p in mined] == ["d1#0"]
 
     def test_all_candidates_contain_answer(self):
         store = store_of("alpha protein binds", "the alpha complex")
         index = build_index(store)
         q = factoid("q1", "alpha binding", ["alpha"])
-        assert mine_hard_negative(index, store, q) is None
+        assert mine_hard_negatives(index, store, q, n=1) == []
         assert mine_hard_negatives(index, store, q, n=3) == []
 
     def test_match_is_case_insensitive(self):
         store = store_of("the ALPHA protein binds")
         index = build_index(store)
         q = factoid("q1", "alpha protein", ["Alpha"])
-        assert mine_hard_negative(index, store, q) is None
+        assert mine_hard_negatives(index, store, q, n=1) == []
 
     def test_yesno_excludes_by_snippet_not_answer(self):
         store = store_of(
@@ -232,15 +231,15 @@ class TestMining:
         index = build_index(store)
         q = yesno("q1", "do statins reduce cholesterol", "yes",
                   snippets=["statins reduce cholesterol"])
-        mined = mine_hard_negative(index, store, q)
-        assert mined is not None and mined.passage_id == "d1#0"
+        mined = mine_hard_negatives(index, store, q, n=1)
+        assert [p.passage_id for p in mined] == ["d1#0"]
 
     def test_exclude_ids_skips_known_positive(self):
         store = store_of("query term here", "query term there")
         index = build_index(store)
         q = factoid("q1", "query term", ["unmatched answer"])
-        mined = mine_hard_negative(index, store, q, exclude_ids=("d0#0",))
-        assert mined is not None and mined.passage_id == "d1#0"
+        mined = mine_hard_negatives(index, store, q, n=1, exclude_ids=("d0#0",))
+        assert [p.passage_id for p in mined] == ["d1#0"]
 
     def test_returns_up_to_n_in_rank_order(self):
         store = store_of("drug trial", "drug trial result", "drug dose", "unrelated")

@@ -129,7 +129,7 @@ class TestPassageStore:
     def test_ordinals_follow_insertion_order(self):
         store = store_of("one", "two", "three")
         assert len(store) == 3
-        assert [store.ordinal_of(p.passage_id) for p in store] == [0, 1, 2]
+        assert [store.get(f"d{i}#0") for i in range(3)] == [store[0], store[1], store[2]]
         assert store[1].text == "two"
         assert store.get("d2#0").text == "three"
         assert "d0#0" in store and "nope#0" not in store
@@ -160,8 +160,9 @@ class TestStorePersistence:
         path = tmp_path / "store.jsonl"
         save_store(store, path)
         loaded = load_store(path)
-        for p in store:
-            assert loaded.ordinal_of(p.passage_id) == store.ordinal_of(p.passage_id)
+        for i, p in enumerate(store):
+            assert loaded[i].passage_id == p.passage_id
+            assert loaded.get(p.passage_id) == loaded[i]
 
     def test_unicode_survives(self, tmp_path):
         store = store_of("naïve café résumé", titles=["tïtle"])

@@ -7,7 +7,6 @@ import pytest
 from deskdpr.bm25 import tokenize
 from deskdpr.encoder import (
     EncoderModel,
-    encode_passage,
     encode_passages,
     encode_question,
     encode_questions,
@@ -17,7 +16,6 @@ from deskdpr.encoder import (
     init_model,
     load_model,
     save_model,
-    sim,
 )
 from deskdpr.errors import DimensionError, ParseError, UnsupportedVersion
 
@@ -195,7 +193,7 @@ class TestEncode:
     def test_empty_text_encodes_to_zero(self):
         model = init_model(d=8, hash_dim=32, seed=0)
         assert np.array_equal(encode_question(model, ""), np.zeros(8))
-        assert np.array_equal(encode_passage(model, ""), np.zeros(8))
+        assert np.array_equal(encode_passages(model, [""])[0], np.zeros(8))
 
     def test_identity_weights_reproduce_features(self):
         # with W = I the embedding is the feature vector itself
@@ -210,7 +208,7 @@ class TestEncode:
     def test_towers_are_independent(self):
         model = init_model(d=8, hash_dim=32, seed=0)
         q = encode_question(model, "shared text")
-        p = encode_passage(model, "shared text")
+        p = encode_passages(model, ["shared text"])[0]
         assert not np.array_equal(q, p)
 
     def test_batch_rows_equal_single(self):
@@ -220,38 +218,13 @@ class TestEncode:
         p_batch = encode_passages(model, texts)
         for i, text in enumerate(texts):
             assert np.array_equal(q_batch[i], encode_question(model, text))
-            assert np.array_equal(p_batch[i], encode_passage(model, text))
+            assert np.array_equal(p_batch[i], encode_passages(model, [text])[0])
 
     def test_deterministic(self):
         model = init_model(d=16, hash_dim=128, seed=3)
         a = encode_question(model, "alpha beta")
         b = encode_question(model, "alpha beta")
         assert np.array_equal(a, b)
-
-
-class TestSim:
-    def test_dot_product(self):
-        assert sim(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
-
-    def test_zero_vector(self):
-        assert sim(np.zeros(4), np.ones(4)) == 0.0
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=32)
-        b = rng.normal(size=32)
-        assert sim(a, b) == sim(b, a)
-
-    def test_float32_inputs_promoted(self):
-        rng = np.random.default_rng(6)
-        a = rng.normal(size=16).astype(np.float32)
-        b = rng.normal(size=16).astype(np.float32)
-        expected = float((a.astype(np.float64) * b.astype(np.float64)).sum())
-        assert sim(a, b) == expected
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            sim(np.zeros(3), np.zeros(4))
 
 
 class TestPersistence:

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from deskdpr.encoder import init_model
-from deskdpr.errors import EmptyEvaluation, ParseError
+from deskdpr.errors import EmptyEvaluation
 from deskdpr.evaluation import (
     EvalConfig,
     EvalReport,
     evaluate,
     evaluate_results,
     judge_hit,
-    load_report,
     write_report,
 )
 from deskdpr.flat_index import FlatIndex, build_index, search
@@ -238,10 +237,10 @@ class TestReports:
         report = self.make_report()
         path = tmp_path / "report.json"
         write_report(report, path)
-        loaded = load_report(path)
-        assert loaded.per_k == report.per_k
-        assert loaded.n_questions == report.n_questions
-        assert loaded.meta == report.meta
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert {int(k): v for k, v in payload["per_k"].items()} == report.per_k
+        assert payload["n_questions"] == report.n_questions
+        assert payload["meta"] == report.meta
 
     def test_json_keys_are_strings_sorted(self, tmp_path):
         report = self.make_report()
@@ -287,12 +286,3 @@ class TestReports:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_report(self.make_report(), tmp_path / "r", fmt="csv")
-
-    def test_malformed_report_rejected(self, tmp_path):
-        path = tmp_path / "report.json"
-        path.write_text("{broken", encoding="utf-8")
-        with pytest.raises(ParseError):
-            load_report(path)
-        path.write_text('{"per_k": {"x": {}}, "n_questions": 1}', encoding="utf-8")
-        with pytest.raises(ParseError):
-            load_report(path)

@@ -17,7 +17,6 @@ from deskdpr.training import (
     TrainConfig,
     batch_gradients,
     batch_loss,
-    candidate_scores,
     dev_hit_at_k,
     make_optimizer,
     nll_loss,
@@ -165,7 +164,9 @@ class TestBatchLoss:
         model = init_model(d=8, hash_dim=64, seed=2)
         split = separable_split(5)
         instances = list(split)
-        s = candidate_scores(model, instances)
+        q = encode_questions(model, [inst.question.text for inst in instances])
+        p = encode_passages(model, [render_encoder_input(inst.positive) for inst in instances])
+        s = q @ p.T
         report = batch_loss(model, instances)
         for i in range(5):
             expected = 1 + int((s[i] > s[i, i]).sum())
@@ -173,9 +174,9 @@ class TestBatchLoss:
 
     def test_candidate_columns_positives_then_hards(self):
         model = init_model(d=8, hash_dim=64, seed=2)
-        instances = uniform_batch(3, n_hard=2)
-        s = candidate_scores(model, instances)
-        assert s.shape == (3, 3 + 6)
+        report = batch_loss(model, uniform_batch(3, n_hard=2))
+        # identical candidates: the loss is the log of the column count
+        assert report.loss == pytest.approx(math.log(3 + 6), abs=1e-12)
 
     def test_single_instance_rejected(self):
         model = init_model(d=8, hash_dim=64, seed=0)
