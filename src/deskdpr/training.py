@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .corpus import render_encoder_input
 from .dataset import DatasetSplit, TrainingInstance
@@ -43,8 +45,10 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        # train leaves a row with zero gradients untouched, which equals
+        # updating it only when lr * +0.0 is +0.0: lr finite and not signed
+        if not math.isfinite(self.learning_rate) or math.copysign(1.0, self.learning_rate) < 0:
+            raise ValueError(f"learning_rate must be finite and >= 0 (not -0.0), got {self.learning_rate}")
         if self.d < 1 or self.hash_dim < 1:
             raise ValueError(f"d and hash_dim must be >= 1, got d={self.d}, hash_dim={self.hash_dim}")
         if self.optimizer not in OPTIMIZERS:
@@ -91,6 +95,11 @@ class FeatureTable:
     call; a batch of those instances slices its rows from the table.
     Feature rows do not depend on the batch they sit in, so a sliced
     batch equals one featurized on its own.
+
+    ``rows_q`` and ``rows_p`` are the active rows: the sorted hash
+    buckets that occur in some question and in some candidate text.
+    They are the only rows of ``w_q.T`` and ``w_p.T`` to which a batch
+    of these instances can give a nonzero gradient.
     """
 
     def __init__(self, instances: Sequence[TrainingInstance], hash_dim: int):
@@ -101,6 +110,9 @@ class FeatureTable:
             rows.setdefault(text, len(rows))
         self._rows = rows
         self._features = featurize_texts(list(rows), hash_dim)
+        x, y = self.batch(instances)
+        self.rows_q = np.unique(x.indices)
+        self.rows_p = np.unique(y.indices)
 
     def batch(self, instances: Sequence[TrainingInstance]):
         """(question features (B, H), candidate features (C, H)) of a batch."""
@@ -109,23 +121,17 @@ class FeatureTable:
         return x, y
 
 
-def _batch_matrices(
-    model: EncoderModel,
-    instances: Sequence[TrainingInstance],
-    features: FeatureTable | None = None,
-):
+def _batch_matrices(model: EncoderModel, instances: Sequence[TrainingInstance], features: FeatureTable):
     """Feature and embedding matrices for one batch.
 
     Returns (X, Y, Q, P, S): question features (B, H), candidate features
     (C, H), question embeddings (B, d), candidate embeddings (C, d), and
-    the score matrix S = Q P^T (B, C).  Features come from ``features``
-    when given, else from a table of this batch alone.
+    the score matrix S = Q P^T (B, C).  Features come from ``features``,
+    a table built over (at least) these instances.
     """
     pids = [inst.positive.passage_id for inst in instances]
     if len(set(pids)) < len(pids):
         log.warning("batch has duplicate positive passages; their in-batch negatives overlap")
-    if features is None:
-        features = FeatureTable(instances, model.hash_dim)
     x, y = features.batch(instances)
     q = x @ model.w_q.T
     p = y @ model.w_p.T
@@ -152,7 +158,18 @@ def batch_loss(model: EncoderModel, instances: Sequence[TrainingInstance]) -> Ba
     """NLL of the positive column for each question, averaged."""
     if len(instances) < 2:
         raise ValueError("in-batch negatives need at least 2 instances per batch")
-    return _report_from_scores(_batch_matrices(model, instances)[4])
+    return _report_from_scores(_batch_matrices(model, instances, FeatureTable(instances, model.hash_dim))[4])
+
+
+def _active_columns(features: sparse.csr_array, rows: np.ndarray) -> sparse.csr_array:
+    """``features[:, rows]``, for sorted ``rows`` that hold every column in use.
+
+    Renumbering the columns keeps each row's entries in order, so a
+    product with the result adds the same terms in the same order as
+    one with ``features``.
+    """
+    columns = np.searchsorted(rows, features.indices)
+    return sparse.csr_array((features.data, columns, features.indptr), shape=(features.shape[0], len(rows)))
 
 
 def batch_gradients(
@@ -162,14 +179,19 @@ def batch_gradients(
 ) -> tuple[BatchLossReport, np.ndarray, np.ndarray]:
     """Loss report plus exact gradients of the mean NLL w.r.t. both towers.
 
-    ``features``, a table built over (at least) these instances, saves
-    featurizing them again.  Each gradient has the towers' shape
-    (d, hash_dim) and layout: Fortran-ordered, a transposed view of the
-    C-ordered (hash_dim, d) product.
+    With ``features``, a table built over (at least) these instances, the
+    gradients cover the table's active rows only: ``g_wq`` is the
+    gradient of ``w_q[:, features.rows_q]``, of shape (d, len(rows_q)),
+    and ``g_wp`` that of ``w_p[:, features.rows_p]``; every other
+    gradient entry is exactly +0.0.  Without it, they are scattered into
+    the towers' full shape (d, hash_dim).  Either way each is
+    Fortran-ordered like the towers, a transposed view of a C-ordered
+    (rows, d) product.
     """
     if len(instances) < 2:
         raise ValueError("in-batch negatives need at least 2 instances per batch")
-    x, y, q, p, s = _batch_matrices(model, instances, features)
+    table = FeatureTable(instances, model.hash_dim) if features is None else features
+    x, y, q, p, s = _batch_matrices(model, instances, table)
     report = _report_from_scores(s)
     b = s.shape[0]
     g = softmax_rows(s)
@@ -177,20 +199,60 @@ def batch_gradients(
     g /= b
     d_q = g @ p
     d_p = g.T @ q
-    return report, (x.T @ d_q).T, (y.T @ d_p).T
+    g_q = _active_columns(x, table.rows_q).T @ d_q
+    g_p = _active_columns(y, table.rows_p).T @ d_p
+    if features is None:
+        g_q = _scattered(g_q, table.rows_q, model.hash_dim)
+        g_p = _scattered(g_p, table.rows_p, model.hash_dim)
+    return report, g_q.T, g_p.T
+
+
+def _scattered(g: np.ndarray, rows: np.ndarray, hash_dim: int) -> np.ndarray:
+    """(hash_dim, d) zeros holding the (rows, d) gradient ``g`` at ``rows``."""
+    full = np.zeros((hash_dim, g.shape[1]))
+    full[rows] = g
+    return full
+
+
+def _row_sets(model: EncoderModel, rows_q: np.ndarray | None, rows_p: np.ndarray | None) -> list[np.ndarray]:
+    all_rows = np.arange(model.hash_dim)
+    return [all_rows if rows is None else rows for rows in (rows_q, rows_p)]
 
 
 class SgdOptimizer:
+    """Plain SGD, ``w -= lr * g``, over the given rows of each tower.
+
+    ``step``'s gradients are those of ``w_q[:, rows_q]`` and
+    ``w_p[:, rows_p]``, as ``batch_gradients`` returns them; ``rows_q``
+    and ``rows_p`` are sorted distinct hash buckets, every one by default.
+    """
+
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
 
-    def step(self, model: EncoderModel, g_wq: np.ndarray, g_wp: np.ndarray) -> None:
-        model.w_q -= self.learning_rate * g_wq
-        model.w_p -= self.learning_rate * g_wp
+    def step(
+        self,
+        model: EncoderModel,
+        g_wq: np.ndarray,
+        g_wp: np.ndarray,
+        rows_q: np.ndarray | None = None,
+        rows_p: np.ndarray | None = None,
+    ) -> None:
+        for w, g, rows in zip((model.w_q, model.w_p), (g_wq, g_wp), _row_sets(model, rows_q, rows_p)):
+            w.T[rows] -= self.learning_rate * g.T
 
 
 class AdamOptimizer:
-    """Dense Adam, computed in place.
+    """Adam over the given rows of each tower, computed in place.
+
+    ``step`` takes gradients and rows as ``SgdOptimizer.step`` does.  The
+    moments cover those rows only, so every step must name the rows of
+    the first; another row set raises ``ValueError``.  A row left out has
+    the value it would have under Adam over every row whenever its
+    gradient has been +0.0 at every step: its moments stay 0 and its
+    update is ``lr * 0 / (sqrt(0) + epsilon) = +0.0``, which leaves its
+    bits unchanged (-0.0 included) for any ``lr`` that ``TrainConfig``
+    accepts: finite, with its sign bit clear.
 
     Each step evaluates, element by element and in this order,
 
@@ -198,11 +260,11 @@ class AdamOptimizer:
         v = beta2 * v + (1 - beta2) * (g * g)
         p -= lr * (m / bias1) / (sqrt(v / bias2) + epsilon)
 
-    as ``out=`` ufuncs into two scratch blocks reused across steps, one
-    block of ``BLOCK_ROWS`` rows of the towers' (hash_dim, d) view at a
-    time so the working set stays in cache.  Every operation rounds
-    exactly as the whole-array formula does, so the result is bitwise
-    the same.
+    as ``out=`` ufuncs into two scratch blocks reused across steps, over
+    one gathered block of ``BLOCK_ROWS`` rows of the towers' (hash_dim, d)
+    view at a time so the working set stays in cache.  Every operation
+    rounds exactly as the whole-array formula does, so the result is
+    bitwise the same.
     """
 
     BLOCK_ROWS = 512
@@ -219,26 +281,39 @@ class AdamOptimizer:
         self.beta2 = beta2
         self.epsilon = epsilon
         self.t = 0
-        # moments and scratch, all in the (hash_dim, d) layout of w.T
+        # the first step's rows, their moments in the (rows, d) layout of
+        # w.T[rows], and scratch
+        self._rows: list[np.ndarray] | None = None
         self._m: list[np.ndarray] | None = None
         self._v: list[np.ndarray] | None = None
         self._scratch: tuple[np.ndarray, np.ndarray] | None = None
 
-    def step(self, model: EncoderModel, g_wq: np.ndarray, g_wp: np.ndarray) -> None:
-        params = [model.w_q.T, model.w_p.T]
-        grads = [g_wq.T, g_wp.T]
-        if self._m is None:
-            self._m = [np.zeros(p.shape) for p in params]
-            self._v = [np.zeros(p.shape) for p in params]
-            shape = (min(self.BLOCK_ROWS, params[0].shape[0]), params[0].shape[1])
+    def step(
+        self,
+        model: EncoderModel,
+        g_wq: np.ndarray,
+        g_wp: np.ndarray,
+        rows_q: np.ndarray | None = None,
+        rows_p: np.ndarray | None = None,
+    ) -> None:
+        row_sets = _row_sets(model, rows_q, rows_p)
+        if self._rows is None:
+            self._rows = row_sets
+            self._m = [np.zeros((len(rows), model.d)) for rows in row_sets]
+            self._v = [np.zeros((len(rows), model.d)) for rows in row_sets]
+            shape = (min(self.BLOCK_ROWS, max(map(len, row_sets))), model.d)
             self._scratch = (np.empty(shape), np.empty(shape))
+        elif not all(np.array_equal(rows, first) for rows, first in zip(row_sets, self._rows)):
+            raise ValueError("Adam's moments cover the rows of its first step; this step names other rows")
         self.t += 1
         bias1 = 1.0 - self.beta1**self.t
         bias2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self._m, self._v):
-            for lo in range(0, p.shape[0], self.BLOCK_ROWS):
+        for w, g, rows, m, v in zip((model.w_q, model.w_p), (g_wq.T, g_wp.T), row_sets, self._m, self._v):
+            for lo in range(0, len(rows), self.BLOCK_ROWS):
                 hi = lo + self.BLOCK_ROWS
-                self._update(p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], bias1, bias2)
+                p = w.T[rows[lo:hi]]
+                self._update(p, g[lo:hi], m[lo:hi], v[lo:hi], bias1, bias2)
+                w.T[rows[lo:hi]] = p
 
     def _update(self, p, g, m, v, bias1: float, bias2: float) -> None:
         a, b = (s[: p.shape[0]] for s in self._scratch)
@@ -320,6 +395,15 @@ def train(
     single-instance batch is dropped (it has nothing to contrast against).
     The loss in the metrics is measured at the parameters each batch was
     trained on, averaged over questions.
+
+    Gradients and optimizer steps cover only the active rows of the
+    training split's ``FeatureTable``: the hash buckets of some training
+    question (``w_q``) or some candidate text (``w_p``).  Every other
+    row's gradient is exactly +0.0 at every step, so Adam's and SGD's
+    updates to it are +0.0 and it keeps its initial bits: the towers
+    equal those of training over every row, bit for bit.  Gradients and
+    Adam moments take memory in proportion to the active buckets, not
+    to ``hash_dim``.
     """
     if len(train_split) < 2:
         raise ValueError("training needs at least 2 instances for in-batch negatives")
@@ -342,7 +426,7 @@ def train(
                 dropped_batches += 1
                 continue
             report, g_wq, g_wp = batch_gradients(model, batch, features)
-            optimizer.step(model, g_wq, g_wp)
+            optimizer.step(model, g_wq, g_wp, features.rows_q, features.rows_p)
             loss_sum += sum(report.per_question_loss)
             questions_seen += len(batch)
         dev_hit = dev_hit_at_k(model, dev_split, k=10, pool=dev_pool) if dev_pool is not None else None

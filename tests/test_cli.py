@@ -649,6 +649,25 @@ class TestTrain:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", [("--lr", "nan"), ("--lr", "inf"), "learning_rate=inf"])
+    def test_non_finite_learning_rate_writes_nothing(self, pipeline, tmp_path, capsys, setting):
+        argv = [
+            "train",
+            "--train", str(pipeline["dataset"] / "train.json"),
+            "--out", str(tmp_path / "m.bin"),
+            "--metrics", str(tmp_path / "metrics.jsonl"),
+        ]
+        if isinstance(setting, str):
+            config = tmp_path / "train.conf"
+            config.write_text(setting + "\n", encoding="utf-8")
+            argv += ["--config", str(config)]
+        else:
+            argv += list(setting)
+        before = snapshot_dir(tmp_path)
+        assert main(argv) == 2
+        assert "learning_rate must be finite" in capsys.readouterr().err
+        assert snapshot_dir(tmp_path) == before
+
     def test_dropped_batches_shown_once_on_stderr(self, pipeline, tmp_path, capsys):
         train_json = pipeline["dataset"] / "train.json"
         n_train = len(json.loads(train_json.read_text(encoding="utf-8")))

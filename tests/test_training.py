@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from deskdpr.corpus import render_encoder_input
 from deskdpr.dataset import DatasetSplit
@@ -271,6 +274,8 @@ class TestFeatureTable:
         assert len(calls[0]) == len(set(calls[0])) == 12
 
     def test_cached_gradients_equal_public_path(self):
+        # the table's gradients are the public full-shape ones on the
+        # table's active rows, bit for bit, and those are +0.0 elsewhere
         model = init_model(d=8, hash_dim=256, seed=6)
         instances = hard_negative_split(6)
         table = FeatureTable(instances, 256)
@@ -278,7 +283,24 @@ class TestFeatureTable:
         report, g_wq, g_wp = batch_gradients(model, batch)
         cached_report, c_wq, c_wp = batch_gradients(model, batch, table)
         assert cached_report == report
-        assert np.array_equal(c_wq, g_wq) and np.array_equal(c_wp, g_wp)
+        for full, active, rows in ((g_wq, c_wq, table.rows_q), (g_wp, c_wp, table.rows_p)):
+            assert active.shape == (8, len(rows))
+            assert active.T.flags.c_contiguous
+            assert np.array_equal(bits(active), bits(full[:, rows]))
+            assert np.count_nonzero(bits(np.delete(full, rows, axis=1))) == 0
+
+    def test_active_rows_are_the_buckets_of_each_side(self):
+        instances = hard_negative_split(5)
+        table = FeatureTable(instances, 256)
+        questions = featurize_texts([inst.question.text for inst in instances], 256)
+        candidates = featurize_texts(
+            [render_encoder_input(p) for inst in instances for p in (inst.positive, *inst.hard_negatives)], 256
+        )
+        assert np.array_equal(table.rows_q, np.unique(questions.indices))
+        assert np.array_equal(table.rows_p, np.unique(candidates.indices))
+        # questions and passages share some buckets but not all
+        assert not np.array_equal(table.rows_q, table.rows_p)
+        assert len(table.rows_q) < 256 and len(table.rows_p) < 256
 
     def test_gradients_share_the_tower_layout(self):
         model = init_model(d=8, hash_dim=256, seed=6)
@@ -287,21 +309,31 @@ class TestFeatureTable:
         assert g_wq.T.flags.c_contiguous and g_wp.T.flags.c_contiguous
 
 
-def reference_adam(params, grads_per_step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """The whole-array, out-of-place Adam formula the optimizer must match bit for bit."""
+def reference_adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Step t of the whole-array, out-of-place Adam formula, in place on params, m and v."""
+    bias1 = 1.0 - beta1**t
+    bias2 = 1.0 - beta2**t
+    for p, g, m_i, v_i in zip(params, grads, m, v):
+        m_i *= beta1
+        m_i += (1.0 - beta1) * g
+        v_i *= beta2
+        v_i += (1.0 - beta2) * (g * g)
+        p -= lr * (m_i / bias1) / (np.sqrt(v_i / bias2) + eps)
+
+
+def reference_adam(params, grads_per_step, lr):
+    """The whole-array Adam formula the optimizer must match bit for bit."""
     params = [p.copy() for p in params]
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     for t, grads in enumerate(grads_per_step, start=1):
-        bias1 = 1.0 - beta1**t
-        bias2 = 1.0 - beta2**t
-        for p, g, m_i, v_i in zip(params, grads, m, v):
-            m_i *= beta1
-            m_i += (1.0 - beta1) * g
-            v_i *= beta2
-            v_i += (1.0 - beta2) * (g * g)
-            p -= lr * (m_i / bias1) / (np.sqrt(v_i / bias2) + eps)
+        reference_adam_step(params, grads, m, v, t, lr)
     return params
+
+
+def bits(a):
+    """An array's float64 bit patterns, so -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a).view(np.int64)
 
 
 class TestOptimizers:
@@ -362,6 +394,86 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             make_optimizer("rmsprop", 0.1)
 
+    def test_adam_refuses_another_row_set(self):
+        model = init_model(d=2, hash_dim=8, seed=4)
+        opt = AdamOptimizer(learning_rate=0.01)
+        rows_q, rows_p = np.array([1, 3]), np.array([0, 5, 6])
+        g_q, g_p = np.ones((2, 2), order="F"), np.ones((2, 3), order="F")
+        opt.step(model, g_q, g_p, rows_q, rows_p)
+        opt.step(model, g_q, g_p, rows_q.copy(), rows_p.copy())
+        before = (model.w_q.copy(), model.w_p.copy())
+        for other_q, other_p in ((np.array([1, 4]), rows_p), (rows_q, np.array([0, 5])), (None, None)):
+            with pytest.raises(ValueError, match="rows"):
+                opt.step(model, g_q, g_p, other_q, other_p)
+        assert opt.t == 2
+        assert np.array_equal(model.w_q, before[0]) and np.array_equal(model.w_p, before[1])
+
+
+# entries of towers and gradients: exact zeros of both signs come up often
+ENTRIES = st.sampled_from([0.0, -0.0]) | st.floats(-8.0, 8.0, width=64)
+
+
+@st.composite
+def row_restricted_case(draw):
+    """Towers, per-tower sorted active rows, and per-step gradients of those rows.
+
+    Some active rows get a +0.0 gradient at every step, as a row that no
+    batch touches does."""
+    d = draw(st.integers(1, 3))
+    hash_dim = draw(st.integers(1, 12))
+    towers = [draw(arrays(np.float64, (d, hash_dim), elements=ENTRIES)) for _ in range(2)]
+    rows = [np.array(sorted(draw(st.sets(st.integers(0, hash_dim - 1)))), dtype=np.int64) for _ in range(2)]
+    untouched = [draw(arrays(np.bool_, len(r))) for r in rows]
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        grads = []
+        for r, idle in zip(rows, untouched):
+            g = draw(arrays(np.float64, (d, len(r)), elements=ENTRIES))
+            g[:, idle] = 0.0
+            grads.append(np.asfortranarray(g))
+        steps.append(grads)
+    lr = draw(st.just(0.0) | st.floats(0.0, 1.0))
+    return towers, rows, steps, lr
+
+
+def scattered(g, rows, hash_dim):
+    """A row-restricted gradient as the full-shape one: +0.0 off its rows."""
+    full = np.zeros((g.shape[0], hash_dim), order="F")
+    full[:, rows] = g
+    return full
+
+
+class TestRowRestrictedSteps:
+    """A step over the active rows leaves the towers as a step over all rows does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(row_restricted_case(), st.sampled_from(["adam", "sgd"]))
+    def test_equals_full_shape_step_bitwise(self, case, name):
+        towers, rows, steps, lr = case
+        TrainConfig(learning_rate=lr)  # a rate that training accepts
+        d, hash_dim = towers[0].shape
+        restricted = EncoderModel(d=d, hash_dim=hash_dim, w_q=towers[0].copy(), w_p=towers[1].copy())
+        full = EncoderModel(d=d, hash_dim=hash_dim, w_q=towers[0].copy(), w_p=towers[1].copy())
+        full_steps = [[scattered(g, r, hash_dim) for g, r in zip(grads, rows)] for grads in steps]
+        opt_restricted, opt_full = make_optimizer(name, lr), make_optimizer(name, lr)
+        for grads, full_grads in zip(steps, full_steps):
+            opt_restricted.step(restricted, *grads, *rows)
+            opt_full.step(full, *full_grads)
+        if name == "adam":
+            expected = reference_adam(towers, full_steps, lr)
+        else:
+            expected = [t.copy() for t in towers]
+            for full_grads in full_steps:
+                for p, g in zip(expected, full_grads):
+                    p -= lr * g
+        for i, tower in enumerate(("w_q", "w_p")):
+            got = getattr(restricted, tower)
+            assert np.array_equal(bits(got), bits(getattr(full, tower)))
+            assert np.array_equal(bits(got), bits(expected[i]))
+            # a row outside the active set keeps its bits
+            idle = np.setdiff1d(np.arange(hash_dim), rows[i])
+            assert np.array_equal(bits(got[:, idle]), bits(towers[i][:, idle]))
+
 
 class TestTrainConfig:
     def test_defaults(self):
@@ -371,6 +483,11 @@ class TestTrainConfig:
 
     def test_zero_learning_rate_allowed(self):
         assert TrainConfig(learning_rate=0.0).learning_rate == 0.0
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, -0.0])
+    def test_non_finite_or_negative_zero_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            TrainConfig(learning_rate=lr)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
@@ -547,6 +664,48 @@ class TestTrain:
         assert len(set(pooled)) > 1  # the values move as the model trains
         # the training table, then the dev pool's passages and questions
         assert calls == [calls[0], 24, 12]
+
+    @pytest.mark.parametrize("optimizer, lr", [("adam", 0.05), ("sgd", 0.5)])
+    def test_towers_equal_a_dense_reference_loop(self, optimizer, lr):
+        # hash_dim spans two full Adam row blocks and a partial one
+        d, hash_dim = 8, 2 * AdamOptimizer.BLOCK_ROWS + 77
+        instances = hard_negative_split(7)
+        cfg = TrainConfig(
+            batch_size=3, epochs=3, learning_rate=lr, seed=4, d=d, hash_dim=hash_dim, optimizer=optimizer
+        )
+        split = DatasetSplit(name="train", instances=tuple(instances))
+        trained, _ = train(init_model(d=d, hash_dim=hash_dim, seed=4), split, None, cfg)
+
+        # the reference: full-shape gradients and whole-array updates of every row
+        model = init_model(d=d, hash_dim=hash_dim, seed=4)
+        initial = (model.w_q.copy(), model.w_p.copy())
+        params = [model.w_q, model.w_p]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        rng = np.random.default_rng(cfg.seed)
+        t = 0
+        for _ in range(cfg.epochs):
+            perm = rng.permutation(len(instances))
+            for lo in range(0, len(perm), cfg.batch_size):
+                batch = [instances[i] for i in perm[lo : lo + cfg.batch_size]]
+                if len(batch) < 2:
+                    continue
+                _, g_wq, g_wp = batch_gradients(model, batch)
+                t += 1
+                if optimizer == "adam":
+                    reference_adam_step(params, (g_wq, g_wp), m, v, t, lr)
+                else:
+                    for p, g in zip(params, (g_wq, g_wp)):
+                        p -= lr * g
+        assert t == 6  # two batches of 3 per epoch; the trailing singleton is dropped
+        assert np.array_equal(bits(trained.w_q), bits(model.w_q))
+        assert np.array_equal(bits(trained.w_p), bits(model.w_p))
+        # only active rows moved, and the active rows are few
+        table = FeatureTable(instances, hash_dim)
+        for w, w0, rows in ((trained.w_q, initial[0], table.rows_q), (trained.w_p, initial[1], table.rows_p)):
+            moved = np.flatnonzero((w != w0).any(axis=0))
+            assert len(moved) > 0 and np.isin(moved, rows).all()
+            assert len(rows) < hash_dim // 10
 
     def test_too_few_instances_rejected(self):
         model = init_model(d=16, hash_dim=512, seed=0)
