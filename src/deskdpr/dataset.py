@@ -117,8 +117,13 @@ def attach_negatives(
     own positive.  Random negatives are drawn from the other instances'
     positives (the in-split passage pool), never the instance's own
     positive.  Returns new instances plus the count of instances that got
-    fewer hard negatives than requested.
+    fewer hard negatives than requested.  Raises ``ValueError``, before
+    mining anything, for a negative count or ``top_n < 1``.
     """
+    if n_hard < 0 or n_random < 0:
+        raise ValueError(f"n_hard and n_random must be >= 0, got n_hard={n_hard}, n_random={n_random}")
+    if top_n < 1:
+        raise ValueError(f"top_n must be >= 1, got {top_n}")
     rng = random.Random(seed)
     pool: list[Passage] = []
     seen_pids: set[str] = set()

@@ -36,7 +36,7 @@ import numpy as np
 from .corpus import PassageStore, render_encoder_input
 from .encoder import EncoderModel, encode_passages
 from .errors import CorruptIndex, DimensionError, DuplicateId, EmptyCorpus, UnsupportedVersion
-from .results import RetrievalResult, SearchHit
+from .results import RetrievalResult, hits_from_ranking
 
 INDEX_MAGIC = b"DRIX"
 INDEX_VERSION = 1
@@ -146,12 +146,7 @@ def _ranked(index: FlatIndex, rows: np.ndarray, q: np.ndarray, k: int, block_row
         [(index.vectors[rows[lo : lo + block_rows]] * q).sum(axis=1) for lo in range(0, len(rows), block_rows)]
     )
     top = np.lexsort((rows, -scores))[:k]
-    return RetrievalResult(
-        hits=[
-            SearchHit(passage_id=index.ids[rows[j]], score=float(scores[j]), rank=rank)
-            for rank, j in enumerate(top, start=1)
-        ]
-    )
+    return hits_from_ranking([(index.ids[rows[j]], float(scores[j])) for j in top])
 
 
 def search(index: FlatIndex, q_emb: np.ndarray, k: int, block_rows: int = 4096) -> RetrievalResult:
@@ -194,12 +189,7 @@ def search_naive(index: FlatIndex, q_emb: np.ndarray, k: int) -> RetrievalResult
     scores = np.array([(index.vectors[i] * q).sum() for i in range(len(index))])
     ordinals = np.arange(len(index))
     top = np.lexsort((ordinals, -scores))[:k]
-    return RetrievalResult(
-        hits=[
-            SearchHit(passage_id=index.ids[i], score=float(scores[i]), rank=rank)
-            for rank, i in enumerate(top, start=1)
-        ]
-    )
+    return hits_from_ranking([(index.ids[i], float(scores[i])) for i in top])
 
 
 def save_index(index: FlatIndex, path: str | Path) -> None:

@@ -96,43 +96,54 @@ class FeatureTable:
     Feature rows do not depend on the batch they sit in, so a sliced
     batch equals one featurized on its own.
 
-    ``rows_q`` and ``rows_p`` are the active rows: the sorted hash
-    buckets that occur in some question and in some candidate text.
-    They are the only rows of ``w_q.T`` and ``w_p.T`` to which a batch
-    of these instances can give a nonzero gradient.
+    ``rows`` are the active rows: the sorted hash buckets that occur in
+    some question or candidate text, the only rows of ``w_q.T`` and
+    ``w_p.T`` to which a batch of these instances can give a nonzero
+    gradient.  The table's feature columns are positions in ``rows``, so
+    its batches multiply the compact towers ``w[:, rows]``.  Renumbering
+    keeps each row's entries in order, so such a product adds the same
+    terms in the same order as one over every hash bucket.
     """
 
     def __init__(self, instances: Sequence[TrainingInstance], hash_dim: int):
-        rows: dict[str, int] = {}
+        texts: dict[str, int] = {}
         for inst in instances:
-            rows.setdefault(inst.question.text, len(rows))
+            texts.setdefault(inst.question.text, len(texts))
         for text in _candidate_texts(instances):
-            rows.setdefault(text, len(rows))
-        self._rows = rows
-        self._features = featurize_texts(list(rows), hash_dim)
-        x, y = self.batch(instances)
-        self.rows_q = np.unique(x.indices)
-        self.rows_p = np.unique(y.indices)
+            texts.setdefault(text, len(texts))
+        self._texts = texts
+        features = featurize_texts(list(texts), hash_dim)
+        self.rows = np.unique(features.indices)
+        columns = np.searchsorted(self.rows, features.indices)
+        self._features = sparse.csr_array(
+            (features.data, columns, features.indptr), shape=(len(texts), len(self.rows))
+        )
 
     def batch(self, instances: Sequence[TrainingInstance]):
-        """(question features (B, H), candidate features (C, H)) of a batch."""
-        x = self._features[[self._rows[inst.question.text] for inst in instances]]
-        y = self._features[[self._rows[text] for text in _candidate_texts(instances)]]
+        """(question features (B, len(rows)), candidate features (C, len(rows))) of a batch."""
+        x = self._features[[self._texts[inst.question.text] for inst in instances]]
+        y = self._features[[self._texts[text] for text in _candidate_texts(instances)]]
         return x, y
 
 
-def _batch_matrices(model: EncoderModel, instances: Sequence[TrainingInstance], features: FeatureTable):
+def _batch_matrices(model: EncoderModel, instances: Sequence[TrainingInstance], features: FeatureTable | None):
     """Feature and embedding matrices for one batch.
 
     Returns (X, Y, Q, P, S): question features (B, H), candidate features
     (C, H), question embeddings (B, d), candidate embeddings (C, d), and
-    the score matrix S = Q P^T (B, C).  Features come from ``features``,
-    a table built over (at least) these instances.
+    the score matrix S = Q P^T (B, C), where H is ``model.hash_dim``.
+    Features come from ``features``, a table built over (at least) these
+    instances whose ``rows`` are ``model``'s columns, or, without one,
+    are featurized here.
     """
     pids = [inst.positive.passage_id for inst in instances]
     if len(set(pids)) < len(pids):
         log.warning("batch has duplicate positive passages; their in-batch negatives overlap")
-    x, y = features.batch(instances)
+    if features is None:
+        x = featurize_texts([inst.question.text for inst in instances], model.hash_dim)
+        y = featurize_texts(_candidate_texts(instances), model.hash_dim)
+    else:
+        x, y = features.batch(instances)
     q = x @ model.w_q.T
     p = y @ model.w_p.T
     s = q @ p.T
@@ -158,18 +169,7 @@ def batch_loss(model: EncoderModel, instances: Sequence[TrainingInstance]) -> Ba
     """NLL of the positive column for each question, averaged."""
     if len(instances) < 2:
         raise ValueError("in-batch negatives need at least 2 instances per batch")
-    return _report_from_scores(_batch_matrices(model, instances, FeatureTable(instances, model.hash_dim))[4])
-
-
-def _active_columns(features: sparse.csr_array, rows: np.ndarray) -> sparse.csr_array:
-    """``features[:, rows]``, for sorted ``rows`` that hold every column in use.
-
-    Renumbering the columns keeps each row's entries in order, so a
-    product with the result adds the same terms in the same order as
-    one with ``features``.
-    """
-    columns = np.searchsorted(rows, features.indices)
-    return sparse.csr_array((features.data, columns, features.indptr), shape=(features.shape[0], len(rows)))
+    return _report_from_scores(_batch_matrices(model, instances, None)[4])
 
 
 def batch_gradients(
@@ -179,80 +179,45 @@ def batch_gradients(
 ) -> tuple[BatchLossReport, np.ndarray, np.ndarray]:
     """Loss report plus exact gradients of the mean NLL w.r.t. both towers.
 
-    With ``features``, a table built over (at least) these instances, the
-    gradients cover the table's active rows only: ``g_wq`` is the
-    gradient of ``w_q[:, features.rows_q]``, of shape (d, len(rows_q)),
-    and ``g_wp`` that of ``w_p[:, features.rows_p]``; every other
-    gradient entry is exactly +0.0.  Without it, they are scattered into
-    the towers' full shape (d, hash_dim).  Either way each is
-    Fortran-ordered like the towers, a transposed view of a C-ordered
-    (rows, d) product.
+    The gradients have the shape of ``model``'s towers, (d, hash_dim),
+    and their layout: each is Fortran-ordered, a transposed view of a
+    C-ordered (hash_dim, d) product.  A bucket that no text of the batch
+    uses on a tower's side gets exactly +0.0 there.  ``features``, a
+    table built over (at least) these instances, saves featurizing the
+    batch; its columns are the table's ``rows``, so ``model`` is then
+    the compact model of those rows that ``train`` steps.
     """
     if len(instances) < 2:
         raise ValueError("in-batch negatives need at least 2 instances per batch")
-    table = FeatureTable(instances, model.hash_dim) if features is None else features
-    x, y, q, p, s = _batch_matrices(model, instances, table)
+    x, y, q, p, s = _batch_matrices(model, instances, features)
     report = _report_from_scores(s)
     b = s.shape[0]
     g = softmax_rows(s)
     g[np.arange(b), np.arange(b)] -= 1.0
     g /= b
-    d_q = g @ p
-    d_p = g.T @ q
-    g_q = _active_columns(x, table.rows_q).T @ d_q
-    g_p = _active_columns(y, table.rows_p).T @ d_p
-    if features is None:
-        g_q = _scattered(g_q, table.rows_q, model.hash_dim)
-        g_p = _scattered(g_p, table.rows_p, model.hash_dim)
-    return report, g_q.T, g_p.T
-
-
-def _scattered(g: np.ndarray, rows: np.ndarray, hash_dim: int) -> np.ndarray:
-    """(hash_dim, d) zeros holding the (rows, d) gradient ``g`` at ``rows``."""
-    full = np.zeros((hash_dim, g.shape[1]))
-    full[rows] = g
-    return full
-
-
-def _row_sets(model: EncoderModel, rows_q: np.ndarray | None, rows_p: np.ndarray | None) -> list[np.ndarray]:
-    all_rows = np.arange(model.hash_dim)
-    return [all_rows if rows is None else rows for rows in (rows_q, rows_p)]
+    return report, (x.T @ (g @ p)).T, (y.T @ (g.T @ q)).T
 
 
 class SgdOptimizer:
-    """Plain SGD, ``w -= lr * g``, over the given rows of each tower.
-
-    ``step``'s gradients are those of ``w_q[:, rows_q]`` and
-    ``w_p[:, rows_p]``, as ``batch_gradients`` returns them; ``rows_q``
-    and ``rows_p`` are sorted distinct hash buckets, every one by default.
-    """
+    """Plain SGD, ``w -= lr * g``, on both towers."""
 
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
 
-    def step(
-        self,
-        model: EncoderModel,
-        g_wq: np.ndarray,
-        g_wp: np.ndarray,
-        rows_q: np.ndarray | None = None,
-        rows_p: np.ndarray | None = None,
-    ) -> None:
-        for w, g, rows in zip((model.w_q, model.w_p), (g_wq, g_wp), _row_sets(model, rows_q, rows_p)):
-            w.T[rows] -= self.learning_rate * g.T
+    def step(self, model: EncoderModel, g_wq: np.ndarray, g_wp: np.ndarray) -> None:
+        for w, g in zip((model.w_q, model.w_p), (g_wq, g_wp)):
+            w -= self.learning_rate * g
 
 
 class AdamOptimizer:
-    """Adam over the given rows of each tower, computed in place.
+    """Adam over every row of both towers, computed in place.
 
-    ``step`` takes gradients and rows as ``SgdOptimizer.step`` does.  The
-    moments cover those rows only, so every step must name the rows of
-    the first; another row set raises ``ValueError``.  A row left out has
-    the value it would have under Adam over every row whenever its
-    gradient has been +0.0 at every step: its moments stay 0 and its
-    update is ``lr * 0 / (sqrt(0) + epsilon) = +0.0``, which leaves its
-    bits unchanged (-0.0 included) for any ``lr`` that ``TrainConfig``
-    accepts: finite, with its sign bit clear.
+    The moments take the shape of the first model stepped, which in
+    ``train`` is the compact model of the active rows.  A row whose
+    gradient has been +0.0 at every step keeps its bits (-0.0 included):
+    its moments stay 0 and its update is
+    ``lr * 0 / (sqrt(0) + epsilon) = +0.0`` for any ``lr`` that
+    ``TrainConfig`` accepts: finite, with its sign bit clear.
 
     Each step evaluates, element by element and in this order,
 
@@ -261,7 +226,7 @@ class AdamOptimizer:
         p -= lr * (m / bias1) / (sqrt(v / bias2) + epsilon)
 
     as ``out=`` ufuncs into two scratch blocks reused across steps, over
-    one gathered block of ``BLOCK_ROWS`` rows of the towers' (hash_dim, d)
+    one contiguous block of ``BLOCK_ROWS`` rows of the towers' (hash_dim, d)
     view at a time so the working set stays in cache.  Every operation
     rounds exactly as the whole-array formula does, so the result is
     bitwise the same.
@@ -281,39 +246,24 @@ class AdamOptimizer:
         self.beta2 = beta2
         self.epsilon = epsilon
         self.t = 0
-        # the first step's rows, their moments in the (rows, d) layout of
-        # w.T[rows], and scratch
-        self._rows: list[np.ndarray] | None = None
+        # moments in the (hash_dim, d) layout of w.T, and scratch
         self._m: list[np.ndarray] | None = None
         self._v: list[np.ndarray] | None = None
         self._scratch: tuple[np.ndarray, np.ndarray] | None = None
 
-    def step(
-        self,
-        model: EncoderModel,
-        g_wq: np.ndarray,
-        g_wp: np.ndarray,
-        rows_q: np.ndarray | None = None,
-        rows_p: np.ndarray | None = None,
-    ) -> None:
-        row_sets = _row_sets(model, rows_q, rows_p)
-        if self._rows is None:
-            self._rows = row_sets
-            self._m = [np.zeros((len(rows), model.d)) for rows in row_sets]
-            self._v = [np.zeros((len(rows), model.d)) for rows in row_sets]
-            shape = (min(self.BLOCK_ROWS, max(map(len, row_sets))), model.d)
+    def step(self, model: EncoderModel, g_wq: np.ndarray, g_wp: np.ndarray) -> None:
+        if self._m is None:
+            self._m = [np.zeros((model.hash_dim, model.d)) for _ in range(2)]
+            self._v = [np.zeros((model.hash_dim, model.d)) for _ in range(2)]
+            shape = (min(self.BLOCK_ROWS, model.hash_dim), model.d)
             self._scratch = (np.empty(shape), np.empty(shape))
-        elif not all(np.array_equal(rows, first) for rows, first in zip(row_sets, self._rows)):
-            raise ValueError("Adam's moments cover the rows of its first step; this step names other rows")
         self.t += 1
         bias1 = 1.0 - self.beta1**self.t
         bias2 = 1.0 - self.beta2**self.t
-        for w, g, rows, m, v in zip((model.w_q, model.w_p), (g_wq.T, g_wp.T), row_sets, self._m, self._v):
-            for lo in range(0, len(rows), self.BLOCK_ROWS):
+        for w, g, m, v in zip((model.w_q, model.w_p), (g_wq.T, g_wp.T), self._m, self._v):
+            for lo in range(0, model.hash_dim, self.BLOCK_ROWS):
                 hi = lo + self.BLOCK_ROWS
-                p = w.T[rows[lo:hi]]
-                self._update(p, g[lo:hi], m[lo:hi], v[lo:hi], bias1, bias2)
-                w.T[rows[lo:hi]] = p
+                self._update(w.T[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], bias1, bias2)
 
     def _update(self, p, g, m, v, bias1: float, bias2: float) -> None:
         a, b = (s[: p.shape[0]] for s in self._scratch)
@@ -396,14 +346,20 @@ def train(
     The loss in the metrics is measured at the parameters each batch was
     trained on, averaged over questions.
 
-    Gradients and optimizer steps cover only the active rows of the
-    training split's ``FeatureTable``: the hash buckets of some training
-    question (``w_q``) or some candidate text (``w_p``).  Every other
-    row's gradient is exactly +0.0 at every step, so Adam's and SGD's
-    updates to it are +0.0 and it keeps its initial bits: the towers
-    equal those of training over every row, bit for bit.  Gradients and
-    Adam moments take memory in proportion to the active buckets, not
-    to ``hash_dim``.
+    Training steps a compact model of the towers' active rows, the
+    ``rows`` of the training split's ``FeatureTable``, gathered once
+    before the first step and written back into ``model`` at the end of
+    every epoch, before dev scoring.  Every other row's gradient would be
+    exactly +0.0 at every step, so Adam's and SGD's updates to it would
+    be +0.0 and leave its initial bits: the towers equal those of
+    training over every row, bit for bit.  Gradients and Adam moments
+    take memory in proportion to the active buckets, not to
+    ``hash_dim``.
+
+    Raises ``ValueError`` naming the epoch when an epoch's mean loss or
+    the trained towers are not finite, as a learning rate too large for
+    the data gives; ``model`` is then left with the previous epoch's
+    towers.
     """
     if len(train_split) < 2:
         raise ValueError("training needs at least 2 instances for in-batch negatives")
@@ -414,6 +370,8 @@ def train(
     instances = train_split.instances
     # features do not depend on the weights: featurize every text once
     features = FeatureTable(instances, model.hash_dim)
+    rows = features.rows
+    active = EncoderModel(model.d, len(rows), model.w_q[:, rows], model.w_p[:, rows])
     dev_pool = DevPool(dev_split, model.hash_dim) if dev_split and len(dev_split) else None
     for epoch in range(1, cfg.epochs + 1):
         start = time.perf_counter()
@@ -425,15 +383,23 @@ def train(
             if len(batch) < 2:
                 dropped_batches += 1
                 continue
-            report, g_wq, g_wp = batch_gradients(model, batch, features)
-            optimizer.step(model, g_wq, g_wp, features.rows_q, features.rows_p)
+            report, g_wq, g_wp = batch_gradients(active, batch, features)
+            optimizer.step(active, g_wq, g_wp)
             loss_sum += sum(report.per_question_loss)
             questions_seen += len(batch)
+        mean_loss = loss_sum / questions_seen
+        if not (math.isfinite(mean_loss) and np.isfinite(active.w_q).all() and np.isfinite(active.w_p).all()):
+            raise ValueError(
+                f"training diverged in epoch {epoch}: the mean training loss or the towers are not finite "
+                f"(learning_rate={cfg.learning_rate!r})"
+            )
+        model.w_q[:, rows] = active.w_q
+        model.w_p[:, rows] = active.w_p
         dev_hit = dev_hit_at_k(model, dev_split, k=10, pool=dev_pool) if dev_pool is not None else None
         metrics.append(
             {
                 "epoch": epoch,
-                "mean_train_loss": loss_sum / questions_seen,
+                "mean_train_loss": mean_loss,
                 "dev_hit_at_10": dev_hit,
                 "wall_seconds": time.perf_counter() - start,
             }
@@ -444,7 +410,7 @@ def train(
 
 
 def save_metrics(metrics: Sequence[dict], path: str | Path) -> None:
-    """One JSON object per line, one line per epoch."""
+    """One JSON object per line, one line per epoch; a non-finite value raises ``ValueError``."""
     with open(path, "w", encoding="utf-8") as f:
         for row in metrics:
-            f.write(json.dumps(row) + "\n")
+            f.write(json.dumps(row, allow_nan=False) + "\n")

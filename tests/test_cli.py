@@ -608,6 +608,14 @@ class TestBuildDataset:
             assert (out_a / f"{name}.json").read_bytes() == (out_b / f"{name}.json").read_bytes()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag, value", [("--n-hard", "-1"), ("--n-random", "-2"), ("--top-n", "0")])
+    def test_bad_negative_counts_write_nothing(self, pipeline, tmp_path, capsys, flag, value):
+        before = snapshot_dir(pipeline["root"])
+        assert main(build_dataset_argv(pipeline, tmp_path / "d") + [flag, value]) == 2
+        assert "must be >=" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+        assert snapshot_dir(pipeline["root"]) == before
+
     def test_different_seed_changes_assignment(self, pipeline, tmp_path, capsys):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -666,6 +674,22 @@ class TestTrain:
         before = snapshot_dir(tmp_path)
         assert main(argv) == 2
         assert "learning_rate must be finite" in capsys.readouterr().err
+        assert snapshot_dir(tmp_path) == before
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_training_writes_nothing(self, pipeline, tmp_path, capsys):
+        before = snapshot_dir(tmp_path)
+        rc = main([
+            "train",
+            "--train", str(pipeline["dataset"] / "train.json"),
+            "--out", str(tmp_path / "m.bin"),
+            "--metrics", str(tmp_path / "metrics.jsonl"),
+            "--lr", "1e308",
+            "--d", "8",
+            "--hash-dim", "64",
+        ])
+        assert rc == 2
+        assert "training diverged in epoch 2" in capsys.readouterr().err
         assert snapshot_dir(tmp_path) == before
 
     def test_dropped_batches_shown_once_on_stderr(self, pipeline, tmp_path, capsys):

@@ -146,6 +146,13 @@ class TestAttachNegatives:
         assert short == 1
         assert out[0].hard_negatives == ()
 
+    @pytest.mark.parametrize("counts", [{"n_hard": -1}, {"n_random": -2}, {"top_n": 0}, {"n_hard": 0, "top_n": 0}])
+    def test_bad_counts_rejected_before_mining(self, monkeypatch, counts):
+        store, index, instances = self.build()
+        monkeypatch.setattr("deskdpr.dataset.mine_hard_negatives", lambda *a, **kw: pytest.fail("mined"))
+        with pytest.raises(ValueError, match="must be >= "):
+            attach_negatives(instances, store, index, **counts)
+
     def test_instances_otherwise_unchanged(self):
         store, index, instances = self.build()
         out, _ = attach_negatives(instances, store, index, n_hard=1, n_random=1)

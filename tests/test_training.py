@@ -251,10 +251,11 @@ class TestFeatureTable:
         candidates = [render_encoder_input(inst.positive) for inst in batch]
         candidates += [render_encoder_input(h) for inst in batch for h in inst.hard_negatives]
         y_ref = featurize_texts(candidates, 256)
+        # the table's columns are positions in its rows
         for got, ref in ((x, x_ref), (y, y_ref)):
-            assert got.shape == ref.shape
+            assert got.shape == (ref.shape[0], len(table.rows))
             assert np.array_equal(got.indptr, ref.indptr)
-            assert np.array_equal(got.indices, ref.indices)
+            assert np.array_equal(table.rows[got.indices], ref.indices)
             assert np.array_equal(got.data, ref.data)
 
     def test_each_distinct_text_featurized_once(self, monkeypatch):
@@ -274,33 +275,33 @@ class TestFeatureTable:
         assert len(calls[0]) == len(set(calls[0])) == 12
 
     def test_cached_gradients_equal_public_path(self):
-        # the table's gradients are the public full-shape ones on the
-        # table's active rows, bit for bit, and those are +0.0 elsewhere
+        # the compact model's gradients are the public full-shape ones on
+        # the table's rows, bit for bit, and those are +0.0 elsewhere
         model = init_model(d=8, hash_dim=256, seed=6)
         instances = hard_negative_split(6)
         table = FeatureTable(instances, 256)
         batch = instances[1:5]
         report, g_wq, g_wp = batch_gradients(model, batch)
-        cached_report, c_wq, c_wp = batch_gradients(model, batch, table)
+        cached_report, c_wq, c_wp = batch_gradients(compact(model, table.rows), batch, table)
         assert cached_report == report
-        for full, active, rows in ((g_wq, c_wq, table.rows_q), (g_wp, c_wp, table.rows_p)):
-            assert active.shape == (8, len(rows))
+        for full, active in ((g_wq, c_wq), (g_wp, c_wp)):
+            assert active.shape == (8, len(table.rows))
             assert active.T.flags.c_contiguous
-            assert np.array_equal(bits(active), bits(full[:, rows]))
-            assert np.count_nonzero(bits(np.delete(full, rows, axis=1))) == 0
+            assert np.array_equal(bits(active), bits(full[:, table.rows]))
+            assert np.count_nonzero(bits(np.delete(full, table.rows, axis=1))) == 0
 
-    def test_active_rows_are_the_buckets_of_each_side(self):
+    def test_active_rows_are_the_buckets_of_every_text(self):
         instances = hard_negative_split(5)
         table = FeatureTable(instances, 256)
         questions = featurize_texts([inst.question.text for inst in instances], 256)
         candidates = featurize_texts(
             [render_encoder_input(p) for inst in instances for p in (inst.positive, *inst.hard_negatives)], 256
         )
-        assert np.array_equal(table.rows_q, np.unique(questions.indices))
-        assert np.array_equal(table.rows_p, np.unique(candidates.indices))
+        q_rows, p_rows = np.unique(questions.indices), np.unique(candidates.indices)
+        assert np.array_equal(table.rows, np.union1d(q_rows, p_rows))
         # questions and passages share some buckets but not all
-        assert not np.array_equal(table.rows_q, table.rows_p)
-        assert len(table.rows_q) < 256 and len(table.rows_p) < 256
+        assert len(np.setdiff1d(q_rows, p_rows)) and len(np.setdiff1d(p_rows, q_rows))
+        assert len(table.rows) < 256
 
     def test_gradients_share_the_tower_layout(self):
         model = init_model(d=8, hash_dim=256, seed=6)
@@ -334,6 +335,11 @@ def reference_adam(params, grads_per_step, lr):
 def bits(a):
     """An array's float64 bit patterns, so -0.0 and +0.0 differ."""
     return np.ascontiguousarray(a).view(np.int64)
+
+
+def compact(model, rows):
+    """The model of ``rows`` of both towers, as ``train`` gathers it."""
+    return EncoderModel(model.d, len(rows), model.w_q[:, rows], model.w_p[:, rows])
 
 
 class TestOptimizers:
@@ -394,41 +400,28 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             make_optimizer("rmsprop", 0.1)
 
-    def test_adam_refuses_another_row_set(self):
-        model = init_model(d=2, hash_dim=8, seed=4)
-        opt = AdamOptimizer(learning_rate=0.01)
-        rows_q, rows_p = np.array([1, 3]), np.array([0, 5, 6])
-        g_q, g_p = np.ones((2, 2), order="F"), np.ones((2, 3), order="F")
-        opt.step(model, g_q, g_p, rows_q, rows_p)
-        opt.step(model, g_q, g_p, rows_q.copy(), rows_p.copy())
-        before = (model.w_q.copy(), model.w_p.copy())
-        for other_q, other_p in ((np.array([1, 4]), rows_p), (rows_q, np.array([0, 5])), (None, None)):
-            with pytest.raises(ValueError, match="rows"):
-                opt.step(model, g_q, g_p, other_q, other_p)
-        assert opt.t == 2
-        assert np.array_equal(model.w_q, before[0]) and np.array_equal(model.w_p, before[1])
-
 
 # entries of towers and gradients: exact zeros of both signs come up often
 ENTRIES = st.sampled_from([0.0, -0.0]) | st.floats(-8.0, 8.0, width=64)
 
 
 @st.composite
-def row_restricted_case(draw):
-    """Towers, per-tower sorted active rows, and per-step gradients of those rows.
+def compact_case(draw):
+    """Towers, sorted active rows, and per-step gradients of those rows.
 
-    Some active rows get a +0.0 gradient at every step, as a row that no
-    batch touches does."""
+    Some active rows get a +0.0 gradient at every step on one tower or on
+    both, as a bucket that only one side's texts use, or that no batch
+    touches, does."""
     d = draw(st.integers(1, 3))
     hash_dim = draw(st.integers(1, 12))
     towers = [draw(arrays(np.float64, (d, hash_dim), elements=ENTRIES)) for _ in range(2)]
-    rows = [np.array(sorted(draw(st.sets(st.integers(0, hash_dim - 1)))), dtype=np.int64) for _ in range(2)]
-    untouched = [draw(arrays(np.bool_, len(r))) for r in rows]
+    rows = np.array(sorted(draw(st.sets(st.integers(0, hash_dim - 1)))), dtype=np.int64)
+    untouched = [draw(arrays(np.bool_, len(rows))) for _ in range(2)]
     steps = []
     for _ in range(draw(st.integers(1, 4))):
         grads = []
-        for r, idle in zip(rows, untouched):
-            g = draw(arrays(np.float64, (d, len(r)), elements=ENTRIES))
+        for idle in untouched:
+            g = draw(arrays(np.float64, (d, len(rows)), elements=ENTRIES))
             g[:, idle] = 0.0
             grads.append(np.asfortranarray(g))
         steps.append(grads)
@@ -437,28 +430,32 @@ def row_restricted_case(draw):
 
 
 def scattered(g, rows, hash_dim):
-    """A row-restricted gradient as the full-shape one: +0.0 off its rows."""
+    """A compact model's gradient as the full-shape one: +0.0 off its rows."""
     full = np.zeros((g.shape[0], hash_dim), order="F")
     full[:, rows] = g
     return full
 
 
-class TestRowRestrictedSteps:
-    """A step over the active rows leaves the towers as a step over all rows does."""
+class TestCompactSteps:
+    """Stepping the compact model of the active rows and writing it back
+    leaves the towers as stepping every row does."""
 
     @settings(max_examples=150, deadline=None)
-    @given(row_restricted_case(), st.sampled_from(["adam", "sgd"]))
-    def test_equals_full_shape_step_bitwise(self, case, name):
+    @given(compact_case(), st.sampled_from(["adam", "sgd"]))
+    def test_written_back_equals_full_shape_step_bitwise(self, case, name):
         towers, rows, steps, lr = case
         TrainConfig(learning_rate=lr)  # a rate that training accepts
         d, hash_dim = towers[0].shape
-        restricted = EncoderModel(d=d, hash_dim=hash_dim, w_q=towers[0].copy(), w_p=towers[1].copy())
+        model = EncoderModel(d=d, hash_dim=hash_dim, w_q=towers[0].copy(), w_p=towers[1].copy())
         full = EncoderModel(d=d, hash_dim=hash_dim, w_q=towers[0].copy(), w_p=towers[1].copy())
-        full_steps = [[scattered(g, r, hash_dim) for g, r in zip(grads, rows)] for grads in steps]
-        opt_restricted, opt_full = make_optimizer(name, lr), make_optimizer(name, lr)
+        active = compact(model, rows)
+        full_steps = [[scattered(g, rows, hash_dim) for g in grads] for grads in steps]
+        opt_active, opt_full = make_optimizer(name, lr), make_optimizer(name, lr)
         for grads, full_grads in zip(steps, full_steps):
-            opt_restricted.step(restricted, *grads, *rows)
+            opt_active.step(active, *grads)
             opt_full.step(full, *full_grads)
+        model.w_q[:, rows] = active.w_q
+        model.w_p[:, rows] = active.w_p
         if name == "adam":
             expected = reference_adam(towers, full_steps, lr)
         else:
@@ -466,12 +463,12 @@ class TestRowRestrictedSteps:
             for full_grads in full_steps:
                 for p, g in zip(expected, full_grads):
                     p -= lr * g
+        idle = np.setdiff1d(np.arange(hash_dim), rows)
         for i, tower in enumerate(("w_q", "w_p")):
-            got = getattr(restricted, tower)
+            got = getattr(model, tower)
             assert np.array_equal(bits(got), bits(getattr(full, tower)))
             assert np.array_equal(bits(got), bits(expected[i]))
             # a row outside the active set keeps its bits
-            idle = np.setdiff1d(np.arange(hash_dim), rows[i])
             assert np.array_equal(bits(got[:, idle]), bits(towers[i][:, idle]))
 
 
@@ -702,10 +699,21 @@ class TestTrain:
         assert np.array_equal(bits(trained.w_p), bits(model.w_p))
         # only active rows moved, and the active rows are few
         table = FeatureTable(instances, hash_dim)
-        for w, w0, rows in ((trained.w_q, initial[0], table.rows_q), (trained.w_p, initial[1], table.rows_p)):
+        for w, w0 in ((trained.w_q, initial[0]), (trained.w_p, initial[1])):
             moved = np.flatnonzero((w != w0).any(axis=0))
-            assert len(moved) > 0 and np.isin(moved, rows).all()
-            assert len(rows) < hash_dim // 10
+            assert len(moved) > 0 and np.isin(moved, table.rows).all()
+        assert len(table.rows) < hash_dim // 10
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_diverging_training_raises_naming_the_epoch(self, optimizer):
+        model = init_model(d=16, hash_dim=512, seed=5)
+        initial = (model.w_q.copy(), model.w_p.copy())
+        cfg = TrainConfig(batch_size=4, epochs=3, learning_rate=1e308, seed=5, d=16, hash_dim=512, optimizer=optimizer)
+        with pytest.raises(ValueError, match="diverged in epoch 1"):
+            train(model, separable_split(8), None, cfg)
+        # the towers are left as the last finite epoch wrote them
+        assert np.array_equal(model.w_q, initial[0]) and np.array_equal(model.w_p, initial[1])
 
     def test_too_few_instances_rejected(self):
         model = init_model(d=16, hash_dim=512, seed=0)
@@ -721,3 +729,7 @@ class TestTrain:
         assert len(lines) == 3
         for line, row in zip(lines, metrics):
             assert json.loads(line) == row
+
+    def test_save_metrics_refuses_non_finite_values(self, tmp_path):
+        with pytest.raises(ValueError):
+            save_metrics([{"epoch": 1, "mean_train_loss": math.nan}], tmp_path / "metrics.jsonl")
