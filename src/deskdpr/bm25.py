@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import Passage, PassageStore
-from .errors import EmptyCorpus, ParseError, UnsupportedVersion
+from .errors import EmptyCorpus, ParseError, UnsupportedVersion, reading
 from .questions import Question, answer_exclusion_strings, contains_answer
 from .results import RetrievalResult, hits_from_ranking
 
@@ -200,45 +200,38 @@ def save_bm25_index(index: InvertedIndex, path: str | Path) -> None:
 
 def load_bm25_index(path: str | Path) -> InvertedIndex:
     """Load a BM25 index saved by save_bm25_index."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            header = json.loads(f.readline())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line 1: invalid JSON ({exc})") from exc
+    with reading(path) as r, open(path, encoding="utf-8") as f:
+        r.at = 1
+        header = json.loads(f.readline())
         if header.get("format") != INDEX_FORMAT:
             raise ParseError(f"{path}: not a BM25 index file")
         if header.get("version") != INDEX_VERSION:
             raise UnsupportedVersion(
                 f"{path}: index version {header.get('version')!r}, this build reads {INDEX_VERSION}"
             )
-        try:
-            doc_lengths = json.loads(f.readline())["doc_lengths"]
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise ParseError(f"{path}: line 2: malformed doc_lengths ({exc})") from exc
-        try:
-            passage_ids = json.loads(f.readline())["passage_ids"]
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise ParseError(f"{path}: line 3: malformed passage_ids ({exc})") from exc
+        params = Bm25Params(k1=header["k1"], b=header["b"])
+        r.at = 2
+        doc_lengths = json.loads(f.readline())["doc_lengths"]
+        r.at = 3
+        passage_ids = json.loads(f.readline())["passage_ids"]
         postings: dict[str, list[tuple[int, int]]] = {}
         # Millions of posting tuples and no cycles among them: with the
         # cyclic GC on, its repeated full scans make the parse superlinear.
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            for lineno, line in enumerate(f, start=4):
+            for r.at, line in enumerate(f, start=4):
                 if not line.strip():
                     continue
-                try:
-                    row = json.loads(line)
-                    postings[row["t"]] = [(int(o), int(tf)) for o, tf in row["p"]]
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise ParseError(f"{path}: line {lineno}: malformed posting ({exc})") from exc
+                row = json.loads(line)
+                postings[row["t"]] = [(int(o), int(tf)) for o, tf in row["p"]]
         finally:
             if gc_was_enabled:
                 gc.enable()
-    if len(postings) != header.get("n_tokens"):
-        raise ParseError(
-            f"{path}: truncated index: header says {header.get('n_tokens')} tokens, "
-            f"found {len(postings)}"
-        )
-    return InvertedIndex(postings, doc_lengths, passage_ids, Bm25Params(k1=header["k1"], b=header["b"]))
+        r.at = None  # what follows concerns the file as a whole
+        if len(postings) != header.get("n_tokens"):
+            raise ParseError(
+                f"{path}: truncated index: header says {header.get('n_tokens')} tokens, "
+                f"found {len(postings)}"
+            )
+        return InvertedIndex(postings, doc_lengths, passage_ids, params)

@@ -13,7 +13,7 @@ its manifest changed since it was written.  Each artifact goes to a temp
 file beside its target; its manifest, with the artifact's sha256, is
 written the same way, and both are moved into place with ``os.replace``,
 manifest first.  Exit codes: 0 on success, 2 on usage or validation
-problems, 1 on unexpected internal errors.
+problems and malformed input files, 1 on unexpected internal errors.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from . import __version__
 from .bm25 import build_index as build_bm25_index
 from .bm25 import load_bm25_index, save_bm25_index
 from .corpus import ingest_corpus, load_store, save_store
-from .dataset import align_questions, attach_negatives, emit_dpr_json, load_dpr_json, split_instances
+from .dataset import align_questions, attach_negatives, check_fractions, emit_dpr_json, load_dpr_json, split_instances
 from .encoder import encode_question, init_model, load_model, save_model
 from .errors import DeskdprError, StaleInput
 from .evaluation import EvalConfig, evaluate, write_report
@@ -142,7 +142,7 @@ def _parse_fractions(raw: str) -> tuple[float, float, float]:
         a, b, c = (float(p) for p in raw.split(","))
     except ValueError as exc:
         raise ValueError(f"--split must be three comma-separated fractions, got {raw!r}") from exc
-    return a, b, c
+    return check_fractions((a, b, c))
 
 
 def _run(stage: Stage, args: argparse.Namespace) -> int:
@@ -224,7 +224,7 @@ def _train(v, write) -> None:
 
 
 def _index_dense(v, write) -> None:
-    index = build_dense_index(load_model(v.model), load_store(v.store), batch_rows=v.batch_rows)
+    index = build_dense_index(load_model(v.model), load_store(v.store))
     write({v.out: partial(save_index, index)})
     print(f"wrote {v.out}: {len(index)} vectors of dimension {index.d}")
 
@@ -241,11 +241,11 @@ def _model_meta(model_path: str) -> dict[str, str]:
 
 
 def _evaluate(v, write) -> None:
+    cfg = EvalConfig(k_values=v.k, match_mode=v.mode)
     model = load_model(v.model)
     index = load_index(v.index)
     store = load_store(v.store)
     instances, dropped = align_questions(parse_bioasq(v.questions), store)
-    cfg = EvalConfig(k_values=v.k, match_mode=v.mode)
     report = evaluate(model, index, store, instances, cfg, meta=_model_meta(v.model))
     write({v.out: partial(write_report, report, fmt=v.format)})
     for k in v.k:
@@ -256,6 +256,8 @@ def _evaluate(v, write) -> None:
 
 
 def _repl(v, write) -> None:
+    if v.k < 1:
+        raise ValueError(f"--k must be >= 1, got {v.k}")
     index = load_index(v.index)
     model = load_model(v.model)
     store = load_store(v.store)
@@ -329,7 +331,6 @@ STAGES: tuple[Stage, ...] = (
         MODEL,
         STORE,
         PathFlag("--out", "index output path"),
-        Option("--batch-rows", "batch_rows", int, 1024, "encoding batch size"),
     )),
     Stage("evaluate", "retrieval quality of a model over an index", _evaluate, (
         MODEL,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import DuplicateId, EmptyDocument, ParseError, UnsupportedVersion
+from .errors import DuplicateId, EmptyDocument, ParseError, UnsupportedVersion, expect, reading
 from .manifest import sha256_file
 
 DEFAULT_CHUNK_SIZE = 100
@@ -167,23 +167,16 @@ class IngestStats:
 
 
 def read_corpus_jsonl(path: str | Path) -> list[dict]:
-    """Read a raw corpus file: one JSON object per line with doc_id/title/body."""
+    """Read a raw corpus file: one JSON object per line with string doc_id/title/body."""
     rows = []
-    try:
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
-                for key in ("doc_id", "title", "body"):
-                    if key not in row:
-                        raise ParseError(f"{path}: line {lineno}: missing field {key!r}")
-                rows.append(row)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not valid UTF-8 ({exc})") from exc
+    with reading(path) as r, open(path, encoding="utf-8") as f:
+        for r.at, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            row = json.loads(line)
+            for key in ("doc_id", "title", "body"):
+                expect(row[key], str, repr(key))
+            rows.append(row)
     if not rows:
         raise ParseError(f"{path}: no documents found")
     return rows
@@ -220,14 +213,8 @@ def save_store(store: PassageStore, path: str | Path) -> None:
         }
         f.write(json.dumps(meta) + "\n")
         for p in store:
-            row = {
-                "passage_id": p.passage_id,
-                "doc_id": p.doc_id,
-                "title": p.title,
-                "text": p.text,
-                "chunk_index": p.chunk_index,
-            }
-            f.write(json.dumps(row, ensure_ascii=False) + "\n")
+            # a Passage's fields in declaration order: passage_id, doc_id, title, text, chunk_index
+            f.write(json.dumps(vars(p), ensure_ascii=False) + "\n")
 
 
 def load_store(path: str | Path) -> PassageStore:
@@ -236,14 +223,12 @@ def load_store(path: str | Path) -> PassageStore:
     Raises ParseError (with the offending line) on malformed or truncated
     files and DuplicateId on repeated passage ids.
     """
-    with open(path, encoding="utf-8") as f:
+    with reading(path) as r, open(path, encoding="utf-8") as f:
+        r.at = 1
         header = f.readline()
         if not header.strip():
             raise ParseError(f"{path}: line 1: missing metadata line")
-        try:
-            meta = json.loads(header)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line 1: invalid JSON ({exc})") from exc
+        meta = json.loads(header)
         if meta.get("format") != STORE_FORMAT:
             raise ParseError(f"{path}: line 1: not a passage store file")
         if meta.get("version") != STORE_VERSION:
@@ -251,32 +236,18 @@ def load_store(path: str | Path) -> PassageStore:
                 f"{path}: store version {meta.get('version')!r}, this build reads {STORE_VERSION}"
             )
         passages = []
-        for lineno, line in enumerate(f, start=2):
+        for r.at, line in enumerate(f, start=2):
             if not line.strip():
                 continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
-            try:
-                passages.append(
-                    Passage(
-                        passage_id=row["passage_id"],
-                        doc_id=row["doc_id"],
-                        title=row["title"],
-                        text=row["text"],
-                        chunk_index=row["chunk_index"],
-                    )
-                )
-            except KeyError as exc:
-                raise ParseError(f"{path}: line {lineno}: missing field {exc}") from exc
-    expected = meta.get("count")
-    if expected is not None and expected != len(passages):
-        raise ParseError(
-            f"{path}: truncated store: metadata says {expected} passages, found {len(passages)}"
+            passages.append(Passage(**json.loads(line)))
+        r.at = None  # what follows concerns the file as a whole
+        expected = meta.get("count")
+        if expected is not None and expected != len(passages):
+            raise ParseError(
+                f"{path}: truncated store: metadata says {expected} passages, found {len(passages)}"
+            )
+        return PassageStore(
+            passages,
+            chunk_size=meta.get("chunk_size", DEFAULT_CHUNK_SIZE),
+            corpus_checksum=meta.get("corpus_checksum", ""),
         )
-    return PassageStore(
-        passages,
-        chunk_size=meta.get("chunk_size", DEFAULT_CHUNK_SIZE),
-        corpus_checksum=meta.get("corpus_checksum", ""),
-    )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .bm25 import InvertedIndex, mine_hard_negatives
 from .corpus import Passage, PassageStore
-from .errors import ParseError
+from .errors import ParseError, reading
 from .questions import Question, match_needles, normalize_for_match
 
 log = logging.getLogger(__name__)
@@ -173,6 +174,14 @@ def attach_negatives(
     return out, short_of_hard
 
 
+def check_fractions(fractions: Sequence[float]) -> tuple[float, ...]:
+    """`fractions` as a tuple if they are three finite non-negatives summing to 1, else ValueError."""
+    valid = len(fractions) == 3 and all(math.isfinite(f) and f >= 0 for f in fractions)
+    if not valid or abs(sum(fractions) - 1.0) > 1e-9:
+        raise ValueError(f"fractions must be three finite non-negatives summing to 1, got {tuple(fractions)}")
+    return tuple(fractions)
+
+
 def split_instances(
     instances: Sequence[TrainingInstance],
     fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
@@ -183,8 +192,7 @@ def split_instances(
     Within each split the original instance order is preserved so output
     files are stable for a given seed.
     """
-    if len(fractions) != 3 or any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must be three non-negatives summing to 1, got {fractions}")
+    check_fractions(fractions)
     order = list(range(len(instances)))
     random.Random(seed).shuffle(order)
     n = len(order)
@@ -208,15 +216,8 @@ def _ctx(p: Passage) -> dict:
 
 
 def _passage_from_ctx(ctx: dict) -> Passage:
-    pid = ctx["passage_id"]
-    doc_id, chunk_index = Passage.split_id(pid)
-    return Passage(
-        passage_id=pid,
-        doc_id=doc_id,
-        title=ctx["title"],
-        text=ctx["text"],
-        chunk_index=chunk_index,
-    )
+    doc_id, chunk_index = Passage.split_id(ctx["passage_id"])
+    return Passage(ctx["passage_id"], doc_id, ctx["title"], ctx["text"], chunk_index)
 
 
 def emit_dpr_json(split: DatasetSplit, path: str | Path) -> None:
@@ -243,16 +244,13 @@ def emit_dpr_json(split: DatasetSplit, path: str | Path) -> None:
 
 def load_dpr_json(path: str | Path, name: str = "train") -> DatasetSplit:
     """Read a split written by emit_dpr_json."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            records = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(records, list):
-        raise ParseError(f"{path}: expected a JSON array of question records")
     instances: list[TrainingInstance] = []
-    for i, rec in enumerate(records):
-        try:
+    with reading(path) as r:
+        records = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(records, list):
+            raise ParseError(f"{path}: expected a JSON array of question records")
+        for i, rec in enumerate(records):
+            r.at = ("record", i)
             question = Question(
                 question_id=rec["question_id"],
                 text=rec["question"],
@@ -271,6 +269,5 @@ def load_dpr_json(path: str | Path, name: str = "train") -> DatasetSplit:
                     random_negatives=tuple(_passage_from_ctx(c) for c in rec.get("negative_ctxs", ())),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: record {i}: {exc}") from exc
-    return DatasetSplit(name=name, instances=tuple(instances))
+        r.at = None  # what follows concerns the file as a whole
+        return DatasetSplit(name=name, instances=tuple(instances))

@@ -1,4 +1,6 @@
-"""Exception types shared across the retrieval pipeline."""
+"""Exception types shared across the retrieval pipeline, and the one rule for malformed input."""
+
+import json
 
 
 class DeskdprError(Exception):
@@ -39,3 +41,42 @@ class EmptyEvaluation(DeskdprError):
 
 class StaleInput(DeskdprError):
     """Recorded input checksums no longer match the files on disk."""
+
+
+_LABELS = ((UnicodeDecodeError, "not valid UTF-8: "), (json.JSONDecodeError, "invalid JSON: "),
+           (KeyError, "missing field "))
+
+
+class reading:
+    """``with reading(path) as r:`` around a reader's whole parse: the one malformed-input rule.
+
+    The reader sets ``r.at`` to where it is: a line number, a ``(kind,
+    index)`` pair such as ``("record", 3)``, or None for the whole file.
+    A ValueError (bad JSON, invalid UTF-8), LookupError (a missing field),
+    TypeError or AttributeError (a value of the wrong type) or
+    ArithmeticError (``int(Infinity)``) leaving the block is raised again
+    as ``ParseError("<path>: <at>: <detail>")``, formatted only then, so a
+    line loop pays one assignment per line.  Invalid UTF-8 names no line:
+    the text layer decodes ahead of the parse.  A DeskdprError (a reader's
+    own ParseError, UnsupportedVersion, DuplicateId) passes through.
+    """
+
+    def __init__(self, path):
+        self.path, self.at = path, None
+
+    def __enter__(self) -> "reading":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if isinstance(exc, (ValueError, LookupError, TypeError, AttributeError, ArithmeticError)):
+            at = None if isinstance(exc, UnicodeDecodeError) else self.at
+            where = "" if at is None else f"line {at}: " if isinstance(at, int) else f"{at[0]} {at[1]}: "
+            label = next((label for kind, label in _LABELS if isinstance(exc, kind)), "")
+            raise ParseError(f"{self.path}: {where}{label}{exc}") from exc
+
+
+def expect(value, kind: type, what: str):
+    """`value`, or a TypeError naming `what` if it is not a `kind` (str or dict)."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} must be {'a string' if kind is str else 'an object'}, got {type(value).__name__}")
+    return value

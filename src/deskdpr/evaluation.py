@@ -37,8 +37,8 @@ class EvalConfig:
             raise ValueError("k_values must not be empty")
         if any(k < 1 for k in self.k_values):
             raise ValueError(f"every k must be >= 1, got {self.k_values}")
-        if list(self.k_values) != sorted(self.k_values):
-            raise ValueError(f"k_values must be sorted ascending, got {self.k_values}")
+        if any(a >= b for a, b in zip(self.k_values, self.k_values[1:])):
+            raise ValueError(f"k_values must be strictly increasing, got {self.k_values}")
         if self.match_mode not in MATCH_MODES:
             raise ValueError(f"match_mode must be one of {MATCH_MODES}, got {self.match_mode!r}")
 

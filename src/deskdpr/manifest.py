@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .errors import ParseError, StaleInput
+from .errors import StaleInput, expect, reading
 
 MANIFEST_SUFFIX = ".manifest.json"
 
@@ -140,20 +140,17 @@ def read_manifest(artifact_path: str | Path) -> RunManifest | None:
     path = manifest_path(artifact_path)
     if not path.exists():
         return None
-    try:
-        with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
+    with reading(path):
+        raw = json.loads(path.read_text(encoding="utf-8"))
         return RunManifest(
             command=raw["command"],
-            config=raw["config"],
+            config=expect(raw["config"], dict, "'config'"),
             seed=raw["seed"],
-            input_checksums=raw["input_checksums"],
+            input_checksums=expect(raw["input_checksums"], dict, "'input_checksums'"),
             tool_version=raw["tool_version"],
             created_utc=raw.get("created_utc", ""),
             output_sha256=raw.get("output_sha256"),
         )
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ParseError(f"malformed manifest {path}: {exc}") from exc
 
 
 def verify_inputs(artifact_path: str | Path, digests: dict[str, str] | None = None) -> None:

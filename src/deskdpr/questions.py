@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .errors import ParseError
+from .errors import ParseError, expect, reading
 
 log = logging.getLogger(__name__)
 
@@ -93,45 +93,41 @@ def parse_bioasq(path: str | Path) -> list[Question]:
     Questions of unknown type or with no usable answers are skipped and
     counted in a warning.
     """
-    try:
-        with open(path, encoding="utf-8") as f:
-            raw = f.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not valid UTF-8 ({exc})") from exc
-    if not raw.strip():
-        raise ParseError(f"{path}: empty question file")
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict) or "questions" not in data:
-        raise ParseError(f"{path}: expected a top-level 'questions' array")
-
     questions: list[Question] = []
     skipped_type = 0
     skipped_invalid = 0
-    for i, entry in enumerate(data["questions"]):
-        qtype = entry.get("type", "")
-        if qtype not in QUESTION_TYPES:
-            skipped_type += 1
-            continue
-        answers = _flatten_answers(entry.get("exact_answer", []))
-        snippets = tuple(
-            s["text"] for s in entry.get("snippets", []) if isinstance(s, dict) and s.get("text")
-        )
-        text = (entry.get("body") or "").strip()
-        if not text or not answers:
-            skipped_invalid += 1
-            continue
-        questions.append(
-            Question(
-                question_id=str(entry.get("id", f"q{i}")),
-                text=text,
-                qtype=qtype,
-                answers=tuple(answers),
-                gold_snippets=snippets,
+    with reading(path) as r:
+        raw = Path(path).read_text(encoding="utf-8")
+        if not raw.strip():
+            raise ParseError(f"{path}: empty question file")
+        data = json.loads(raw)
+        if not isinstance(data, dict) or not isinstance(data.get("questions"), list):
+            raise ParseError(f"{path}: expected a top-level 'questions' array")
+        for i, entry in enumerate(data["questions"]):
+            r.at = ("question", i)
+            qtype = entry.get("type", "")
+            if qtype not in QUESTION_TYPES:
+                skipped_type += 1
+                continue
+            answers = _flatten_answers(entry.get("exact_answer", []))
+            snippets = tuple(
+                expect(s["text"], str, "snippet text")
+                for s in entry.get("snippets", [])
+                if isinstance(s, dict) and s.get("text")
             )
-        )
+            text = expect(entry.get("body") or "", str, "'body'").strip()
+            if not text or not answers:
+                skipped_invalid += 1
+                continue
+            questions.append(
+                Question(
+                    question_id=str(entry.get("id", f"q{i}")),
+                    text=text,
+                    qtype=qtype,
+                    answers=tuple(answers),
+                    gold_snippets=snippets,
+                )
+            )
     if skipped_type:
         log.warning("%s: skipped %d questions of unsupported type", path, skipped_type)
     if skipped_invalid:

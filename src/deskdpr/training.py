@@ -378,15 +378,16 @@ def train(
         perm = rng.permutation(len(instances))
         loss_sum = 0.0
         questions_seen = 0
-        for lo in range(0, len(perm), cfg.batch_size):
-            batch = [instances[i] for i in perm[lo : lo + cfg.batch_size]]
-            if len(batch) < 2:
-                dropped_batches += 1
-                continue
-            report, g_wq, g_wp = batch_gradients(active, batch, features)
-            optimizer.step(active, g_wq, g_wp)
-            loss_sum += sum(report.per_question_loss)
-            questions_seen += len(batch)
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports divergence
+            for lo in range(0, len(perm), cfg.batch_size):
+                batch = [instances[i] for i in perm[lo : lo + cfg.batch_size]]
+                if len(batch) < 2:
+                    dropped_batches += 1
+                    continue
+                report, g_wq, g_wp = batch_gradients(active, batch, features)
+                optimizer.step(active, g_wq, g_wp)
+                loss_sum += sum(report.per_question_loss)
+                questions_seen += len(batch)
         mean_loss = loss_sum / questions_seen
         if not (math.isfinite(mean_loss) and np.isfinite(active.w_q).all() and np.isfinite(active.w_p).all()):
             raise ValueError(

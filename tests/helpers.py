@@ -55,3 +55,8 @@ def instance(question: Question, positive: Passage, hard=(), rand=()) -> Trainin
 
 def random_text(rng, n_words: int, vocab_size: int = 30, prefix: str = "tok") -> str:
     return " ".join(f"{prefix}{rng.randrange(vocab_size)}" for _ in range(n_words))
+
+
+def snapshot_dir(root) -> dict:
+    """Every file under root, by path, with its bytes."""
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}

@@ -16,6 +16,7 @@ from deskdpr.corpus import load_store
 from deskdpr.flat_index import load_index
 from deskdpr.manifest import manifest_path, read_manifest
 from deskdpr.synthetic import generate, write_corpus_jsonl, write_questions_json
+from helpers import snapshot_dir
 
 
 def write_fixture(root, n_passages=120, n_questions=16, chunk_size=20, seed=0):
@@ -145,7 +146,7 @@ EXPECTED_MANIFESTS = {
     },
     "dense.bin": (
         "index-dense",
-        {"model": "<root>/model.bin", "store": "<root>/passages.jsonl", "out": "<root>/dense.bin", "batch_rows": 1024},
+        {"model": "<root>/model.bin", "store": "<root>/passages.jsonl", "out": "<root>/dense.bin"},
         {"<root>/model.bin", "<root>/passages.jsonl"},
     ),
     "report.json": (
@@ -213,7 +214,6 @@ EXPECTED_FLAGS = {
         ("--model", None, None, True),
         ("--store", None, None, True),
         ("--out", None, None, True),
-        ("--batch-rows", None, None, False),
     },
     "evaluate": {
         ("--model", None, None, True),
@@ -461,10 +461,6 @@ def evaluate_argv(pipeline, out):
     ]
 
 
-def snapshot_dir(root):
-    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
-
-
 class TestAtomicWrites:
     def test_failed_writer_leaves_previous_artifacts(self, pipeline, tmp_path, monkeypatch, capsys):
         out_dir = tmp_path / "dataset"
@@ -576,6 +572,14 @@ class TestBuildDataset:
         ])
         assert rc == 2
         assert "--split" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split", ["nan,0.5,0.5", "inf,-inf,0"])
+    def test_non_finite_split_refused_before_reading(self, pipeline, tmp_path, monkeypatch, capsys, split):
+        monkeypatch.setattr(cli, "parse_bioasq", lambda path: pytest.fail("read the questions"))
+        rc = main(build_dataset_argv(pipeline, tmp_path / "d") + ["--split", split])
+        assert rc == 2
+        assert "fractions must be three finite non-negatives" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_malformed_questions(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "questions.json"
@@ -692,6 +696,25 @@ class TestTrain:
         assert "training diverged in epoch 2" in capsys.readouterr().err
         assert snapshot_dir(tmp_path) == before
 
+    def test_diverging_training_prints_only_its_error(self, pipeline, tmp_path):
+        before = snapshot_dir(tmp_path)
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "deskdpr.cli", "train",
+                "--train", str(pipeline["dataset"] / "train.json"),
+                "--out", str(tmp_path / "m.bin"),
+                "--lr", "1e308",
+                "--d", "8",
+                "--hash-dim", "64",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: training diverged in epoch ")
+        assert snapshot_dir(tmp_path) == before
+
     def test_dropped_batches_shown_once_on_stderr(self, pipeline, tmp_path, capsys):
         train_json = pipeline["dataset"] / "train.json"
         n_train = len(json.loads(train_json.read_text(encoding="utf-8")))
@@ -789,6 +812,13 @@ class TestEvaluate:
         assert lines[2].startswith("| hashed-bow | 2 | 4 |")
         capsys.readouterr()
 
+    def test_repeated_k_refused_before_loading(self, pipeline, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "load_model", lambda path: pytest.fail("loaded the model"))
+        rc = main(evaluate_argv(pipeline, tmp_path / "report.json") + ["--k", "5,5,10"])
+        assert rc == 2
+        assert "k_values must be strictly increasing" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_answer_string_mode(self, pipeline, tmp_path, capsys):
         rc = main([
             "evaluate",
@@ -842,6 +872,17 @@ class TestRepl:
     def test_eof_exits_cleanly(self, pipeline, monkeypatch, capsys):
         rc, out = self.run_repl(pipeline, monkeypatch, capsys, "")
         assert rc == 0
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_k_below_1_refused_before_loading(self, pipeline, monkeypatch, capsys, k):
+        monkeypatch.setattr(cli, "load_index", lambda path: pytest.fail("loaded the index"))
+        monkeypatch.setattr(sys, "stdin", io.StringIO("query\n"))
+        rc = main(["repl", "--index", str(pipeline["dense"]), "--model", str(pipeline["model"]),
+                   "--store", str(pipeline["store"]), "--k", k])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"--k must be >= 1, got {k}" in captured.err
+        assert "dpr>" not in captured.out
 
     def test_blank_lines_ignored(self, pipeline, monkeypatch, capsys):
         rc, out = self.run_repl(pipeline, monkeypatch, capsys, "\n\n:quit\n")

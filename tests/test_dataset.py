@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -203,6 +204,11 @@ class TestSplitInstances:
             split_instances(instances, fractions=(0.5, 0.5, 0.5))
         with pytest.raises(ValueError):
             split_instances(instances, fractions=(1.2, -0.1, -0.1))
+
+    @pytest.mark.parametrize("fractions", [(math.nan, 0.5, 0.5), (math.inf, -math.inf, 0.0), (0.5, 0.5, math.nan)])
+    def test_non_finite_fractions_rejected(self, fractions):
+        with pytest.raises(ValueError, match="finite"):
+            split_instances(self.make_instances(4), fractions=fractions)
 
     def test_all_train(self):
         instances = self.make_instances(6)

@@ -41,6 +41,10 @@ class TestEvalConfig:
         with pytest.raises(ValueError):
             EvalConfig(k_values=(5, 1))
 
+    def test_repeated_k_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            EvalConfig(k_values=(5, 5, 10))
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             EvalConfig(match_mode="fuzzy")
