@@ -36,12 +36,12 @@ from .corpus import ingest_corpus, load_store, save_store
 from .dataset import align_questions, attach_negatives, check_fractions, emit_dpr_json, load_dpr_json, split_instances
 from .encoder import encode_question, init_model, load_model, save_model
 from .errors import DeskdprError, StaleInput
-from .evaluation import EvalConfig, evaluate, write_report
+from .evaluation import MATCH_MODES, REPORT_FORMATS, EvalConfig, evaluate, write_report
 from .flat_index import build_index as build_dense_index
 from .flat_index import load_index, save_index, search
 from .manifest import read_manifest, verify_inputs, write_artifacts
 from .questions import parse_bioasq
-from .training import TrainConfig, save_metrics, train
+from .training import OPTIMIZERS, TrainConfig, save_metrics, train
 
 SEED_ENV_VAR = "DPR_SEED"
 
@@ -190,8 +190,8 @@ def _index_bm25(v, write) -> None:
 def _build_dataset(v, write) -> None:
     questions = parse_bioasq(v.questions)
     store = load_store(v.store)
-    index = load_bm25_index(v.index)
     aligned, dropped = align_questions(questions, store)
+    index = load_bm25_index(v.index)  # after aligning, so the alignment haystack is gone by then
     instances, short_of_hard = attach_negatives(
         aligned, store, index, n_hard=v.n_hard, n_random=v.n_random, top_n=v.top_n, seed=v.seed
     )
@@ -242,10 +242,10 @@ def _model_meta(model_path: str) -> dict[str, str]:
 
 def _evaluate(v, write) -> None:
     cfg = EvalConfig(k_values=v.k, match_mode=v.mode)
-    model = load_model(v.model)
-    index = load_index(v.index)
     store = load_store(v.store)
     instances, dropped = align_questions(parse_bioasq(v.questions), store)
+    # after aligning, so the alignment haystack is gone by then
+    model, index = load_model(v.model), load_index(v.index)
     report = evaluate(model, index, store, instances, cfg, meta=_model_meta(v.model))
     write({v.out: partial(write_report, report, fmt=v.format)})
     for k in v.k:
@@ -325,7 +325,7 @@ STAGES: tuple[Stage, ...] = (
         Option("--lr", "learning_rate", float, 1e-2, "learning rate"),
         Option("--d", "d", int, 128, "embedding dimension"),
         Option("--hash-dim", "hash_dim", int, 16384, "feature hash buckets"),
-        Option("--optimizer", "optimizer", str, "adam", "optimizer", choices=("adam", "sgd")),
+        Option("--optimizer", "optimizer", str, "adam", "optimizer", choices=OPTIMIZERS),
     )),
     Stage("index-dense", "encode every passage into a flat vector index", _index_dense, (
         MODEL,
@@ -338,8 +338,8 @@ STAGES: tuple[Stage, ...] = (
         STORE,
         QUESTIONS,
         Option("--k", "k", str, "1,5,10", "comma-separated cutoffs", parse=_parse_k_values),
-        Option("--mode", "mode", str, "gold_passage_id", "hit judging mode", choices=("answer_string", "gold_passage_id")),
-        Option("--format", "format", str, "json", "report format", choices=("json", "markdown_table")),
+        Option("--mode", "mode", str, "gold_passage_id", "hit judging mode", choices=MATCH_MODES),
+        Option("--format", "format", str, "json", "report format", choices=REPORT_FORMATS),
         PathFlag("--out", "report output path"),
     )),
     Stage("repl", "interactive retrieval against a dense index", _repl, (

@@ -27,6 +27,8 @@ STORE_VERSION = 1
 # before whitespace collapsing.
 _CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
 _WS_RE = re.compile(r"\s+")
+# the fields load_store reads and checks, in the order Passage declares them
+_PASSAGE_FIELDS = (("passage_id", str), ("doc_id", str), ("title", str), ("text", str), ("chunk_index", int))
 
 
 @dataclass(frozen=True)
@@ -239,7 +241,8 @@ def load_store(path: str | Path) -> PassageStore:
         for r.at, line in enumerate(f, start=2):
             if not line.strip():
                 continue
-            passages.append(Passage(**json.loads(line)))
+            row = json.loads(line)
+            passages.append(Passage(*(expect(row[key], kind, repr(key)) for key, kind in _PASSAGE_FIELDS)))
         r.at = None  # what follows concerns the file as a whole
         expected = meta.get("count")
         if expected is not None and expected != len(passages):

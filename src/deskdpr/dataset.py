@@ -13,13 +13,15 @@ import json
 import logging
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .bm25 import InvertedIndex, mine_hard_negatives
 from .corpus import Passage, PassageStore
-from .errors import ParseError, reading
+from .errors import ParseError, expect, reading
 from .questions import Question, match_needles, normalize_for_match
 
 log = logging.getLogger(__name__)
@@ -57,47 +59,34 @@ class DatasetSplit:
         return iter(self.instances)
 
 
-def align_positive(
-    question: Question,
-    store: PassageStore,
-    normalized_texts: Sequence[str] | None = None,
-) -> Passage | None:
-    """First passage containing a gold snippet, else one containing an answer.
-
-    Matching is ``questions.contains_answer``, with the store's texts
-    normalized once (``normalized_texts``, when the caller has them).
-    Ties go to the lowest passage ordinal.  Returns None when nothing in
-    the store contains any snippet or answer.
-    """
-    if normalized_texts is None:
-        normalized_texts = [normalize_for_match(p.text) for p in store]
-    for needles in (question.gold_snippets, question.answers):
-        wanted = match_needles(needles)
-        if not wanted:
-            continue
-        for ordinal, text in enumerate(normalized_texts):
-            if any(n in text for n in wanted):
-                return store[ordinal]
-    return None
-
-
 def align_questions(
     questions: Iterable[Question], store: PassageStore
 ) -> tuple[list[TrainingInstance], int]:
     """Instances (no negatives yet) for every alignable question.
 
-    Returns the instances plus the count of questions dropped because no
-    passage contained their snippets or answers.
+    A question's positive is the first passage, in store order, that
+    contains one of its gold snippets, else the first that contains one
+    of its answers, by ``questions.contains_answer``.  The store's texts
+    are normalized once and joined with newlines, which normalizing has
+    turned into spaces, so no needle spans two passages; the smallest
+    ``find`` position of any needle lies in the lowest ordinal that
+    contains one.  Returns the instances plus the count of questions
+    dropped because no passage contained their snippets or answers.
     """
-    normalized = [normalize_for_match(p.text) for p in store]
+    texts = [normalize_for_match(p.text) for p in store]
+    starts = list(accumulate((len(t) + 1 for t in texts), initial=0))
+    haystack = "\n".join(texts)
     instances: list[TrainingInstance] = []
     dropped = 0
     for q in questions:
-        positive = align_positive(q, store, normalized)
-        if positive is None:
+        for needles in (q.gold_snippets, q.answers):
+            found = [at for at in map(haystack.find, match_needles(needles)) if at >= 0]
+            if found:
+                positive = store[bisect_right(starts, min(found)) - 1]
+                instances.append(TrainingInstance(question=q, positive=positive))
+                break
+        else:
             dropped += 1
-            continue
-        instances.append(TrainingInstance(question=q, positive=positive))
     if dropped:
         log.warning("dropped %d questions with no aligned positive", dropped)
     return instances, dropped
@@ -216,8 +205,20 @@ def _ctx(p: Passage) -> dict:
 
 
 def _passage_from_ctx(ctx: dict) -> Passage:
-    doc_id, chunk_index = Passage.split_id(ctx["passage_id"])
-    return Passage(ctx["passage_id"], doc_id, ctx["title"], ctx["text"], chunk_index)
+    passage_id = expect(ctx["passage_id"], str, "'passage_id'")
+    doc_id, chunk_index = Passage.split_id(passage_id)
+    title, text = (expect(ctx[key], str, repr(key)) for key in ("title", "text"))
+    return Passage(passage_id, doc_id, title, text, chunk_index)
+
+
+def _strings(rec: dict, key: str) -> tuple[str, ...]:
+    """The record's list of strings `key`, empty when absent, type-checked."""
+    return tuple(expect(s, str, f"an entry of {key!r}") for s in expect(rec.get(key, []), list, repr(key)))
+
+
+def _passages(rec: dict, key: str) -> tuple[Passage, ...]:
+    """The passages of the record's ctx list `key`, empty when absent, type-checked."""
+    return tuple(_passage_from_ctx(ctx) for ctx in expect(rec.get(key, []), list, repr(key)))
 
 
 def emit_dpr_json(split: DatasetSplit, path: str | Path) -> None:
@@ -252,21 +253,21 @@ def load_dpr_json(path: str | Path, name: str = "train") -> DatasetSplit:
         for i, rec in enumerate(records):
             r.at = ("record", i)
             question = Question(
-                question_id=rec["question_id"],
-                text=rec["question"],
+                question_id=expect(rec["question_id"], str, "'question_id'"),
+                text=expect(rec["question"], str, "'question'"),
                 qtype=rec["qtype"],
-                answers=tuple(rec["answers"]),
-                gold_snippets=tuple(rec.get("gold_snippets", ())),
+                answers=_strings(rec, "answers"),
+                gold_snippets=_strings(rec, "gold_snippets"),
             )
-            positives = rec["positive_ctxs"]
+            positives = _passages(rec, "positive_ctxs")
             if not positives:
                 raise ValueError("positive_ctxs is empty")
             instances.append(
                 TrainingInstance(
                     question=question,
-                    positive=_passage_from_ctx(positives[0]),
-                    hard_negatives=tuple(_passage_from_ctx(c) for c in rec.get("hard_negative_ctxs", ())),
-                    random_negatives=tuple(_passage_from_ctx(c) for c in rec.get("negative_ctxs", ())),
+                    positive=positives[0],
+                    hard_negatives=_passages(rec, "hard_negative_ctxs"),
+                    random_negatives=_passages(rec, "negative_ctxs"),
                 )
             )
         r.at = None  # what follows concerns the file as a whole

@@ -75,8 +75,18 @@ class reading:
             raise ParseError(f"{self.path}: {where}{label}{exc}") from exc
 
 
+_KINDS = {str: "a string", int: "an integer", list: "an array", dict: "an object"}
+
+
 def expect(value, kind: type, what: str):
-    """`value`, or a TypeError naming `what` if it is not a `kind` (str or dict)."""
-    if not isinstance(value, kind):
-        raise TypeError(f"{what} must be {'a string' if kind is str else 'an object'}, got {type(value).__name__}")
+    """`value`, or an error naming `what`: a TypeError if it is not a `kind`
+    (str, int, list or dict; a bool is no int), a ValueError if it is a str
+    that UTF-8 cannot encode (a lone surrogate, which JSON's \\u escapes allow)."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise TypeError(f"{what} must be {_KINDS[kind]}, got {type(value).__name__}")
+    if kind is str and not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"{what} holds a lone surrogate at position {exc.start}") from None
     return value

@@ -25,6 +25,7 @@ from .results import RetrievalResult
 log = logging.getLogger(__name__)
 
 MATCH_MODES = ("answer_string", "gold_passage_id")
+REPORT_FORMATS = ("json", "markdown_table")
 
 
 @dataclass(frozen=True)
@@ -164,4 +165,4 @@ def write_report(report: EvalReport, path: str | Path, fmt: str = "json") -> Non
         ]
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
-        raise ValueError(f"format must be 'json' or 'markdown_table', got {fmt!r}")
+        raise ValueError(f"format must be one of {REPORT_FORMATS}, got {fmt!r}")

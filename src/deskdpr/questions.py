@@ -109,7 +109,7 @@ def parse_bioasq(path: str | Path) -> list[Question]:
             if qtype not in QUESTION_TYPES:
                 skipped_type += 1
                 continue
-            answers = _flatten_answers(entry.get("exact_answer", []))
+            answers = [expect(a, str, "an exact answer") for a in _flatten_answers(entry.get("exact_answer", []))]
             snippets = tuple(
                 expect(s["text"], str, "snippet text")
                 for s in entry.get("snippets", [])
@@ -121,7 +121,7 @@ def parse_bioasq(path: str | Path) -> list[Question]:
                 continue
             questions.append(
                 Question(
-                    question_id=str(entry.get("id", f"q{i}")),
+                    question_id=expect(entry.get("id", f"q{i}"), str, "'id'"),
                     text=text,
                     qtype=qtype,
                     answers=tuple(answers),

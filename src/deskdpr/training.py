@@ -356,10 +356,10 @@ def train(
     take memory in proportion to the active buckets, not to
     ``hash_dim``.
 
-    Raises ``ValueError`` naming the epoch when an epoch's mean loss or
-    the trained towers are not finite, as a learning rate too large for
-    the data gives; ``model`` is then left with the previous epoch's
-    towers.
+    Raises ``ValueError`` naming the epoch when an epoch's mean loss is
+    not finite or the trained towers are not finite in float32, as a
+    learning rate too large for the data gives; ``model`` is then left
+    with the previous epoch's towers.
     """
     if len(train_split) < 2:
         raise ValueError("training needs at least 2 instances for in-batch negatives")
@@ -388,11 +388,13 @@ def train(
                 optimizer.step(active, g_wq, g_wp)
                 loss_sum += sum(report.per_question_loss)
                 questions_seen += len(batch)
+            # model.bin stores the towers in float32, and dev scoring searches in float32
+            towers_finite = all(np.isfinite(w.astype(np.float32)).all() for w in (active.w_q, active.w_p))
         mean_loss = loss_sum / questions_seen
-        if not (math.isfinite(mean_loss) and np.isfinite(active.w_q).all() and np.isfinite(active.w_p).all()):
+        if not (math.isfinite(mean_loss) and towers_finite):
             raise ValueError(
-                f"training diverged in epoch {epoch}: the mean training loss or the towers are not finite "
-                f"(learning_rate={cfg.learning_rate!r})"
+                f"training diverged in epoch {epoch}: the mean training loss is not finite or the towers "
+                f"overflow float32 (learning_rate={cfg.learning_rate!r})"
             )
         model.w_q[:, rows] = active.w_q
         model.w_p[:, rows] = active.w_p

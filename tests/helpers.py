@@ -1,7 +1,7 @@
 """Small builders shared across test modules."""
 
 from deskdpr.corpus import Passage, PassageStore
-from deskdpr.dataset import TrainingInstance
+from deskdpr.dataset import TrainingInstance, align_questions
 from deskdpr.questions import Question
 
 
@@ -42,6 +42,12 @@ def yesno(qid: str, text: str, answer: str = "yes", snippets=()) -> Question:
         answers=(answer,),
         gold_snippets=tuple(snippets),
     )
+
+
+def aligned_positive(question: Question, store: PassageStore) -> Passage | None:
+    """The positive ``align_questions`` gives one question, or None when it drops it."""
+    instances, _ = align_questions([question], store)
+    return instances[0].positive if instances else None
 
 
 def instance(question: Question, positive: Passage, hard=(), rand=()) -> TrainingInstance:

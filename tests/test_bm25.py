@@ -14,10 +14,9 @@ from deskdpr.bm25 import (
     save_bm25_index,
     tokenize,
 )
-from deskdpr.dataset import align_positive
 from deskdpr.errors import EmptyCorpus, ParseError, UnsupportedVersion
 
-from helpers import factoid, random_text, store_of, yesno
+from helpers import aligned_positive, factoid, random_text, store_of, yesno
 
 LN2 = 0.6931471805599453
 
@@ -256,7 +255,7 @@ class TestMining:
         store = store_of("alpha beta", "gamma alpha beta delta zeta", "beta blockers only")
         index = build_index(store)
         q = yesno("q1", "does alpha beta bind", "yes", snippets=["alpha  beta"])
-        positive = align_positive(q, store)
+        positive = aligned_positive(q, store)
         assert positive is not None and positive.passage_id == "d0#0"
         mined = mine_hard_negatives(index, store, q, n=3, exclude_ids=(positive.passage_id,))
         assert [p.passage_id for p in mined] == ["d2#0"]

@@ -683,18 +683,21 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_training_writes_nothing(self, pipeline, tmp_path, capsys):
         before = snapshot_dir(tmp_path)
-        rc = main([
-            "train",
-            "--train", str(pipeline["dataset"] / "train.json"),
-            "--out", str(tmp_path / "m.bin"),
-            "--metrics", str(tmp_path / "metrics.jsonl"),
-            "--lr", "1e308",
-            "--d", "8",
-            "--hash-dim", "64",
-        ])
-        assert rc == 2
-        assert "training diverged in epoch 2" in capsys.readouterr().err
-        assert snapshot_dir(tmp_path) == before
+        # both overflow the float32 that model.bin stores in epoch 1; in
+        # float64, 1e308 overflows only in epoch 2 and 1e100 not at all
+        for lr in ("1e308", "1e100"):
+            rc = main([
+                "train",
+                "--train", str(pipeline["dataset"] / "train.json"),
+                "--out", str(tmp_path / "m.bin"),
+                "--metrics", str(tmp_path / "metrics.jsonl"),
+                "--lr", lr,
+                "--d", "8",
+                "--hash-dim", "64",
+            ])
+            assert rc == 2
+            assert "training diverged in epoch 1" in capsys.readouterr().err
+            assert snapshot_dir(tmp_path) == before
 
     def test_diverging_training_prints_only_its_error(self, pipeline, tmp_path):
         before = snapshot_dir(tmp_path)

@@ -3,11 +3,12 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deskdpr.bm25 import build_index
 from deskdpr.dataset import (
     DatasetSplit,
-    align_positive,
     align_questions,
     attach_negatives,
     emit_dpr_json,
@@ -16,9 +17,9 @@ from deskdpr.dataset import (
     split_instances,
 )
 from deskdpr.errors import ParseError
-from deskdpr.questions import Question
+from deskdpr.questions import Question, contains_answer
 
-from helpers import factoid, instance, random_text, store_of, yesno
+from helpers import aligned_positive, factoid, instance, random_text, store_of, yesno
 
 
 class TestNormalize:
@@ -33,13 +34,13 @@ class TestAlignPositive:
     def test_snippet_match(self):
         store = store_of("alpha beta gamma", "delta epsilon zeta")
         q = factoid("q1", "which set", ["nothing"], snippets=["delta epsilon"])
-        positive = align_positive(q, store)
+        positive = aligned_positive(q, store)
         assert positive is not None and positive.passage_id == "d1#0"
 
     def test_snippet_preferred_over_answer(self):
         store = store_of("the answer word", "the snippet phrase")
         q = factoid("q1", "which one", ["answer word"], snippets=["snippet phrase"])
-        positive = align_positive(q, store)
+        positive = aligned_positive(q, store)
         assert positive.passage_id == "d1#0"
 
     def test_answer_fallback_when_snippet_unmatched(self):
@@ -47,29 +48,29 @@ class TestAlignPositive:
         store = store_of("first half of", "the sentence answer word")
         q = factoid("q1", "which one", ["answer word"],
                     snippets=["of the sentence"])
-        positive = align_positive(q, store)
+        positive = aligned_positive(q, store)
         assert positive.passage_id == "d1#0"
 
     def test_no_match_returns_none(self):
         store = store_of("alpha beta")
         q = factoid("q1", "which one", ["gamma"], snippets=["delta"])
-        assert align_positive(q, store) is None
+        assert aligned_positive(q, store) is None
 
     def test_lowest_ordinal_wins(self):
         store = store_of("shared answer here", "shared answer there")
         q = factoid("q1", "which one", ["shared answer"])
-        assert align_positive(q, store).passage_id == "d0#0"
+        assert aligned_positive(q, store).passage_id == "d0#0"
 
     def test_case_and_whitespace_insensitive(self):
         store = store_of("The  Alpha\tComplex binds")
         q = factoid("q1", "which one", ["alpha complex"])
-        assert align_positive(q, store).passage_id == "d0#0"
+        assert aligned_positive(q, store).passage_id == "d0#0"
 
     def test_blank_needles_ignored(self):
         store = store_of("alpha beta")
         q = Question(question_id="q1", text="t", qtype="factoid",
                      answers=("   ",), gold_snippets=("beta",))
-        assert align_positive(q, store).passage_id == "d0#0"
+        assert aligned_positive(q, store).passage_id == "d0#0"
 
 
 class TestAlignQuestions:
@@ -84,6 +85,48 @@ class TestAlignQuestions:
         assert dropped == 1
         assert [i.question.question_id for i in instances] == ["q1", "q3"]
         assert [i.positive.passage_id for i in instances] == ["d1#0", "d0#0"]
+
+
+def brute_force_positive(q, store):
+    """The first passage in store order containing a gold snippet, else an answer."""
+    for needles in (q.gold_snippets, q.answers):
+        for p in store:
+            if contains_answer(p.text, needles):
+                return p
+    return None
+
+
+# words, whitespace, punctuation, and letters whose lowercase depends on
+# context (final sigma) or grows (dotted capital I)
+PIECES = ("alpha", "beta", "Alpha", "BETA", "i", " ", "  ", "\t", "\n", "_", ".", ",", "Σ", "ΑΣ", "ς", "σ", "İ")
+pieces = st.lists(st.sampled_from(PIECES), max_size=5).map("".join)
+question_needles = st.tuples(st.lists(pieces, max_size=3), st.lists(pieces, min_size=1, max_size=3))
+
+
+class TestAlignMatchesBruteForce:
+    @settings(max_examples=300, deadline=None)
+    @given(texts=st.lists(pieces, max_size=6), needles=st.lists(question_needles, min_size=1, max_size=3))
+    # alpha|beta joined by a space would contain "alpha beta"
+    @example(texts=["alpha", "beta"], needles=[([], ["alpha beta"])])
+    # passages that normalize to ""
+    @example(texts=["", " \t\n ", "alpha", ""], needles=[([], ["alpha"])])
+    # the first passage wins, for one needle and across needles
+    @example(texts=["alpha", "alpha"], needles=[([], ["ALPHA"])])
+    @example(texts=["beta", "alpha"], needles=[([], ["alpha", "beta"])])
+    # blank snippets fall through to the answers
+    @example(texts=["beta", "alpha"], needles=[(["  ", "\t"], ["alpha"])])
+    @example(texts=["alpha_beta.", "Alpha\t\nbeta"], needles=[(["alpha beta"], ["beta"])])
+    @example(texts=["ΑΣ Σ", "İ"], needles=[(["ας σ"], ["i"]), ([], ["iΣ"])])
+    def test_first_passage_in_store_order(self, texts, needles):
+        store = store_of(*texts)
+        questions = [
+            Question(question_id=f"q{i}", text="t", qtype="factoid", answers=tuple(answers), gold_snippets=tuple(snippets))
+            for i, (snippets, answers) in enumerate(needles)
+        ]
+        expected = [(q, brute_force_positive(q, store)) for q in questions]
+        instances, dropped = align_questions(questions, store)
+        assert [(inst.question, inst.positive) for inst in instances] == [(q, p) for q, p in expected if p]
+        assert dropped == sum(p is None for _, p in expected)
 
 
 class TestAttachNegatives:

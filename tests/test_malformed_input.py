@@ -203,11 +203,15 @@ def edit_jsonl(name, line, edit):
     return make
 
 
-def edit_questions(edit):
+def edit_json(name, edit):
     def make(tmp_path):
-        doc = json.loads((tmp_path / "questions.json").read_text(encoding="utf-8"))
-        write_json(tmp_path / "questions.json", edit(doc))
+        doc = json.loads((tmp_path / name).read_text(encoding="utf-8"))
+        write_json(tmp_path / name, edit(doc))
     return make
+
+
+def edit_questions(edit):
+    return edit_json("questions.json", edit)
 
 
 def without(key):
@@ -225,6 +229,17 @@ def first_question(key, value):
     return edit
 
 
+def first_record(edit):
+    def edit_doc(doc):
+        doc[0] = edit(doc[0])
+        return doc
+    return edit_json("train.json", edit_doc)
+
+
+def first_positive(key, value):
+    return first_record(lambda rec: {**rec, "positive_ctxs": [{**rec["positive_ctxs"][0], key: value}]})
+
+
 def bad_input_checksums(tmp_path):
     store = tmp_path / "store.jsonl"
     write_manifest(store, "ingest", {"chunk_size": 10}, 0, [])
@@ -237,6 +252,7 @@ BUILD_DATASET = ["build-dataset", "--questions", "questions.json", "--store", "s
                  "--index", "bm25.jsonl", "--out-dir", "dataset"]
 INDEX_BM25 = ["index-bm25", "--corpus", "store.jsonl", "--out", "out.jsonl"]
 INGEST = ["ingest", "--corpus", "corpus.jsonl", "--out", "out.jsonl"]
+TRAIN = ["train", "--train", "train.json", "--out", "model.bin", "--d", "8", "--hash-dim", "64"]
 
 PROBES = {
     # probe: (command, bad file, how it is made, where the error is)
@@ -257,13 +273,25 @@ PROBES = {
     ),
     "corpus body is 5": (INGEST, "corpus.jsonl", edit_jsonl("corpus.jsonl", 0, with_field("body", 5)), "line 1: "),
     "manifest input_checksums is []": (INDEX_BM25, "store.jsonl.manifest.json", bad_input_checksums, ""),
+    "store text is 5": (INDEX_BM25, "store.jsonl", edit_jsonl("store.jsonl", 1, with_field("text", 5)), "line 2: "),
+    "store chunk_index is '0'": (
+        INDEX_BM25, "store.jsonl", edit_jsonl("store.jsonl", 1, with_field("chunk_index", "0")), "line 2: ",
+    ),
+    "train question is 5": (TRAIN, "train.json", first_record(with_field("question", 5)), "record 0: "),
+    "train ctx text is 5": (TRAIN, "train.json", first_positive("text", 5), "record 0: "),
+    "corpus title is a lone surrogate": (
+        INGEST, "corpus.jsonl", edit_jsonl("corpus.jsonl", 0, with_field("title", "\ud800")), "line 1: ",
+    ),
+    "exact answer is a lone surrogate": (
+        BUILD_DATASET, "questions.json", edit_questions(first_question("exact_answer", "\ud800")), "question 0: ",
+    ),
 }
 
 
 @pytest.mark.parametrize("probe", list(PROBES))
 def test_probe_exits_2_naming_the_file(good, tmp_path, monkeypatch, probe):
     argv, bad, make, where = PROBES[probe]
-    for name in ("corpus.jsonl", "questions.json", "store.jsonl", "bm25.jsonl"):
+    for name in ("corpus.jsonl", "questions.json", "store.jsonl", "bm25.jsonl", "train.json"):
         shutil.copy(good[name], tmp_path / name)
     make(tmp_path)
     monkeypatch.chdir(tmp_path)

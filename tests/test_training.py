@@ -707,13 +707,16 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     def test_diverging_training_raises_naming_the_epoch(self, optimizer):
-        model = init_model(d=16, hash_dim=512, seed=5)
-        initial = (model.w_q.copy(), model.w_p.copy())
-        cfg = TrainConfig(batch_size=4, epochs=3, learning_rate=1e308, seed=5, d=16, hash_dim=512, optimizer=optimizer)
-        with pytest.raises(ValueError, match="diverged in epoch 1"):
-            train(model, separable_split(8), None, cfg)
-        # the towers are left as the last finite epoch wrote them
-        assert np.array_equal(model.w_q, initial[0]) and np.array_equal(model.w_p, initial[1])
+        # 1e308 overflows float64; 1e100 leaves the float64 loss and towers
+        # finite but overflows the float32 that model.bin and dev scoring use
+        for lr in (1e308, 1e100):
+            model = init_model(d=16, hash_dim=512, seed=5)
+            initial = (model.w_q.copy(), model.w_p.copy())
+            cfg = TrainConfig(batch_size=4, epochs=3, learning_rate=lr, seed=5, d=16, hash_dim=512, optimizer=optimizer)
+            with pytest.raises(ValueError, match="diverged in epoch 1"):
+                train(model, separable_split(8), None, cfg)
+            # the towers are left as the last finite epoch wrote them
+            assert np.array_equal(model.w_q, initial[0]) and np.array_equal(model.w_p, initial[1])
 
     def test_too_few_instances_rejected(self):
         model = init_model(d=16, hash_dim=512, seed=0)
