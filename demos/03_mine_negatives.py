@@ -36,7 +36,7 @@ print("aligned:", len(instances), "dropped:", dropped)
 print("positive:", instances[0].positive.passage_id)
 
 # mining walks the lexical ranking and keeps answer-free passages
-instances, short = attach_negatives(instances, store, index, n_hard=1, seed=0)
+instances, short = attach_negatives(instances, store, index, n_hard=1)
 inst = instances[0]
 print("hard negative:", inst.hard_negatives[0].passage_id,
       "->", inst.hard_negatives[0].text)

@@ -26,7 +26,7 @@ with tempfile.TemporaryDirectory() as tmp:
     write_questions_json(data, path)
     questions = parse_bioasq(path)
 instances, dropped = align_questions(questions, store)
-instances, _ = attach_negatives(instances, store, build_index(store), n_hard=1, seed=7)
+instances, _ = attach_negatives(instances, store, build_index(store), n_hard=1)
 split = DatasetSplit(name="train", instances=tuple(instances))
 
 model = init_model(d=64, hash_dim=4096, seed=7)

@@ -192,9 +192,7 @@ def _build_dataset(v, write) -> None:
     store = load_store(v.store)
     aligned, dropped = align_questions(questions, store)
     index = load_bm25_index(v.index)  # after aligning, so the alignment haystack is gone by then
-    instances, short_of_hard = attach_negatives(
-        aligned, store, index, n_hard=v.n_hard, n_random=v.n_random, top_n=v.top_n, seed=v.seed
-    )
+    instances, short_of_hard = attach_negatives(aligned, store, index, n_hard=v.n_hard, top_n=v.top_n)
     splits = split_instances(instances, v.split, seed=v.seed)
     out_dir = Path(v.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -305,14 +303,13 @@ STAGES: tuple[Stage, ...] = (
         PathFlag("--corpus", "passage store path", what="passage store"),
         PathFlag("--out", "index output path"),
     )),
-    Stage("build-dataset", "align positives, attach negatives, split", _build_dataset, (
+    Stage("build-dataset", "align positives, mine hard negatives, split", _build_dataset, (
         QUESTIONS,
         STORE,
         PathFlag("--index", "lexical index path", what="index"),
         PathFlag("--out-dir", "directory for train/dev/test.json"),
         Option("--split", "split", str, "0.8,0.1,0.1", "train,dev,test fractions", parse=_parse_fractions),
         Option("--n-hard", "n_hard", int, 1, "hard negatives per question"),
-        Option("--n-random", "n_random", int, 0, "random negatives per question"),
         Option("--top-n", "top_n", int, 100, "candidate pool size"),
     )),
     Stage("train", "train the dual encoder", _train, (

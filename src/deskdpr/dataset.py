@@ -1,10 +1,11 @@
 """Training-instance construction: positive alignment, negatives, splits.
 
-A training instance pairs a question with exactly one positive passage,
-zero or more mined hard negatives, and zero or more random negatives.
-Instances serialize to a JSON layout with positive_ctxs, negative_ctxs
-and hard_negative_ctxs lists whose entries carry title, text and
-passage_id.
+A training instance pairs a question with exactly one positive passage
+and zero or more BM25-mined hard negatives; in-batch training supplies
+the other questions' positives as further negatives.  Instances
+serialize to DPR's JSON layout: positive_ctxs and hard_negative_ctxs
+lists whose entries carry title, text and passage_id, and a
+negative_ctxs list that is written empty and ignored on reading.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ class TrainingInstance:
     question: Question
     positive: Passage
     hard_negatives: tuple[Passage, ...] = ()
-    random_negatives: tuple[Passage, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -97,67 +97,28 @@ def attach_negatives(
     store: PassageStore,
     index: InvertedIndex,
     n_hard: int = 1,
-    n_random: int = 0,
     top_n: int = 100,
-    seed: int = 0,
 ) -> tuple[list[TrainingInstance], int]:
-    """Add mined hard negatives and sampled random negatives to each instance.
+    """Add up to ``n_hard`` mined hard negatives to each instance.
 
-    Hard negatives come from the BM25 top pool, excluding the instance's
-    own positive.  Random negatives are drawn from the other instances'
-    positives (the in-split passage pool), never the instance's own
-    positive.  Returns new instances plus the count of instances that got
-    fewer hard negatives than requested.  Raises ``ValueError``, before
-    mining anything, for a negative count or ``top_n < 1``.
+    Hard negatives come from the BM25 top ``top_n`` pool, excluding the
+    instance's own positive.  Returns new instances plus the count of
+    instances that got fewer hard negatives than requested.  Raises
+    ``ValueError``, before mining anything, for ``n_hard < 0`` or
+    ``top_n < 1``.
     """
-    if n_hard < 0 or n_random < 0:
-        raise ValueError(f"n_hard and n_random must be >= 0, got n_hard={n_hard}, n_random={n_random}")
+    if n_hard < 0:
+        raise ValueError(f"n_hard must be >= 0, got {n_hard}")
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
-    rng = random.Random(seed)
-    pool: list[Passage] = []
-    seen_pids: set[str] = set()
-    for inst in instances:
-        if inst.positive.passage_id not in seen_pids:
-            seen_pids.add(inst.positive.passage_id)
-            pool.append(inst.positive)
-
     out: list[TrainingInstance] = []
-    short_of_hard = 0
     for inst in instances:
-        hard: tuple[Passage, ...] = ()
+        hard: list[Passage] = []
         if n_hard > 0:
-            mined = mine_hard_negatives(
-                index,
-                store,
-                inst.question,
-                top_n=top_n,
-                n=n_hard,
-                exclude_ids=(inst.positive.passage_id,),
-            )
-            hard = tuple(mined)
-            if len(hard) < n_hard:
-                short_of_hard += 1
-        rand: tuple[Passage, ...] = ()
-        if n_random > 0:
-            candidates = [p for p in pool if p.passage_id != inst.positive.passage_id]
-            n_take = min(n_random, len(candidates))
-            if n_take < n_random:
-                log.warning(
-                    "question %s: random-negative pool has only %d candidates (%d requested)",
-                    inst.question.question_id,
-                    len(candidates),
-                    n_random,
-                )
-            rand = tuple(rng.sample(candidates, n_take))
-        out.append(
-            TrainingInstance(
-                question=inst.question,
-                positive=inst.positive,
-                hard_negatives=hard,
-                random_negatives=rand,
-            )
-        )
+            exclude = (inst.positive.passage_id,)
+            hard = mine_hard_negatives(index, store, inst.question, top_n=top_n, n=n_hard, exclude_ids=exclude)
+        out.append(TrainingInstance(question=inst.question, positive=inst.positive, hard_negatives=tuple(hard)))
+    short_of_hard = sum(len(inst.hard_negatives) < n_hard for inst in out)
     if short_of_hard:
         log.warning("%d instances got fewer hard negatives than requested", short_of_hard)
     return out, short_of_hard
@@ -234,7 +195,7 @@ def emit_dpr_json(split: DatasetSplit, path: str | Path) -> None:
                 "answers": list(q.answers),
                 "gold_snippets": list(q.gold_snippets),
                 "positive_ctxs": [_ctx(inst.positive)],
-                "negative_ctxs": [_ctx(p) for p in inst.random_negatives],
+                "negative_ctxs": [],
                 "hard_negative_ctxs": [_ctx(p) for p in inst.hard_negatives],
             }
         )
@@ -244,7 +205,7 @@ def emit_dpr_json(split: DatasetSplit, path: str | Path) -> None:
 
 
 def load_dpr_json(path: str | Path, name: str = "train") -> DatasetSplit:
-    """Read a split written by emit_dpr_json."""
+    """Read a split written by emit_dpr_json; ``negative_ctxs`` is not read."""
     instances: list[TrainingInstance] = []
     with reading(path) as r:
         records = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -267,7 +228,6 @@ def load_dpr_json(path: str | Path, name: str = "train") -> DatasetSplit:
                     question=question,
                     positive=positives[0],
                     hard_negatives=_passages(rec, "hard_negative_ctxs"),
-                    random_negatives=_passages(rec, "negative_ctxs"),
                 )
             )
         r.at = None  # what follows concerns the file as a whole

@@ -294,17 +294,17 @@ def make_optimizer(name: str, learning_rate: float):
 class DevPool:
     """A dev split's passage pool and the feature rows dev scoring needs.
 
-    The pool is every distinct passage mentioned by a dev instance
-    (positives, hard negatives, random negatives) in first-appearance
-    order.  Features do not depend on the weights, so ``train`` builds
-    one pool and each epoch only projects it through the current towers.
+    The pool is every distinct passage mentioned by a dev instance, its
+    positive and its hard negatives, in first-appearance order.  Features
+    do not depend on the weights, so ``train`` builds one pool and each
+    epoch only projects it through the current towers.
     """
 
     def __init__(self, dev_split: DatasetSplit, hash_dim: int):
         pool: list = []
         seen: set[str] = set()
         for inst in dev_split:
-            for passage in (inst.positive, *inst.hard_negatives, *inst.random_negatives):
+            for passage in (inst.positive, *inst.hard_negatives):
                 if passage.passage_id not in seen:
                     seen.add(passage.passage_id)
                     pool.append(passage)
@@ -323,10 +323,12 @@ def dev_hit_at_k(
 
     A question scores a hit when its positive lands in the top k by dot
     product.  ``pool``, built over this split, saves featurizing it again.
+    Raises ``ValueError`` when a pool passage's embedding overflows float32.
     """
     if pool is None:
         pool = DevPool(dev_split, model.hash_dim)
-    vectors = (pool.passage_features @ model.w_p.T).astype(np.float32)
+    with np.errstate(over="ignore"):  # FlatIndex refuses rows that overflow float32
+        vectors = (pool.passage_features @ model.w_p.T).astype(np.float32)
     index = FlatIndex(d=model.d, ids=pool.ids, vectors=vectors)
     results = search_many(index, pool.question_features @ model.w_q.T, k)
     hits = sum(positive in result.ids() for positive, result in zip(pool.positives, results))

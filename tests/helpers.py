@@ -50,13 +50,8 @@ def aligned_positive(question: Question, store: PassageStore) -> Passage | None:
     return instances[0].positive if instances else None
 
 
-def instance(question: Question, positive: Passage, hard=(), rand=()) -> TrainingInstance:
-    return TrainingInstance(
-        question=question,
-        positive=positive,
-        hard_negatives=tuple(hard),
-        random_negatives=tuple(rand),
-    )
+def instance(question: Question, positive: Passage, hard=()) -> TrainingInstance:
+    return TrainingInstance(question=question, positive=positive, hard_negatives=tuple(hard))
 
 
 def random_text(rng, n_words: int, vocab_size: int = 30, prefix: str = "tok") -> str:

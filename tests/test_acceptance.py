@@ -55,9 +55,7 @@ def pipeline(tmp_path_factory):
     bm25 = build_bm25_index(store)
     aligned, dropped = align_questions(questions, store)
     assert dropped == 0
-    instances, short_of_hard = attach_negatives(
-        aligned, store, bm25, n_hard=1, top_n=100, seed=0
-    )
+    instances, short_of_hard = attach_negatives(aligned, store, bm25, n_hard=1, top_n=100)
     assert short_of_hard == 0
 
     random_model = init_model(seed=0)
@@ -324,7 +322,7 @@ def run_cli_pipeline(root):
         ["index-bm25", "--corpus", str(paths["store"]), "--out", str(paths["bm25"]), "--seed", "0"],
         ["build-dataset", "--questions", str(questions), "--store", str(paths["store"]),
          "--index", str(paths["bm25"]), "--out-dir", str(root / "dataset"),
-         "--n-random", "1", "--seed", "0"],
+         "--seed", "0"],
         ["train", "--train", str(paths["train"]), "--dev", str(paths["dev"]),
          "--out", str(paths["model"]), "--metrics", str(paths["metrics"]),
          "--batch-size", "8", "--epochs", "3", "--d", "64", "--hash-dim", "4096",

@@ -7,12 +7,14 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import deskdpr.manifest
 from deskdpr import cli
 from deskdpr.cli import build_parser, main
 from deskdpr.corpus import load_store
+from deskdpr.encoder import init_model, save_model
 from deskdpr.flat_index import load_index
 from deskdpr.manifest import manifest_path, read_manifest
 from deskdpr.synthetic import generate, write_corpus_jsonl, write_questions_json
@@ -105,7 +107,6 @@ _DATASET_CONFIG = {
     "out_dir": "<root>/dataset",
     "split": "0.8,0.1,0.1",
     "n_hard": 1,
-    "n_random": 0,
     "top_n": 100,
 }
 _TRAIN_CONFIG = {
@@ -195,7 +196,6 @@ EXPECTED_FLAGS = {
         ("--out-dir", None, None, True),
         ("--split", None, None, False),
         ("--n-hard", None, None, False),
-        ("--n-random", None, None, False),
         ("--top-n", None, None, False),
     },
     "train": {
@@ -604,7 +604,6 @@ class TestBuildDataset:
             "--store", str(pipeline["store"]),
             "--index", str(pipeline["bm25"]),
             "--seed", "4",
-            "--n-random", "1",
         ]
         assert main(argv + ["--out-dir", str(out_a)]) == 0
         assert main(argv + ["--out-dir", str(out_b)]) == 0
@@ -612,7 +611,7 @@ class TestBuildDataset:
             assert (out_a / f"{name}.json").read_bytes() == (out_b / f"{name}.json").read_bytes()
         capsys.readouterr()
 
-    @pytest.mark.parametrize("flag, value", [("--n-hard", "-1"), ("--n-random", "-2"), ("--top-n", "0")])
+    @pytest.mark.parametrize("flag, value", [("--n-hard", "-1"), ("--top-n", "0")])
     def test_bad_negative_counts_write_nothing(self, pipeline, tmp_path, capsys, flag, value):
         before = snapshot_dir(pipeline["root"])
         assert main(build_dataset_argv(pipeline, tmp_path / "d") + [flag, value]) == 2
@@ -699,6 +698,25 @@ class TestTrain:
             assert "training diverged in epoch 1" in capsys.readouterr().err
             assert snapshot_dir(tmp_path) == before
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_dev_vectors_overflowing_float32_write_nothing(self, pipeline, tmp_path, capsys):
+        before = snapshot_dir(tmp_path)
+        rc = main([
+            "train",
+            "--train", str(pipeline["dataset"] / "train.json"),
+            "--dev", str(pipeline["dataset"] / "dev.json"),
+            "--out", str(tmp_path / "m.bin"),
+            # towers near 3e38 still fit float32; their passage projections do not
+            "--lr", "3e38",
+            "--epochs", "1",
+            "--d", "8",
+            "--hash-dim", "64",
+        ])
+        assert rc == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: passage vectors must be finite in float32; row ")
+        assert snapshot_dir(tmp_path) == before
+
     def test_diverging_training_prints_only_its_error(self, pipeline, tmp_path):
         before = snapshot_dir(tmp_path)
         proc = subprocess.run(
@@ -756,6 +774,19 @@ class TestIndexDense:
         assert len(index) == 120
         assert index.d == 32
         assert manifest_path(pipeline["dense"]).exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_projections_overflowing_float32_write_nothing(self, pipeline, tmp_path, capsys):
+        model = init_model(d=8, hash_dim=64, seed=0)
+        model.w_p[:] = np.float32(3e38)  # finite in float32, but the projections are not
+        save_model(model, tmp_path / "m.bin")
+        before = snapshot_dir(tmp_path)
+        rc = main(["index-dense", "--model", str(tmp_path / "m.bin"), "--store", str(pipeline["store"]),
+                   "--out", str(tmp_path / "dense.bin")])
+        assert rc == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: passage vectors must be finite in float32; row 0 ")
+        assert snapshot_dir(tmp_path) == before
 
 
 class TestEvaluate:

@@ -145,36 +145,16 @@ class TestAttachNegatives:
         ]
         return store, index, instances
 
-    def test_random_negatives_come_from_other_positives(self):
-        store, index, instances = self.build()
-        out, _ = attach_negatives(instances, store, index, n_hard=0, n_random=1)
-        assert [p.passage_id for p in out[0].random_negatives] == ["d1#0"]
-        assert [p.passage_id for p in out[1].random_negatives] == ["d0#0"]
-
-    def test_pool_saturation_gives_short_list(self):
-        store, index, instances = self.build()
-        out, _ = attach_negatives(instances, store, index, n_hard=0, n_random=5)
-        # only one other positive exists
-        assert len(out[0].random_negatives) == 1
-
-    def test_same_seed_same_sample(self):
-        store, index, instances = self.build()
-        a, _ = attach_negatives(instances, store, index, n_hard=1, n_random=1, seed=3)
-        b, _ = attach_negatives(instances, store, index, n_hard=1, n_random=1, seed=3)
-        for x, y in zip(a, b):
-            assert [p.passage_id for p in x.random_negatives] == [p.passage_id for p in y.random_negatives]
-            assert [p.passage_id for p in x.hard_negatives] == [p.passage_id for p in y.hard_negatives]
-
     def test_own_positive_never_mined(self):
         store, index, instances = self.build()
-        out, _ = attach_negatives(instances, store, index, n_hard=2, n_random=0)
+        out, _ = attach_negatives(instances, store, index, n_hard=2)
         for inst in out:
             for p in inst.hard_negatives:
                 assert p.passage_id != inst.positive.passage_id
 
     def test_hard_negative_lacks_answer(self):
         store, index, instances = self.build()
-        out, _ = attach_negatives(instances, store, index, n_hard=2, n_random=0)
+        out, _ = attach_negatives(instances, store, index, n_hard=2)
         for inst in out:
             for p in inst.hard_negatives:
                 for needle in inst.question.answers:
@@ -190,7 +170,7 @@ class TestAttachNegatives:
         assert short == 1
         assert out[0].hard_negatives == ()
 
-    @pytest.mark.parametrize("counts", [{"n_hard": -1}, {"n_random": -2}, {"top_n": 0}, {"n_hard": 0, "top_n": 0}])
+    @pytest.mark.parametrize("counts", [{"n_hard": -1}, {"top_n": 0}, {"n_hard": 0, "top_n": 0}])
     def test_bad_counts_rejected_before_mining(self, monkeypatch, counts):
         store, index, instances = self.build()
         monkeypatch.setattr("deskdpr.dataset.mine_hard_negatives", lambda *a, **kw: pytest.fail("mined"))
@@ -199,7 +179,7 @@ class TestAttachNegatives:
 
     def test_instances_otherwise_unchanged(self):
         store, index, instances = self.build()
-        out, _ = attach_negatives(instances, store, index, n_hard=1, n_random=1)
+        out, _ = attach_negatives(instances, store, index, n_hard=1)
         for before, after in zip(instances, out):
             assert after.question is before.question
             assert after.positive is before.positive
@@ -280,7 +260,7 @@ class TestEmitLoad:
         return DatasetSplit(
             name="train",
             instances=(
-                instance(q1, store[0], hard=(store[2],), rand=(store[1],)),
+                instance(q1, store[0], hard=(store[2],)),
                 instance(q2, store[1]),
             ),
         )
@@ -302,10 +282,22 @@ class TestEmitLoad:
         assert first["positive_ctxs"][0]["passage_id"] == "d0#0"
         assert set(first["positive_ctxs"][0]) == {"title", "text", "passage_id"}
         assert first["hard_negative_ctxs"][0]["passage_id"] == "d2#0"
-        assert first["negative_ctxs"][0]["passage_id"] == "d1#0"
+        assert first["negative_ctxs"] == []
         # second record has no negatives, both lists still present
         assert records[1]["hard_negative_ctxs"] == []
         assert records[1]["negative_ctxs"] == []
+
+    def test_negative_ctxs_are_ignored(self, tmp_path):
+        """A split whose negative_ctxs hold passages, as files written with
+        random negatives do, loads equal to one without, so it trains the same."""
+        split = self.make_split()
+        path = tmp_path / "train.json"
+        emit_dpr_json(split, path)
+        records = json.loads(path.read_text(encoding="utf-8"))
+        records[0]["negative_ctxs"] = [records[1]["positive_ctxs"][0]]
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(records), encoding="utf-8")
+        assert load_dpr_json(old) == load_dpr_json(path)
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "train.json"
@@ -357,7 +349,7 @@ class TestEndToEndDataset:
         ]
         instances, dropped = align_questions(questions, store)
         assert dropped == 0
-        instances, _ = attach_negatives(instances, store, index, n_hard=1, n_random=1, seed=1)
+        instances, _ = attach_negatives(instances, store, index, n_hard=1)
         splits = split_instances(instances, seed=1)
         for name, split in splits.items():
             path = tmp_path / f"{name}.json"

@@ -1,14 +1,19 @@
+import re
 import struct
+import warnings
+import zlib
 
 import numpy as np
 import pytest
 
+from deskdpr import flat_index
 from deskdpr.encoder import encode_passages, encode_question, init_model
 from deskdpr.errors import (
     CorruptIndex,
     DimensionError,
     DuplicateId,
     EmptyCorpus,
+    ParseError,
     UnsupportedVersion,
 )
 from deskdpr.corpus import render_encoder_input
@@ -61,11 +66,12 @@ class TestBuildIndex:
             expected = encode_passages(model, [render_encoder_input(passage)])[0].astype(np.float32)
             assert np.array_equal(index.vectors[i], expected)
 
-    def test_batching_does_not_change_rows(self):
+    def test_batching_does_not_change_rows(self, monkeypatch):
         model = init_model(d=8, hash_dim=64, seed=0)
         store = store_of(*[f"text number {i}" for i in range(10)])
-        whole = build_index(model, store, batch_rows=1024)
-        tiny = build_index(model, store, batch_rows=3)
+        whole = build_index(model, store)
+        monkeypatch.setattr(flat_index, "BUILD_BATCH_ROWS", 3)
+        tiny = build_index(model, store)
         assert np.array_equal(whole.vectors, tiny.vectors)
 
     def test_empty_store_rejected(self):
@@ -73,10 +79,13 @@ class TestBuildIndex:
         with pytest.raises(EmptyCorpus):
             build_index(model, store_of())
 
-    def test_bad_batch_rows_rejected(self):
+    def test_rows_overflowing_float32_rejected_without_a_warning(self):
         model = init_model(d=8, hash_dim=64, seed=0)
-        with pytest.raises(ValueError):
-            build_index(model, store_of("a"), batch_rows=0)
+        model.w_p[:] = np.float32(3e38)  # finite in float32, but the projections are not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="passage vectors must be finite in float32"):
+                build_index(model, store_of("alpha beta gamma", "delta"))
 
 
 class TestSearch:
@@ -240,12 +249,20 @@ class TestPersistence:
         raw = bytearray(path.read_bytes())
         raw[4:8] = struct.pack("<I", 9)
         # keep the checksum valid so the version check is what fires
-        import zlib
-
         payload = bytes(raw[:-4])
         raw[-4:] = struct.pack("<I", zlib.crc32(payload))
         path.write_bytes(bytes(raw))
         with pytest.raises(UnsupportedVersion):
+            load_index(path)
+
+    def test_non_finite_vectors_rejected_under_a_valid_checksum(self, tmp_path):
+        path = tmp_path / "index.bin"
+        save_index(random_index(np.random.default_rng(17), 3, d=4), path)
+        payload = bytearray(path.read_bytes()[:-4])
+        payload[-4:] = struct.pack("<f", np.inf)  # the last entry of the last row
+        path.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
+        where = re.escape(str(path))
+        with pytest.raises(ParseError, match=f"^{where}: passage vectors must be finite in float32; row 2 "):
             load_index(path)
 
     def test_loaded_vectors_writeable(self, tmp_path):

@@ -5,6 +5,8 @@ import copy
 import io
 import json
 import shutil
+import struct
+import zlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -192,7 +194,7 @@ def test_questions_exit_0_or_2(good, tmp_path, stage, data):
     assert rc in (0, 2), err
 
 
-# -- the probes: inputs that once ended in a traceback and exit 1 ------------------
+# -- the probes: inputs that once ended in a traceback and exit 1, or were accepted --
 
 
 def edit_jsonl(name, line, edit):
@@ -240,6 +242,14 @@ def first_positive(key, value):
     return first_record(lambda rec: {**rec, "positive_ctxs": [{**rec["positive_ctxs"][0], key: value}]})
 
 
+def dense_entry_inf(tmp_path):
+    """The index's last vector entry made inf, under a valid checksum."""
+    path = tmp_path / "dense.bin"
+    payload = bytearray(path.read_bytes()[:-4])
+    payload[-4:] = struct.pack("<f", float("inf"))
+    path.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
+
+
 def bad_input_checksums(tmp_path):
     store = tmp_path / "store.jsonl"
     write_manifest(store, "ingest", {"chunk_size": 10}, 0, [])
@@ -253,6 +263,8 @@ BUILD_DATASET = ["build-dataset", "--questions", "questions.json", "--store", "s
 INDEX_BM25 = ["index-bm25", "--corpus", "store.jsonl", "--out", "out.jsonl"]
 INGEST = ["ingest", "--corpus", "corpus.jsonl", "--out", "out.jsonl"]
 TRAIN = ["train", "--train", "train.json", "--out", "model.bin", "--d", "8", "--hash-dim", "64"]
+EVALUATE = ["evaluate", "--model", "model.bin", "--index", "dense.bin", "--store", "store.jsonl",
+            "--questions", "questions.json", "--out", "report.json"]
 
 PROBES = {
     # probe: (command, bad file, how it is made, where the error is)
@@ -285,13 +297,14 @@ PROBES = {
     "exact answer is a lone surrogate": (
         BUILD_DATASET, "questions.json", edit_questions(first_question("exact_answer", "\ud800")), "question 0: ",
     ),
+    "dense vector entry is inf": (EVALUATE, "dense.bin", dense_entry_inf, ""),
 }
 
 
 @pytest.mark.parametrize("probe", list(PROBES))
 def test_probe_exits_2_naming_the_file(good, tmp_path, monkeypatch, probe):
     argv, bad, make, where = PROBES[probe]
-    for name in ("corpus.jsonl", "questions.json", "store.jsonl", "bm25.jsonl", "train.json"):
+    for name in good:
         shutil.copy(good[name], tmp_path / name)
     make(tmp_path)
     monkeypatch.chdir(tmp_path)

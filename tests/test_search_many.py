@@ -144,9 +144,11 @@ class TestMatchesNaive:
     def test_non_finite_rows_and_queries(self):
         rng = np.random.default_rng(18)
         vectors = rng.standard_normal((50, 8)).astype(np.float32)
-        vectors[7, 3] = np.nan
-        vectors[21, 0] = np.inf
-        vectors[30, 5] = -np.inf
+        for row, col, bad in ((7, 3, np.nan), (21, 0, np.inf), (30, 5, -np.inf)):
+            broken = vectors.copy()
+            broken[row, col] = bad
+            with pytest.raises(ValueError, match=f"row {row} "):
+                make_index(broken)
         queries = rng.standard_normal((4, 8))
         queries[1, 2] = np.nan
         queries[2, 0] = np.inf

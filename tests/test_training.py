@@ -623,7 +623,7 @@ class TestTrain:
             encode everything again, one search per question."""
             pool = {}
             for inst in split:
-                for p in (inst.positive, *inst.hard_negatives, *inst.random_negatives):
+                for p in (inst.positive, *inst.hard_negatives):
                     pool.setdefault(p.passage_id, p)
             vectors = encode_passages(model, [render_encoder_input(p) for p in pool.values()])
             index = FlatIndex(d=model.d, ids=list(pool), vectors=vectors.astype(np.float32))
