@@ -184,7 +184,7 @@ def _ingest(v, write) -> None:
 def _index_bm25(v, write) -> None:
     index = build_bm25_index(load_store(v.corpus))
     write({v.out: partial(save_bm25_index, index)})
-    print(f"wrote {v.out}: {index.n_passages} passages, {len(index.postings)} distinct tokens")
+    print(f"wrote {v.out}: {index.n_passages} passages, {len(index.token_ids)} distinct tokens")
 
 
 def _build_dataset(v, write) -> None:

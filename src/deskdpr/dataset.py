@@ -113,10 +113,8 @@ def attach_negatives(
         raise ValueError(f"top_n must be >= 1, got {top_n}")
     out: list[TrainingInstance] = []
     for inst in instances:
-        hard: list[Passage] = []
-        if n_hard > 0:
-            exclude = (inst.positive.passage_id,)
-            hard = mine_hard_negatives(index, store, inst.question, top_n=top_n, n=n_hard, exclude_ids=exclude)
+        exclude = (inst.positive.passage_id,)
+        hard = mine_hard_negatives(index, store, inst.question, top_n=top_n, n=n_hard, exclude_ids=exclude)
         out.append(TrainingInstance(question=inst.question, positive=inst.positive, hard_negatives=tuple(hard)))
     short_of_hard = sum(len(inst.hard_negatives) < n_hard for inst in out)
     if short_of_hard:

@@ -231,7 +231,7 @@ def load_index(path: str | Path) -> FlatIndex:
     if version != INDEX_VERSION:
         raise UnsupportedVersion(f"{path}: index version {version}, this build reads {INDEX_VERSION}")
     offset = 20
-    ids: list[str] = []
+    ids: list[bytes] = []
     for _ in range(m):
         if offset + 4 > len(payload):
             raise CorruptIndex(f"{path}: truncated id table")
@@ -239,7 +239,7 @@ def load_index(path: str | Path) -> FlatIndex:
         offset += 4
         if offset + id_len > len(payload):
             raise CorruptIndex(f"{path}: truncated id table")
-        ids.append(payload[offset : offset + id_len].decode("utf-8"))
+        ids.append(payload[offset : offset + id_len])
         offset += id_len
     vector_bytes = m * d * 4
     if len(payload) - offset != vector_bytes:
@@ -247,5 +247,5 @@ def load_index(path: str | Path) -> FlatIndex:
             f"{path}: expected {vector_bytes} bytes of vectors, found {len(payload) - offset}"
         )
     vectors = np.frombuffer(payload, dtype="<f4", count=m * d, offset=offset).reshape(m, d).copy()
-    with reading(path):  # a file with a valid checksum can still hold non-finite vectors
-        return FlatIndex(d=d, ids=ids, vectors=vectors)
+    with reading(path):  # a file with a valid checksum can still hold ids not in UTF-8, or non-finite vectors
+        return FlatIndex(d=d, ids=[pid.decode("utf-8") for pid in ids], vectors=vectors)

@@ -1,8 +1,13 @@
 import gc
+import json
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deskdpr.bm25 import (
     Bm25Params,
@@ -19,6 +24,11 @@ from deskdpr.errors import EmptyCorpus, ParseError, UnsupportedVersion
 from helpers import aligned_positive, factoid, random_text, store_of, yesno
 
 LN2 = 0.6931471805599453
+
+
+def postings(index):
+    """Every token's posting list, as a dict of (ordinal, tf) lists."""
+    return {token: index.posting_list(token) for token in index.token_ids}
 
 
 class TestTokenize:
@@ -51,11 +61,16 @@ class TestParams:
         with pytest.raises(ValueError):
             Bm25Params(b=1.5)
 
+    @pytest.mark.parametrize("k1", [math.inf, math.nan])
+    def test_non_finite_k1_rejected(self, k1):
+        with pytest.raises(ValueError, match="k1 must be finite"):
+            Bm25Params(k1=k1)
+
 
 class TestBuildIndex:
     def test_postings_and_lengths(self):
         index = build_index(store_of("a b", "b c"))
-        assert index.postings == {"a": [(0, 1)], "b": [(0, 1), (1, 1)], "c": [(1, 1)]}
+        assert postings(index) == {"a": [(0, 1)], "b": [(0, 1), (1, 1)], "c": [(1, 1)]}
         assert index.doc_lengths == [2, 2]
         assert index.avg_doc_length == 2.0
         assert index.passage_ids == ["d0#0", "d1#0"]
@@ -83,7 +98,7 @@ class TestBuildIndex:
         rng = random.Random(11)
         texts = [random_text(rng, rng.randrange(1, 40)) for _ in range(50)]
         index = build_index(store_of(*texts))
-        for token, plist in index.postings.items():
+        for token, plist in postings(index).items():
             ordinals = [o for o, _ in plist]
             assert ordinals == sorted(ordinals)
             for ordinal, tf in plist:
@@ -196,7 +211,73 @@ class TestTopK:
         assert first == second
 
 
+def okapi_top_k(texts, query, k, k1, b):
+    """Okapi BM25 from ``tokenize`` output alone, apart from InvertedIndex:
+    df by scanning every passage, idf by math.log, scores summed in query
+    order; (id, float.hex(score)) of the top k with score > 0, ties by ordinal."""
+    docs = [tokenize(text) for text in texts]
+    n = len(docs)
+    avg = sum(len(doc) for doc in docs) / n
+    scored = []
+    for ordinal, doc in enumerate(docs):
+        score = 0.0
+        for token in tokenize(query):
+            tf = doc.count(token)
+            if tf:
+                df = sum(token in other for other in docs)
+                idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
+                score += idf * (tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * len(doc) / avg)))
+        if score > 0.0:
+            scored.append((ordinal, score))
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return [(f"d{ordinal}#0", score.hex()) for ordinal, score in scored[:k]]
+
+
+WORDS = ["alpha", "beta", "gamma", "delta", "p53"]
+texts_strategy = st.lists(
+    st.lists(st.sampled_from(WORDS + ["Alpha", "--"]), max_size=10).map(" ".join), min_size=1, max_size=12
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    texts=texts_strategy,
+    copies=st.integers(0, 3),
+    query=st.lists(st.sampled_from(WORDS + ["unknown", "zzz"]), min_size=1, max_size=8).map(" ".join),
+    extra_k=st.integers(-11, 3),
+    k1=st.sampled_from([0.0, 0.5, 1.2, 2.0]),
+    b=st.sampled_from([0.0, 0.3, 0.75, 1.0]),
+)
+def test_top_k_equals_okapi_reference_bitwise(texts, copies, query, extra_k, k1, b):
+    # repeated passages tie; the query repeats tokens and holds unknown ones;
+    # k runs from below the candidate count to beyond the passage count
+    texts = texts + texts[:copies]
+    k = max(1, len(texts) + extra_k)
+    want = okapi_top_k(texts, query, k, k1, b)
+    index = build_index(store_of(*texts), Bm25Params(k1=k1, b=b))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_bm25_index(index, Path(tmp) / "bm25.jsonl")
+        loaded = load_bm25_index(Path(tmp) / "bm25.jsonl")
+    for idx in (index, loaded):
+        got = bm25_top_k(idx, query, k)
+        assert [(hit.passage_id, hit.score.hex()) for hit in got] == want
+        assert [hit.rank for hit in got] == list(range(1, len(want) + 1))
+
+
 class TestMining:
+    def test_n_zero_mines_nothing(self):
+        store = store_of("drug trial", "drug trial result")
+        index = build_index(store)
+        q = factoid("q1", "drug trial", ["nothing matches this"])
+        assert mine_hard_negatives(index, store, q, n=0) == []
+
+    def test_negative_n_rejected(self):
+        store = store_of("drug trial")
+        index = build_index(store)
+        q = factoid("q1", "drug trial", ["nothing matches this"])
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            mine_hard_negatives(index, store, q, n=-1)
+
     def test_skips_answer_bearing_top_hit(self):
         store = store_of(
             "mitochondria are the powerhouse organelle",
@@ -284,13 +365,25 @@ class TestPersistence:
         path = tmp_path / "bm25.jsonl"
         save_bm25_index(index, path)
         loaded = load_bm25_index(path)
-        assert loaded.postings == index.postings
+        assert postings(loaded) == postings(index)
         assert loaded.doc_lengths == index.doc_lengths
         assert loaded.passage_ids == index.passage_ids
         assert loaded.params == index.params
         query = texts[0].split()[:3]
         for ordinal in range(len(texts)):
             assert bm25_score(loaded, query, ordinal) == bm25_score(index, query, ordinal)
+
+    def test_posting_lines_are_json_dumps_of_each_posting_list(self, tmp_path):
+        rng = random.Random(5)
+        texts = [random_text(rng, rng.randrange(0, 30)) for _ in range(40)] + ["caf\u00e9 \u00fcber \u4e2d\u6587"]
+        index = build_index(store_of(*texts))
+        path = tmp_path / "bm25.jsonl"
+        save_bm25_index(index, path)
+        lines = path.read_text(encoding="utf-8").splitlines()[3:]
+        assert lines == [
+            json.dumps({"t": token, "p": index.posting_list(token)}, ensure_ascii=False)
+            for token in sorted(index.token_ids)
+        ]
 
     def test_not_an_index_file(self, tmp_path):
         path = tmp_path / "bm25.jsonl"
@@ -332,7 +425,7 @@ class TestPersistence:
         path = tmp_path / "bm25.jsonl"
         save_bm25_index(index, path)
         loaded = load_bm25_index(path)
-        for token in index.postings:
+        for token in index.token_ids:
             assert loaded.idf(token) == index.idf(token)
 
     @pytest.mark.parametrize("enabled", [True, False])
@@ -347,7 +440,7 @@ class TestPersistence:
         was_enabled = gc.isenabled()
         try:
             gc.enable() if enabled else gc.disable()
-            assert load_bm25_index(good).postings == index.postings
+            assert postings(load_bm25_index(good)) == postings(index)
             assert gc.isenabled() is enabled
             with pytest.raises(ParseError):
                 load_bm25_index(bad)

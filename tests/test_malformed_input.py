@@ -250,6 +250,24 @@ def dense_entry_inf(tmp_path):
     path.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
 
 
+def first_posting(pair):
+    """Line 4, the first posting list, made to hold one given [ordinal, tf] pair."""
+    return edit_jsonl("bm25.jsonl", 3, with_field("p", [pair]))
+
+
+def reversed_postings(row):
+    assert len(row["p"]) >= 2, "the fixture's line 19 should hold a longer posting list"
+    return {**row, "p": row["p"][::-1]}
+
+
+def dense_id_not_utf8(tmp_path):
+    """The first id's first byte made 0xff, under a valid checksum."""
+    path = tmp_path / "dense.bin"
+    payload = bytearray(path.read_bytes()[:-4])
+    payload[24] = 0xFF  # after magic, version, d, M and the id's u32 length
+    path.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
+
+
 def bad_input_checksums(tmp_path):
     store = tmp_path / "store.jsonl"
     write_manifest(store, "ingest", {"chunk_size": 10}, 0, [])
@@ -275,6 +293,29 @@ PROBES = {
         BUILD_DATASET, "bm25.jsonl",
         edit_jsonl("bm25.jsonl", 1, lambda row: {"doc_lengths": [str(n) for n in row["doc_lengths"]]}), "",
     ),
+    "bm25 ordinal is negative": (BUILD_DATASET, "bm25.jsonl", first_posting([-1, 1]), "line 4: "),
+    "bm25 ordinal is n_passages": (BUILD_DATASET, "bm25.jsonl", first_posting([12, 1]), "line 4: "),
+    "bm25 tf is 0": (BUILD_DATASET, "bm25.jsonl", first_posting([9, 0]), "line 4: "),
+    "bm25 ordinal is a string": (BUILD_DATASET, "bm25.jsonl", first_posting(["9", 1]), "line 4: "),
+    "bm25 ordinal is a float": (BUILD_DATASET, "bm25.jsonl", first_posting([9.0, 1]), "line 4: "),
+    "bm25 tf is true": (BUILD_DATASET, "bm25.jsonl", first_posting([9, True]), "line 4: "),
+    "bm25 posting list reversed": (BUILD_DATASET, "bm25.jsonl", edit_jsonl("bm25.jsonl", 18, reversed_postings), "line 19: "),
+    "bm25 doc length is negative": (
+        BUILD_DATASET, "bm25.jsonl", edit_jsonl("bm25.jsonl", 1, lambda row: {"doc_lengths": [-1] + row["doc_lengths"][1:]}),
+        "line 2: ",
+    ),
+    "bm25 doc length is a float": (
+        BUILD_DATASET, "bm25.jsonl", edit_jsonl("bm25.jsonl", 1, lambda row: {"doc_lengths": [10.0] + row["doc_lengths"][1:]}),
+        "line 2: ",
+    ),
+    "bm25 n_passages exceeds doc_lengths": (
+        BUILD_DATASET, "bm25.jsonl", edit_jsonl("bm25.jsonl", 1, lambda row: {"doc_lengths": row["doc_lengths"][1:]}),
+        "line 2: ",
+    ),
+    "bm25 n_passages exceeds passage_ids": (
+        BUILD_DATASET, "bm25.jsonl", edit_jsonl("bm25.jsonl", 2, lambda row: {"passage_ids": row["passage_ids"][1:]}),
+        "line 3: ",
+    ),
     "store line 1 is []": (INDEX_BM25, "store.jsonl", edit_jsonl("store.jsonl", 0, lambda row: []), "line 1: "),
     "store line 2 is [1, 2]": (INDEX_BM25, "store.jsonl", edit_jsonl("store.jsonl", 1, lambda row: [1, 2]), "line 2: "),
     "questions are [1, 2]": (BUILD_DATASET, "questions.json", edit_questions(lambda doc: {"questions": [1, 2]}), "question 0: "),
@@ -298,6 +339,7 @@ PROBES = {
         BUILD_DATASET, "questions.json", edit_questions(first_question("exact_answer", "\ud800")), "question 0: ",
     ),
     "dense vector entry is inf": (EVALUATE, "dense.bin", dense_entry_inf, ""),
+    "dense id is not UTF-8": (EVALUATE, "dense.bin", dense_id_not_utf8, "not valid UTF-8: "),
 }
 
 
