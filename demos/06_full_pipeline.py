@@ -23,9 +23,9 @@ steps = [
     ["ingest", "--corpus", str(root / "corpus.jsonl"),
      "--out", str(root / "passages.jsonl"), "--chunk-size", "20"],
     ["index-bm25", "--corpus", str(root / "passages.jsonl"),
-     "--out", str(root / "bm25.jsonl")],
+     "--out", str(root / "bm25.bin")],
     ["build-dataset", "--questions", str(root / "questions.json"),
-     "--store", str(root / "passages.jsonl"), "--index", str(root / "bm25.jsonl"),
+     "--store", str(root / "passages.jsonl"), "--index", str(root / "bm25.bin"),
      "--out-dir", str(root / "dataset")],
     ["train", "--train", str(root / "dataset" / "train.json"),
      "--dev", str(root / "dataset" / "dev.json"),

@@ -9,26 +9,23 @@ float64 accumulator, bit-identical to scoring passage by passage.
 
 from __future__ import annotations
 
-import gc
-import json
 import math
 import re
-from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from . import binfile
 from .corpus import Passage, PassageStore
-from .errors import EmptyCorpus, ParseError, UnsupportedVersion, expect, reading
+from .errors import EmptyCorpus
 from .questions import Question, answer_exclusion_strings, contains_answer
 from .results import RetrievalResult, hits_from_ranking
 
-INDEX_FORMAT = "deskdpr-bm25"
-INDEX_VERSION = 1
+# version 1 was JSON Lines
+FORMAT = binfile.Format("BM25 index", b"BM25", 2, "QQQdd")
 
 # Unicode alphanumeric runs; underscore counts as punctuation.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -237,112 +234,50 @@ def mine_hard_negatives(
 
 
 def save_bm25_index(index: InvertedIndex, path: str | Path) -> None:
-    """Persist the index as JSONL: header, doc lengths, one posting per line."""
-    with open(path, "w", encoding="utf-8") as f:
-        header = {
-            "format": INDEX_FORMAT,
-            "version": INDEX_VERSION,
-            "n_passages": index.n_passages,
-            "n_tokens": len(index.token_ids),
-            "k1": index.params.k1,
-            "b": index.params.b,
-        }
-        f.write(json.dumps(header) + "\n")
-        f.write(json.dumps({"doc_lengths": index.doc_lengths}) + "\n")
-        f.write(json.dumps({"passage_ids": index.passage_ids}, ensure_ascii=False) + "\n")
-        for token in sorted(index.token_ids):
-            # json.dumps({"t": token, "p": index.posting_list(token)}) to the
-            # byte, without first making a tuple per posting
-            span = index._span(token)
-            postings = zip(index.ordinals[span].tolist(), index.tfs[span].tolist())
-            pairs = ", ".join(map("[%d, %d]".__mod__, postings))
-            f.write(f'{{"t": {json.dumps(token, ensure_ascii=False)}, "p": [{pairs}]}}\n')
+    """``FORMAT``: u64 n_passages, n_tokens and n_postings, f64 k1 and b;
+    the tokens in id order, the passage ids; then int64 doc lengths,
+    offsets, ordinals and tfs."""
+    header = (index.n_passages, len(index.token_ids), len(index.ordinals), index.params.k1, index.params.b)
+    parts = (
+        binfile.strings(index.token_ids),
+        binfile.strings(index.passage_ids),
+        *(np.ascontiguousarray(a, dtype="<i8") for a in (index.doc_lengths, index.offsets, index.ordinals, index.tfs)),
+    )
+    binfile.write(path, FORMAT, header, parts)
 
 
 def load_bm25_index(path: str | Path) -> InvertedIndex:
     """Load a BM25 index saved by save_bm25_index.
 
-    Every value is checked, since a query indexes arrays with it: integer
-    ordinals in ``[0, n_passages)`` rising strictly within each posting
-    list, integer tfs >= 1, non-negative integer doc lengths, and one doc
-    length and one passage id per passage.
+    Every value is checked, since a query indexes arrays with it: every
+    token owns at least one posting, ordinals lie in ``[0, n_passages)``
+    and rise strictly within each posting list, tfs are >= 1, and each
+    doc length is the sum of its passage's tfs.
     """
-    with reading(path) as r, open(path, encoding="utf-8") as f:
-        r.at = 1
-        header = json.loads(f.readline())
-        if header.get("format") != INDEX_FORMAT:
-            raise ParseError(f"{path}: not a BM25 index file")
-        if header.get("version") != INDEX_VERSION:
-            raise UnsupportedVersion(
-                f"{path}: index version {header.get('version')!r}, this build reads {INDEX_VERSION}"
-            )
-        params = Bm25Params(k1=header["k1"], b=header["b"])
-        n = expect(header["n_passages"], int, "n_passages")
-        r.at = 2
-        doc_lengths = expect(json.loads(f.readline())["doc_lengths"], list, "doc_lengths")
-        if not _all_ints(doc_lengths) or min(doc_lengths, default=0) < 0:
-            raise ValueError("doc_lengths must be non-negative integers")
-        if len(doc_lengths) != n:
-            raise ValueError(f"{len(doc_lengths)} doc lengths for n_passages {n}")
-        r.at = 3
-        passage_ids = expect(json.loads(f.readline())["passage_ids"], list, "passage_ids")
-        if len(passage_ids) != n:
-            raise ValueError(f"{len(passage_ids)} passage ids for n_passages {n}")
-        tokens: list[str] = []
-        lines: list[int] = []  # the line of each token's posting list
-        offsets = [0]
-        pairs = array("q")  # ordinal, tf, ordinal, tf, ...
-        # json.loads makes one list per posting pair, and a long posting list
-        # keeps thousands of them alive at once.  With the cyclic GC on, they
-        # survive its young passes and set off full passes over the whole
-        # heap, which cost about a third of the parse in a process holding a
-        # store, so the GC waits until the postings are read.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for r.at, line in enumerate(f, start=4):
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                plist = row["p"]
-                tokens.append(expect(row["t"], str, "token"))
-                # array("q") refuses all but ints (floats, strings, null, arrays)
-                # and ints beyond int64; it would take JSON's true and false as 1
-                # and 0, so a line holding either word has its types checked.
-                pairs.fromlist(list(chain.from_iterable(plist)))
-                if set(map(len, plist)) != {2} or (
-                    ("true" in line or "false" in line) and not _all_ints(chain.from_iterable(plist))
-                ):
-                    raise ValueError("'p' must be a non-empty list of [ordinal, tf] integer pairs")
-                lines.append(r.at)
-                offsets.append(len(pairs) // 2)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        r.at = None  # what follows concerns the file as a whole
-        if len(tokens) != header.get("n_tokens"):
-            raise ParseError(
-                f"{path}: truncated index: header says {header.get('n_tokens')} tokens, "
-                f"found {len(tokens)}"
-            )
-        flat = np.frombuffer(pairs, dtype=np.int64).reshape(-1, 2)
-        ordinals, tfs = flat[:, 0].copy(), flat[:, 1].copy()
-        del flat, pairs
-        offsets = np.array(offsets, dtype=np.int64)
-        rising = np.empty(len(ordinals), dtype=bool)
+    with binfile.Reader(path, FORMAT) as r:
+        n, n_tokens, n_postings, k1, b = r.header
+        params = Bm25Params(k1=k1, b=b)
+        tokens = r.strings(n_tokens, "tokens")
+        passage_ids = r.strings(n, "passage ids")
+        doc_lengths = r.array("<i8", n, "doc lengths")
+        offsets = r.array("<i8", n_tokens + 1, "offsets")
+        ordinals, tfs = (r.array("<i8", n_postings, what) for what in ("ordinals", "tfs"))
+        if offsets[0] != 0 or offsets[-1] != n_postings or (offsets[1:] <= offsets[:-1]).any():
+            raise ValueError(f"offsets must rise strictly from 0 to n_postings {n_postings}")
+        rising = np.empty(n_postings, dtype=bool)
         rising[1:] = ordinals[1:] > ordinals[:-1]
         rising[offsets[:-1]] = True  # a list's first posting follows no other
         valid = rising & (ordinals >= 0) & (ordinals < n) & (tfs >= 1)
         if not valid.all():
             bad = int(np.argmin(valid))
-            r.at = lines[int(np.searchsorted(offsets, bad, side="right")) - 1]
+            r.at = ("token", repr(tokens[int(np.searchsorted(offsets, bad, side="right")) - 1]))
             raise ValueError(
                 f"posting [{ordinals[bad]}, {tfs[bad]}]: ordinals must rise strictly "
                 f"within [0, {n}) and tfs be >= 1"
             )
-        return InvertedIndex(tokens, offsets, ordinals, tfs, doc_lengths, passage_ids, params)
-
-
-def _all_ints(values) -> bool:
-    """Whether every value is an int (a bool is not)."""
-    return set(map(type, values)) <= {int}
+        sums = np.bincount(ordinals, weights=tfs, minlength=n)
+        if (sums != doc_lengths).any():
+            bad = int(np.argmax(sums != doc_lengths))
+            r.at = ("passage", repr(passage_ids[bad]))
+            raise ValueError(f"doc length {doc_lengths[bad]}, but its postings' tfs sum to {sums[bad]:.0f}")
+        return InvertedIndex(tokens, offsets, ordinals, tfs, doc_lengths.tolist(), passage_ids, params)

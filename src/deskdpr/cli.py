@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 from . import __version__
 from .bm25 import build_index as build_bm25_index
 from .bm25 import load_bm25_index, save_bm25_index
-from .corpus import ingest_corpus, load_store, save_store
+from .corpus import PassageStore, ingest_corpus, load_store, save_store
 from .dataset import align_questions, attach_negatives, check_fractions, emit_dpr_json, load_dpr_json, split_instances
 from .encoder import encode_question, init_model, load_model, save_model
 from .errors import DeskdprError, StaleInput
@@ -169,6 +169,12 @@ def _run(stage: Stage, args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_built_from(store: PassageStore, index_path: str, index_ids: list[str]) -> None:
+    """Refuse an index whose passage ids are not the store's ids in store order."""
+    if index_ids != [p.passage_id for p in store]:
+        raise ValueError(f"{index_path}: its {len(index_ids)} passage ids are not the store's {len(store)} in store order")
+
+
 # -- each stage's own work ------------------------------------------------------
 
 
@@ -192,6 +198,7 @@ def _build_dataset(v, write) -> None:
     store = load_store(v.store)
     aligned, dropped = align_questions(questions, store)
     index = load_bm25_index(v.index)  # after aligning, so the alignment haystack is gone by then
+    _check_built_from(store, v.index, index.passage_ids)
     instances, short_of_hard = attach_negatives(aligned, store, index, n_hard=v.n_hard, top_n=v.top_n)
     splits = split_instances(instances, v.split, seed=v.seed)
     out_dir = Path(v.out_dir)
@@ -244,6 +251,7 @@ def _evaluate(v, write) -> None:
     instances, dropped = align_questions(parse_bioasq(v.questions), store)
     # after aligning, so the alignment haystack is gone by then
     model, index = load_model(v.model), load_index(v.index)
+    _check_built_from(store, v.index, index.ids)
     report = evaluate(model, index, store, instances, cfg, meta=_model_meta(v.model))
     write({v.out: partial(write_report, report, fmt=v.format)})
     for k in v.k:
@@ -259,6 +267,7 @@ def _repl(v, write) -> None:
     index = load_index(v.index)
     model = load_model(v.model)
     store = load_store(v.store)
+    _check_built_from(store, v.index, index.ids)
     print(f"{len(index)} passages loaded; :show <passage_id> for full text, :quit to exit")
     while True:
         try:

@@ -9,7 +9,6 @@ features to dense d-dimensional embeddings compared by dot product.
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -17,11 +16,12 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
+from . import binfile
 from .bm25 import tokenize
-from .errors import DimensionError, ParseError, UnsupportedVersion
+from .errors import DimensionError
 
-MODEL_MAGIC = b"DPRM"
-MODEL_VERSION = 1
+# version 2 is version 1 with the CRC-32 trailer
+FORMAT = binfile.Format("model", b"DPRM", 2, "II")
 
 DEFAULT_DIM = 128
 DEFAULT_HASH_DIM = 16384
@@ -128,35 +128,17 @@ def encode_question(model: EncoderModel, text: str) -> np.ndarray:
 
 
 def save_model(model: EncoderModel, path: str | Path) -> None:
-    """Binary layout: magic, u32 version, u32 d, u32 hash_dim, then both
-    (d, hash_dim) matrices as float32 little-endian row-major (question
-    tower first), whatever the towers' memory order."""
-    with open(path, "wb") as f:
-        f.write(MODEL_MAGIC)
-        f.write(struct.pack("<III", MODEL_VERSION, model.d, model.hash_dim))
-        f.write(np.ascontiguousarray(model.w_q, dtype="<f4").tobytes())
-        f.write(np.ascontiguousarray(model.w_p, dtype="<f4").tobytes())
+    """``FORMAT``: u32 d and u32 hash_dim, then both (d, hash_dim) matrices
+    as float32 little-endian row-major (question tower first), whatever
+    the towers' memory order."""
+    towers = (np.ascontiguousarray(w, dtype="<f4") for w in (model.w_q, model.w_p))
+    binfile.write(path, FORMAT, (model.d, model.hash_dim), towers)
 
 
 def load_model(path: str | Path) -> EncoderModel:
     """Read a model written by save_model.  Weights come back as float64."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 16:
-        raise ParseError(f"{path}: too short to be a model file")
-    if raw[:4] != MODEL_MAGIC:
-        raise ParseError(f"{path}: bad magic {raw[:4]!r}, expected {MODEL_MAGIC!r}")
-    version, d, hash_dim = struct.unpack("<III", raw[4:16])
-    if version != MODEL_VERSION:
-        raise UnsupportedVersion(f"{path}: model version {version}, this build reads {MODEL_VERSION}")
-    matrix_bytes = d * hash_dim * 4
-    expected = 16 + 2 * matrix_bytes
-    if len(raw) != expected:
-        raise ParseError(f"{path}: expected {expected} bytes for d={d} hash_dim={hash_dim}, found {len(raw)}")
-    w_q = np.frombuffer(raw, dtype="<f4", count=d * hash_dim, offset=16).reshape(d, hash_dim)
-    w_p = np.frombuffer(raw, dtype="<f4", count=d * hash_dim, offset=16 + matrix_bytes).reshape(d, hash_dim)
-    return EncoderModel(
-        d=d,
-        hash_dim=hash_dim,
-        w_q=w_q.astype(np.float64, order="F"),
-        w_p=w_p.astype(np.float64, order="F"),
-    )
+    with binfile.Reader(path, FORMAT) as r:
+        d, hash_dim = r.header
+        towers = (r.array("<f4", d * hash_dim, "towers").reshape(d, hash_dim) for _ in range(2))
+        w_q, w_p = (w.astype(np.float64, order="F") for w in towers)
+        return EncoderModel(d=d, hash_dim=hash_dim, w_q=w_q, w_p=w_p)

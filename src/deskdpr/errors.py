@@ -15,6 +15,10 @@ class ParseError(DeskdprError):
     """A persisted artifact or input file is malformed."""
 
 
+class CorruptIndex(ParseError):
+    """A binary artifact failed its length, magic, checksum or count checks."""
+
+
 class DuplicateId(DeskdprError):
     """Two passages share the same passage_id."""
 
@@ -27,8 +31,6 @@ class DimensionError(DeskdprError):
     """Vector dimensions do not match."""
 
 
-class CorruptIndex(DeskdprError):
-    """A dense index file failed magic, length, or checksum validation."""
 
 
 class UnsupportedVersion(DeskdprError):
@@ -51,7 +53,7 @@ class reading:
     """``with reading(path) as r:`` around a reader's whole parse: the one malformed-input rule.
 
     The reader sets ``r.at`` to where it is: a line number, a ``(kind,
-    index)`` pair such as ``("record", 3)``, or None for the whole file.
+    name)`` pair such as ``("record", 3)``, or None for the whole file.
     A ValueError (bad JSON, invalid UTF-8), LookupError (a missing field),
     TypeError or AttributeError (a value of the wrong type) or
     ArithmeticError (``int(Infinity)``) leaving the block is raised again

@@ -26,20 +26,18 @@ rescored.  ``search_many`` runs ``search`` for each row of a matrix.
 from __future__ import annotations
 
 import math
-import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import binfile
 from .corpus import PassageStore, render_encoder_input
 from .encoder import EncoderModel, encode_passages
-from .errors import CorruptIndex, DimensionError, DuplicateId, EmptyCorpus, UnsupportedVersion, reading
+from .errors import DimensionError, DuplicateId, EmptyCorpus
 from .results import RetrievalResult, hits_from_ranking
 
-INDEX_MAGIC = b"DRIX"
-INDEX_VERSION = 1
+FORMAT = binfile.Format("dense index", b"DRIX", 1, "IQ")
 # passages encoded at once; over 50k passages this adds 33 MiB to peak RSS, where one batch adds 278 MiB
 BUILD_BATCH_ROWS = 1024
 
@@ -201,51 +199,17 @@ def search_naive(index: FlatIndex, q_emb: np.ndarray, k: int) -> RetrievalResult
 
 
 def save_index(index: FlatIndex, path: str | Path) -> None:
-    """Binary layout: magic, u32 version, u32 d, u64 M, ids as u32
-    length-prefixed UTF-8, vectors float32 little-endian row-major, then
-    a u32 CRC-32 of everything before it."""
-    parts = [INDEX_MAGIC, struct.pack("<IIQ", INDEX_VERSION, index.d, len(index))]
-    for pid in index.ids:
-        encoded = pid.encode("utf-8")
-        parts.append(struct.pack("<I", len(encoded)))
-        parts.append(encoded)
-    parts.append(np.ascontiguousarray(index.vectors, dtype="<f4").tobytes())
-    payload = b"".join(parts)
-    with open(path, "wb") as f:
-        f.write(payload)
-        f.write(struct.pack("<I", zlib.crc32(payload)))
+    """``FORMAT``: u32 d and u64 M, the ids, then the vectors as float32
+    little-endian row-major."""
+    vectors = np.ascontiguousarray(index.vectors, dtype="<f4")
+    binfile.write(path, FORMAT, (index.d, len(index)), (binfile.strings(index.ids), vectors))
 
 
 def load_index(path: str | Path) -> FlatIndex:
-    """Read an index written by save_index, verifying the checksum."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 20:
-        raise CorruptIndex(f"{path}: too short to be an index file")
-    if raw[:4] != INDEX_MAGIC:
-        raise CorruptIndex(f"{path}: bad magic {raw[:4]!r}, expected {INDEX_MAGIC!r}")
-    stored_crc = struct.unpack("<I", raw[-4:])[0]
-    payload = raw[:-4]
-    if zlib.crc32(payload) != stored_crc:
-        raise CorruptIndex(f"{path}: checksum mismatch, file is damaged")
-    version, d, m = struct.unpack("<IIQ", payload[4:20])
-    if version != INDEX_VERSION:
-        raise UnsupportedVersion(f"{path}: index version {version}, this build reads {INDEX_VERSION}")
-    offset = 20
-    ids: list[bytes] = []
-    for _ in range(m):
-        if offset + 4 > len(payload):
-            raise CorruptIndex(f"{path}: truncated id table")
-        (id_len,) = struct.unpack_from("<I", payload, offset)
-        offset += 4
-        if offset + id_len > len(payload):
-            raise CorruptIndex(f"{path}: truncated id table")
-        ids.append(payload[offset : offset + id_len])
-        offset += id_len
-    vector_bytes = m * d * 4
-    if len(payload) - offset != vector_bytes:
-        raise CorruptIndex(
-            f"{path}: expected {vector_bytes} bytes of vectors, found {len(payload) - offset}"
-        )
-    vectors = np.frombuffer(payload, dtype="<f4", count=m * d, offset=offset).reshape(m, d).copy()
-    with reading(path):  # a file with a valid checksum can still hold ids not in UTF-8, or non-finite vectors
-        return FlatIndex(d=d, ids=[pid.decode("utf-8") for pid in ids], vectors=vectors)
+    """Read an index written by save_index."""
+    with binfile.Reader(path, FORMAT) as r:
+        d, m = r.header
+        ids = r.strings(m, "id table")
+        vectors = r.array("<f4", m * d, "vectors").reshape(m, d).copy()
+        # FlatIndex refuses non-finite vectors, which a valid checksum does not rule out
+        return FlatIndex(d=d, ids=ids, vectors=vectors)

@@ -1,5 +1,8 @@
 """Small builders shared across test modules."""
 
+import struct
+import zlib
+
 from deskdpr.corpus import Passage, PassageStore
 from deskdpr.dataset import TrainingInstance, align_questions
 from deskdpr.questions import Question
@@ -61,3 +64,35 @@ def random_text(rng, n_words: int, vocab_size: int = 30, prefix: str = "tok") ->
 def snapshot_dir(root) -> dict:
     """Every file under root, by path, with its bytes."""
     return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def rewrite_payload(path, edit) -> None:
+    """Apply edit(payload) to a binary artifact without its CRC-32 trailer, then append a new CRC."""
+    payload = bytearray(path.read_bytes()[:-4])
+    edit(payload)
+    path.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
+
+
+# magic, version, n_passages, n_tokens, n_postings, k1, b
+BM25_PREFIX = struct.Struct("<4sIQQQdd")
+
+
+def bm25_parts(payload) -> dict[str, int]:
+    """Where each part of a BM25 index payload starts: the token and passage id
+    tables, then the int64 doc lengths, offsets, ordinals and tfs."""
+    _, _, n, n_tokens, n_postings, _, _ = BM25_PREFIX.unpack_from(payload)
+    starts, at = {"tokens": BM25_PREFIX.size}, BM25_PREFIX.size
+    for _ in range(n_tokens):
+        at += 4 + struct.unpack_from("<I", payload, at)[0]
+    starts["passage_ids"] = at
+    for _ in range(n):
+        at += 4 + struct.unpack_from("<I", payload, at)[0]
+    for name, count in (("doc_lengths", n), ("offsets", n_tokens + 1), ("ordinals", n_postings), ("tfs", n_postings)):
+        starts[name], at = at, at + 8 * count
+    assert at == len(payload)
+    return starts
+
+
+def set_bm25_ints(payload, name: str, first: int, values) -> None:
+    """Overwrite int64 array `name` of a BM25 index payload from position `first`."""
+    struct.pack_into(f"<{len(values)}q", payload, bm25_parts(payload)[name] + 8 * first, *values)

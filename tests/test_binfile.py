@@ -1,0 +1,111 @@
+import struct
+import zlib
+
+import numpy as np
+import pytest
+
+from deskdpr import binfile
+from deskdpr.errors import CorruptIndex, ParseError, UnsupportedVersion
+
+THING = binfile.Format("thing", b"THNG", 3, "Qd")
+
+
+def write_thing(path, names=("a", "é"), values=(1.5, -2.0)):
+    parts = (binfile.strings(names), np.asarray(values, dtype="<f8"))
+    binfile.write(path, THING, (len(names), 0.25), parts)
+
+
+def read_thing(path):
+    with binfile.Reader(path, THING) as r:
+        n, scale = r.header
+        return r.strings(n, "names"), r.array("<f8", n, "values"), scale
+
+
+def test_layout(tmp_path):
+    path = tmp_path / "thing.bin"
+    write_thing(path)
+    payload = b"".join([
+        struct.pack("<4sIQd", b"THNG", 3, 2, 0.25),
+        struct.pack("<I", 1) + b"a",
+        struct.pack("<I", 2) + "é".encode("utf-8"),
+        struct.pack("<2d", 1.5, -2.0),
+    ])
+    assert path.read_bytes() == payload + struct.pack("<I", zlib.crc32(payload))
+
+
+def test_round_trip(tmp_path):
+    path = tmp_path / "thing.bin"
+    write_thing(path)
+    names, values, scale = read_thing(path)
+    assert names == ["a", "é"] and values.tolist() == [1.5, -2.0] and scale == 0.25
+    assert not values.flags.writeable  # a view of the file's bytes
+
+
+def test_generator_parts_are_written_in_order(tmp_path):
+    path = tmp_path / "thing.bin"
+    binfile.write(path, THING, (2, 0.25), (part for part in (binfile.strings(["a", "é"]), np.array([1.5, -2.0]))))
+    other = tmp_path / "other.bin"
+    write_thing(other)
+    assert path.read_bytes() == other.read_bytes()
+
+
+def edited(path, start, data, crc=True):
+    raw = bytearray(path.read_bytes())
+    raw[start : start + len(data)] = data
+    if crc:
+        raw[-4:] = struct.pack("<I", zlib.crc32(raw[:-4]))
+    path.write_bytes(bytes(raw))
+
+
+def test_checks_length_magic_version_then_crc(tmp_path):
+    path = tmp_path / "thing.bin"
+    write_thing(path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:27])  # one byte short of prefix and CRC
+    with pytest.raises(CorruptIndex, match="too short to be a thing file"):
+        read_thing(path)
+    path.write_bytes(raw)
+    edited(path, 0, b"XXXX\x09", crc=False)  # magic, version and CRC all wrong
+    with pytest.raises(CorruptIndex, match="bad magic"):
+        read_thing(path)
+    path.write_bytes(raw)
+    edited(path, 4, b"\x09", crc=False)  # version and CRC wrong
+    with pytest.raises(UnsupportedVersion, match="thing version 9, this build reads 3"):
+        read_thing(path)
+    path.write_bytes(raw)
+    edited(path, 8, b"\x03", crc=False)
+    with pytest.raises(CorruptIndex, match="checksum mismatch"):
+        read_thing(path)
+
+
+def test_errors_are_parse_errors_naming_the_file(tmp_path):
+    path = tmp_path / "thing.bin"
+    path.write_bytes(b"THNG")
+    with pytest.raises(ParseError, match=f"^{path}: too short"):
+        read_thing(path)
+
+
+@pytest.mark.parametrize("count, what", [(2**40, "names"), (3, "values")])
+def test_count_beyond_the_bytes_left_is_refused(tmp_path, count, what):
+    # 2**40 names cannot fit, so the table is refused before its loop;
+    # 3 names take the first value's bytes as a length, so the values are short
+    path = tmp_path / "thing.bin"
+    write_thing(path)
+    edited(path, 8, struct.pack("<Q", count))
+    with pytest.raises(CorruptIndex, match=f"truncated {what}: "):
+        read_thing(path)
+
+
+def test_trailing_bytes_refused(tmp_path):
+    path = tmp_path / "thing.bin"
+    binfile.write(path, THING, (1, 0.25), (binfile.strings(["a"]), np.zeros(2, dtype="<f8")))
+    with pytest.raises(CorruptIndex, match="8 bytes after the end of the thing"):
+        read_thing(path)
+
+
+def test_string_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "thing.bin"
+    write_thing(path)
+    edited(path, 28, b"\xff")  # the first name's byte
+    with pytest.raises(ParseError, match="not valid UTF-8"):
+        read_thing(path)

@@ -1,8 +1,8 @@
-import gc
-import json
 import math
 import random
+import struct
 import tempfile
+import zlib
 from pathlib import Path
 
 import pytest
@@ -21,7 +21,7 @@ from deskdpr.bm25 import (
 )
 from deskdpr.errors import EmptyCorpus, ParseError, UnsupportedVersion
 
-from helpers import aligned_positive, factoid, random_text, store_of, yesno
+from helpers import aligned_positive, factoid, random_text, rewrite_payload, set_bm25_ints, store_of, yesno
 
 LN2 = 0.6931471805599453
 
@@ -256,8 +256,8 @@ def test_top_k_equals_okapi_reference_bitwise(texts, copies, query, extra_k, k1,
     want = okapi_top_k(texts, query, k, k1, b)
     index = build_index(store_of(*texts), Bm25Params(k1=k1, b=b))
     with tempfile.TemporaryDirectory() as tmp:
-        save_bm25_index(index, Path(tmp) / "bm25.jsonl")
-        loaded = load_bm25_index(Path(tmp) / "bm25.jsonl")
+        save_bm25_index(index, Path(tmp) / "bm25.bin")
+        loaded = load_bm25_index(Path(tmp) / "bm25.bin")
     for idx in (index, loaded):
         got = bm25_top_k(idx, query, k)
         assert [(hit.passage_id, hit.score.hex()) for hit in got] == want
@@ -362,88 +362,74 @@ class TestPersistence:
         rng = random.Random(31)
         texts = [random_text(rng, rng.randrange(1, 30)) for _ in range(25)]
         index = build_index(store_of(*texts), Bm25Params(k1=1.4, b=0.6))
-        path = tmp_path / "bm25.jsonl"
+        path = tmp_path / "bm25.bin"
         save_bm25_index(index, path)
         loaded = load_bm25_index(path)
+        assert loaded.token_ids == index.token_ids
         assert postings(loaded) == postings(index)
         assert loaded.doc_lengths == index.doc_lengths
         assert loaded.passage_ids == index.passage_ids
         assert loaded.params == index.params
+        assert loaded.contributions.tobytes() == index.contributions.tobytes()
         query = texts[0].split()[:3]
         for ordinal in range(len(texts)):
             assert bm25_score(loaded, query, ordinal) == bm25_score(index, query, ordinal)
 
-    def test_posting_lines_are_json_dumps_of_each_posting_list(self, tmp_path):
-        rng = random.Random(5)
-        texts = [random_text(rng, rng.randrange(0, 30)) for _ in range(40)] + ["caf\u00e9 \u00fcber \u4e2d\u6587"]
-        index = build_index(store_of(*texts))
-        path = tmp_path / "bm25.jsonl"
+    def test_file_is_the_documented_layout(self, tmp_path):
+        # tokens in id order (first seen), then passage ids, then int64 arrays
+        index = build_index(store_of("b a b", "a c"), Bm25Params(k1=1.5, b=0.5))
+        path = tmp_path / "bm25.bin"
         save_bm25_index(index, path)
-        lines = path.read_text(encoding="utf-8").splitlines()[3:]
-        assert lines == [
-            json.dumps({"t": token, "p": index.posting_list(token)}, ensure_ascii=False)
-            for token in sorted(index.token_ids)
-        ]
+        payload = b"".join([
+            struct.pack("<4sIQQQdd", b"BM25", 2, 2, 3, 4, 1.5, 0.5),
+            *(struct.pack("<I", len(s)) + s.encode() for s in ("b", "a", "c", "d0#0", "d1#0")),
+            struct.pack("<2q", 3, 2),  # doc lengths
+            struct.pack("<4q", 0, 1, 3, 4),  # offsets
+            struct.pack("<4q", 0, 0, 1, 1),  # ordinals
+            struct.pack("<4q", 2, 1, 1, 1),  # tfs
+        ])
+        assert path.read_bytes() == payload + struct.pack("<I", zlib.crc32(payload))
 
     def test_not_an_index_file(self, tmp_path):
-        path = tmp_path / "bm25.jsonl"
-        path.write_text('{"format": "something-else", "version": 1}\n', encoding="utf-8")
-        with pytest.raises(ParseError):
+        path = tmp_path / "bm25.bin"
+        save_bm25_index(build_index(store_of("a b")), path)
+        rewrite_payload(path, lambda payload: payload.__setitem__(slice(0, 4), b"DRIX"))
+        with pytest.raises(ParseError, match="magic"):
             load_bm25_index(path)
 
     def test_unsupported_version(self, tmp_path):
-        index = build_index(store_of("a b"))
-        path = tmp_path / "bm25.jsonl"
-        save_bm25_index(index, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        lines[0] = lines[0].replace('"version": 1', '"version": 99')
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path = tmp_path / "bm25.bin"
+        save_bm25_index(build_index(store_of("a b")), path)
+        rewrite_payload(path, lambda payload: struct.pack_into("<I", payload, 4, 99))
         with pytest.raises(UnsupportedVersion):
             load_bm25_index(path)
 
     def test_truncated_postings_detected(self, tmp_path):
-        index = build_index(store_of("a b c d"))
-        path = tmp_path / "bm25.jsonl"
-        save_bm25_index(index, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="truncated"):
+        path = tmp_path / "bm25.bin"
+        save_bm25_index(build_index(store_of("a b c d")), path)
+        rewrite_payload(path, lambda payload: payload.__delitem__(slice(-8, None)))  # the last tf
+        with pytest.raises(ParseError, match="truncated tfs"):
             load_bm25_index(path)
 
-    def test_malformed_posting_line_located(self, tmp_path):
-        index = build_index(store_of("a b"))
-        path = tmp_path / "bm25.jsonl"
-        save_bm25_index(index, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        lines[4] = "{not json"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="line 5"):
+    def test_malformed_posting_named_by_its_token(self, tmp_path):
+        path = tmp_path / "bm25.bin"
+        save_bm25_index(build_index(store_of("a b", "b c")), path)
+        # b's posting list is ordinals 1 and 2 of [a: 0 | b: 0, 1 | c: 1]
+        rewrite_payload(path, lambda payload: set_bm25_ints(payload, "ordinals", 2, [2]))
+        with pytest.raises(ParseError, match=r"^\S+: token 'b': posting \[2, 1\]: ordinals must rise strictly within \[0, 2\)"):
+            load_bm25_index(path)
+
+    def test_doc_length_must_be_its_tfs_sum(self, tmp_path):
+        path = tmp_path / "bm25.bin"
+        save_bm25_index(build_index(store_of("a b", "b c c")), path)
+        rewrite_payload(path, lambda payload: set_bm25_ints(payload, "doc_lengths", 1, [4]))
+        with pytest.raises(ParseError, match=r"^\S+: passage 'd1#0': doc length 4, but its postings' tfs sum to 3$"):
             load_bm25_index(path)
 
     def test_idf_identical_after_reload(self, tmp_path):
         index = build_index(store_of("a b", "b c", "c d"))
-        path = tmp_path / "bm25.jsonl"
+        path = tmp_path / "bm25.bin"
         save_bm25_index(index, path)
         loaded = load_bm25_index(path)
         for token in index.token_ids:
             assert loaded.idf(token) == index.idf(token)
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_gc_state_restored_after_load(self, tmp_path, enabled):
-        index = build_index(store_of("a b", "b c"))
-        good = tmp_path / "bm25.jsonl"
-        save_bm25_index(index, good)
-        bad = tmp_path / "bad.jsonl"
-        lines = good.read_text(encoding="utf-8").splitlines()
-        lines[4] = "{not json"
-        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        was_enabled = gc.isenabled()
-        try:
-            gc.enable() if enabled else gc.disable()
-            assert postings(load_bm25_index(good)) == postings(index)
-            assert gc.isenabled() is enabled
-            with pytest.raises(ParseError):
-                load_bm25_index(bad)
-            assert gc.isenabled() is enabled
-        finally:
-            gc.enable() if was_enabled else gc.disable()

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -247,14 +248,17 @@ class TestPersistence:
         assert first.read_bytes() == second.read_bytes()
 
     def test_body_is_row_major_towers(self, tmp_path):
-        # the file keeps the v1 layout whatever the towers' memory order
+        # the file keeps the v1 body whatever the towers' memory order; v2 adds the CRC trailer
         model = init_model(d=8, hash_dim=32, seed=9)
         path = tmp_path / "model.bin"
         save_model(model, path)
         expected = b"".join(
             np.array(w.tolist(), dtype="<f4").tobytes() for w in (model.w_q, model.w_p)
         )
-        assert path.read_bytes()[16:] == expected
+        raw = path.read_bytes()
+        assert raw[:16] == b"DPRM" + struct.pack("<III", 2, 8, 32)
+        assert raw[16:-4] == expected
+        assert raw[-4:] == struct.pack("<I", zlib.crc32(raw[:-4]))
 
     def test_loaded_weights_writeable(self, tmp_path):
         model = init_model(d=4, hash_dim=16, seed=0)
@@ -281,6 +285,15 @@ class TestPersistence:
         raw = path.read_bytes()
         path.write_bytes(raw[:-5])
         with pytest.raises(ParseError):
+            load_model(path)
+
+    def test_bit_flip_detected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(init_model(d=4, hash_dim=16, seed=0), path)
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] ^= 0x40
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="checksum"):
             load_model(path)
 
     def test_too_short_rejected(self, tmp_path):

@@ -207,6 +207,19 @@ class TestPersistence:
         save_index(index, path)
         assert load_index(path).ids == ["déjà#0", "μ-receptor#1"]
 
+    def test_file_is_drix_v1(self, tmp_path):
+        vectors = np.array([[1.5, -2.0, 0.25], [0.0, 3.0, -0.5]], dtype=np.float32)
+        path = tmp_path / "index.bin"
+        save_index(FlatIndex(d=3, ids=["a#0", "é#1"], vectors=vectors), path)
+        payload = b"".join([
+            b"DRIX",
+            struct.pack("<IIQ", 1, 3, 2),  # version, d, M
+            struct.pack("<I", 3) + b"a#0",
+            struct.pack("<I", 4) + "é#1".encode("utf-8"),
+            struct.pack("<6f", 1.5, -2.0, 0.25, 0.0, 3.0, -0.5),
+        ])
+        assert path.read_bytes() == payload + struct.pack("<I", zlib.crc32(payload))
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "index.bin"
         rng = np.random.default_rng(12)

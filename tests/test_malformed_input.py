@@ -6,6 +6,7 @@ import io
 import json
 import shutil
 import struct
+import tracemalloc
 import zlib
 
 import pytest
@@ -15,16 +16,16 @@ from hypothesis import strategies as st
 from deskdpr.bm25 import build_index as build_bm25_index
 from deskdpr.bm25 import load_bm25_index, save_bm25_index
 from deskdpr.cli import main
-from deskdpr.corpus import ingest_corpus, load_store, read_corpus_jsonl, save_store
+from deskdpr.corpus import PassageStore, ingest_corpus, load_store, read_corpus_jsonl, save_store
 from deskdpr.dataset import align_questions, emit_dpr_json, load_dpr_json, split_instances
-from deskdpr.encoder import init_model, save_model
+from deskdpr.encoder import init_model, load_model, save_model
 from deskdpr.errors import DeskdprError, DuplicateId, ParseError, UnsupportedVersion, reading
 from deskdpr.flat_index import build_index as build_dense_index
-from deskdpr.flat_index import save_index
+from deskdpr.flat_index import load_index, save_index
 from deskdpr.manifest import manifest_path, read_manifest, write_manifest
 from deskdpr.questions import parse_bioasq
 from deskdpr.synthetic import generate, write_corpus_jsonl, write_questions_json
-from helpers import snapshot_dir
+from helpers import BM25_PREFIX, bm25_parts, rewrite_payload, set_bm25_ints, snapshot_dir
 
 
 @pytest.fixture(scope="module")
@@ -33,13 +34,13 @@ def good(tmp_path_factory):
     root = tmp_path_factory.mktemp("good")
     data = generate(n_passages=12, n_questions=6, seed=0, chunk_size=10)
     paths = {name: root / name for name in (
-        "corpus.jsonl", "questions.json", "store.jsonl", "bm25.jsonl", "train.json", "model.bin", "dense.bin"
+        "corpus.jsonl", "questions.json", "store.jsonl", "bm25.bin", "train.json", "model.bin", "dense.bin"
     )}
     write_corpus_jsonl(data, paths["corpus.jsonl"])
     write_questions_json(data, paths["questions.json"])
     store, _ = ingest_corpus(paths["corpus.jsonl"], chunk_size=10)
     save_store(store, paths["store.jsonl"])
-    save_bm25_index(build_bm25_index(store), paths["bm25.jsonl"])
+    save_bm25_index(build_bm25_index(store), paths["bm25.bin"])
     instances, _ = align_questions(parse_bioasq(paths["questions.json"]), store)
     emit_dpr_json(split_instances(instances, (1.0, 0.0, 0.0))["train"], paths["train.json"])
     model = init_model(d=8, hash_dim=64, seed=0)
@@ -143,7 +144,6 @@ READERS = {
     # file: (reader, JSON Lines?)
     "corpus.jsonl": (read_corpus_jsonl, True),
     "store.jsonl": (load_store, True),
-    "bm25.jsonl": (load_bm25_index, True),
     "questions.json": (parse_bioasq, False),
     "train.json": (load_dpr_json, False),
     "store.jsonl.manifest.json": (lambda path: read_manifest(str(path)[: -len(".manifest.json")]), False),
@@ -171,6 +171,36 @@ def test_reader_returns_or_raises_a_library_error(good, tmp_path, name, data):
         pass
 
 
+BINARY_READERS = {"bm25.bin": load_bm25_index, "dense.bin": load_index, "model.bin": load_model}
+
+
+@pytest.mark.parametrize("name", sorted(BINARY_READERS))
+@few
+@given(data=st.data())
+def test_binary_reader_returns_or_raises_a_library_error(good, tmp_path, name, data):
+    """One byte changed under a recomputed CRC (often in the header, where the
+    counts are), or the file cut at any length."""
+    raw = good[name].read_bytes()
+    path = tmp_path / name
+    if data.draw(st.booleans()):
+        payload = bytearray(raw[:-4])
+        at = data.draw(st.integers(0, 63) | st.integers(0, len(payload) - 1))
+        payload[at] = data.draw(st.integers(0, 255))
+        path.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
+    else:
+        path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+    tracemalloc.start()
+    try:
+        BINARY_READERS[name](path)
+    except DeskdprError:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    # nothing is sized by a header count before the bytes behind it are checked
+    assert peak < 16 * len(raw) + 2**20
+
+
 @few
 @given(data=st.data())
 def test_ingest_exits_0_or_2(good, tmp_path, data):
@@ -187,7 +217,7 @@ def test_questions_exit_0_or_2(good, tmp_path, stage, data):
     questions = tmp_path / "questions.json"
     write_json(questions, replace_one(data, json.loads(good["questions.json"].read_text(encoding="utf-8")), 0))
     if stage == "build-dataset":
-        argv = ["--index", good["bm25.jsonl"], "--out-dir", tmp_path / "dataset"]
+        argv = ["--index", good["bm25.bin"], "--out-dir", tmp_path / "dataset"]
     else:
         argv = ["--model", good["model.bin"], "--index", good["dense.bin"], "--out", tmp_path / "report.json"]
     rc, err = run_cli([stage, "--questions", questions, "--store", good["store.jsonl"], *argv])
@@ -214,10 +244,6 @@ def edit_json(name, edit):
 
 def edit_questions(edit):
     return edit_json("questions.json", edit)
-
-
-def without(key):
-    return lambda row: {k: v for k, v in row.items() if k != key}
 
 
 def with_field(key, value):
@@ -250,14 +276,57 @@ def dense_entry_inf(tmp_path):
     path.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
 
 
-def first_posting(pair):
-    """Line 4, the first posting list, made to hold one given [ordinal, tf] pair."""
-    return edit_jsonl("bm25.jsonl", 3, with_field("p", [pair]))
+def bm25_ints(name, first, values):
+    """Int64 array `name` of the BM25 index overwritten from position `first`."""
+    return lambda tmp_path: rewrite_payload(tmp_path / "bm25.bin", lambda p: set_bm25_ints(p, name, first, values))
 
 
-def reversed_postings(row):
-    assert len(row["p"]) >= 2, "the fixture's line 19 should hold a longer posting list"
-    return {**row, "p": row["p"][::-1]}
+def bm25_k1_inf(tmp_path):
+    rewrite_payload(tmp_path / "bm25.bin", lambda p: struct.pack_into("<d", p, BM25_PREFIX.size - 16, float("inf")))
+
+
+def bm25_reversed_postings(tmp_path):
+    """The first posting list of two or more postings reversed, tfs with it."""
+    def edit(payload):
+        parts = bm25_parts(payload)
+        _, _, n, n_tokens, n_postings, _, _ = BM25_PREFIX.unpack_from(payload)
+        offsets = struct.unpack_from(f"<{n_tokens + 1}q", payload, parts["offsets"])
+        lo, hi = next((lo, hi) for lo, hi in zip(offsets, offsets[1:]) if hi - lo >= 2)
+        for name in ("ordinals", "tfs"):
+            values = struct.unpack_from(f"<{n_postings}q", payload, parts[name])
+            set_bm25_ints(payload, name, lo, values[lo:hi][::-1])
+    rewrite_payload(tmp_path / "bm25.bin", edit)
+
+
+def bm25_first_cut(part):
+    """The first entry of a part of the BM25 index cut out: a string of a table, or an int64."""
+    def edit(payload):
+        start = bm25_parts(payload)[part]
+        size = 4 + struct.unpack_from("<I", payload, start)[0] if part in ("tokens", "passage_ids") else 8
+        del payload[start : start + size]
+    return lambda tmp_path: rewrite_payload(tmp_path / "bm25.bin", edit)
+
+
+def bm25_zero_lengths_b_0(tmp_path):
+    """Every doc length 0, and b 0, which once made every contribution NaN."""
+    def edit(payload):
+        n = BM25_PREFIX.unpack_from(payload)[2]
+        set_bm25_ints(payload, "doc_lengths", 0, [0] * n)
+        struct.pack_into("<d", payload, BM25_PREFIX.size - 8, 0.0)
+    rewrite_payload(tmp_path / "bm25.bin", edit)
+
+
+def store_without_first_passage(tmp_path):
+    return PassageStore(load_store(tmp_path / "store.jsonl").passages[1:])
+
+
+def bm25_from_another_store(tmp_path):
+    save_bm25_index(build_bm25_index(store_without_first_passage(tmp_path)), tmp_path / "bm25.bin")
+
+
+def dense_from_another_store(tmp_path):
+    model = load_model(tmp_path / "model.bin")
+    save_index(build_dense_index(model, store_without_first_passage(tmp_path)), tmp_path / "dense.bin")
 
 
 def dense_id_not_utf8(tmp_path):
@@ -277,45 +346,28 @@ def bad_input_checksums(tmp_path):
 
 
 BUILD_DATASET = ["build-dataset", "--questions", "questions.json", "--store", "store.jsonl",
-                 "--index", "bm25.jsonl", "--out-dir", "dataset"]
+                 "--index", "bm25.bin", "--out-dir", "dataset"]
 INDEX_BM25 = ["index-bm25", "--corpus", "store.jsonl", "--out", "out.jsonl"]
 INGEST = ["ingest", "--corpus", "corpus.jsonl", "--out", "out.jsonl"]
 TRAIN = ["train", "--train", "train.json", "--out", "model.bin", "--d", "8", "--hash-dim", "64"]
 EVALUATE = ["evaluate", "--model", "model.bin", "--index", "dense.bin", "--store", "store.jsonl",
             "--questions", "questions.json", "--out", "report.json"]
+REPL = ["repl", "--index", "dense.bin", "--model", "model.bin", "--store", "store.jsonl"]
 
 PROBES = {
     # probe: (command, bad file, how it is made, where the error is)
-    "bm25 header without k1": (BUILD_DATASET, "bm25.jsonl", edit_jsonl("bm25.jsonl", 0, without("k1")), "line 1: "),
-    "bm25 line 1 is []": (BUILD_DATASET, "bm25.jsonl", edit_jsonl("bm25.jsonl", 0, lambda row: []), "line 1: "),
-    "bm25 line 2 is [1, 2]": (BUILD_DATASET, "bm25.jsonl", edit_jsonl("bm25.jsonl", 1, lambda row: [1, 2]), "line 2: "),
-    "bm25 doc_lengths are strings": (
-        BUILD_DATASET, "bm25.jsonl",
-        edit_jsonl("bm25.jsonl", 1, lambda row: {"doc_lengths": [str(n) for n in row["doc_lengths"]]}), "",
-    ),
-    "bm25 ordinal is negative": (BUILD_DATASET, "bm25.jsonl", first_posting([-1, 1]), "line 4: "),
-    "bm25 ordinal is n_passages": (BUILD_DATASET, "bm25.jsonl", first_posting([12, 1]), "line 4: "),
-    "bm25 tf is 0": (BUILD_DATASET, "bm25.jsonl", first_posting([9, 0]), "line 4: "),
-    "bm25 ordinal is a string": (BUILD_DATASET, "bm25.jsonl", first_posting(["9", 1]), "line 4: "),
-    "bm25 ordinal is a float": (BUILD_DATASET, "bm25.jsonl", first_posting([9.0, 1]), "line 4: "),
-    "bm25 tf is true": (BUILD_DATASET, "bm25.jsonl", first_posting([9, True]), "line 4: "),
-    "bm25 posting list reversed": (BUILD_DATASET, "bm25.jsonl", edit_jsonl("bm25.jsonl", 18, reversed_postings), "line 19: "),
-    "bm25 doc length is negative": (
-        BUILD_DATASET, "bm25.jsonl", edit_jsonl("bm25.jsonl", 1, lambda row: {"doc_lengths": [-1] + row["doc_lengths"][1:]}),
-        "line 2: ",
-    ),
-    "bm25 doc length is a float": (
-        BUILD_DATASET, "bm25.jsonl", edit_jsonl("bm25.jsonl", 1, lambda row: {"doc_lengths": [10.0] + row["doc_lengths"][1:]}),
-        "line 2: ",
-    ),
-    "bm25 n_passages exceeds doc_lengths": (
-        BUILD_DATASET, "bm25.jsonl", edit_jsonl("bm25.jsonl", 1, lambda row: {"doc_lengths": row["doc_lengths"][1:]}),
-        "line 2: ",
-    ),
-    "bm25 n_passages exceeds passage_ids": (
-        BUILD_DATASET, "bm25.jsonl", edit_jsonl("bm25.jsonl", 2, lambda row: {"passage_ids": row["passage_ids"][1:]}),
-        "line 3: ",
-    ),
+    "bm25 k1 is not finite": (BUILD_DATASET, "bm25.bin", bm25_k1_inf, "k1 must be finite"),
+    "bm25 ordinal is negative": (BUILD_DATASET, "bm25.bin", bm25_ints("ordinals", 0, [-1]), "token "),
+    "bm25 ordinal is n_passages": (BUILD_DATASET, "bm25.bin", bm25_ints("ordinals", 0, [12]), "token "),
+    "bm25 tf is 0": (BUILD_DATASET, "bm25.bin", bm25_ints("tfs", 0, [0]), "token "),
+    "bm25 posting list reversed": (BUILD_DATASET, "bm25.bin", bm25_reversed_postings, "token "),
+    "bm25 doc length is negative": (BUILD_DATASET, "bm25.bin", bm25_ints("doc_lengths", 0, [-1]), "passage "),
+    "bm25 doc lengths are 0 and b is 0": (BUILD_DATASET, "bm25.bin", bm25_zero_lengths_b_0, "passage "),
+    "bm25 n_passages exceeds doc_lengths": (BUILD_DATASET, "bm25.bin", bm25_first_cut("doc_lengths"), "truncated "),
+    "bm25 n_passages exceeds passage_ids": (BUILD_DATASET, "bm25.bin", bm25_first_cut("passage_ids"), "truncated "),
+    "bm25 index from another store": (BUILD_DATASET, "bm25.bin", bm25_from_another_store, "its 11 passage ids"),
+    "dense index from another store": (EVALUATE, "dense.bin", dense_from_another_store, "its 11 passage ids"),
+    "repl index from another store": (REPL, "dense.bin", dense_from_another_store, "its 11 passage ids"),
     "store line 1 is []": (INDEX_BM25, "store.jsonl", edit_jsonl("store.jsonl", 0, lambda row: []), "line 1: "),
     "store line 2 is [1, 2]": (INDEX_BM25, "store.jsonl", edit_jsonl("store.jsonl", 1, lambda row: [1, 2]), "line 2: "),
     "questions are [1, 2]": (BUILD_DATASET, "questions.json", edit_questions(lambda doc: {"questions": [1, 2]}), "question 0: "),
