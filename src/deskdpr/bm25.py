@@ -10,11 +10,10 @@ float64 accumulator, bit-identical to scoring passage by passage.
 from __future__ import annotations
 
 import math
-import re
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,13 +26,42 @@ from .results import RetrievalResult, hits_from_ranking
 # version 1 was JSON Lines
 FORMAT = binfile.Format("BM25 index", b"BM25", 2, "QQQdd")
 
-# Unicode alphanumeric runs; underscore counts as punctuation.
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+class _Separators(dict):
+    """``str.translate`` table keeping alphanumeric code points and mapping
+    every other one, underscore included, to a space; no alphanumeric code
+    point is whitespace, so ``split`` cuts only at those spaces.  Each code
+    point is looked up once, on first sight."""
+
+    def __missing__(self, c: int) -> int:
+        self[c] = kept = c if chr(c).isalnum() else 32
+        return kept
+
+
+_SEPARATORS = _Separators()
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on any non-alphanumeric character."""
-    return _TOKEN_RE.findall(text.lower())
+    """The Unicode alphanumeric runs of the lowered text."""
+    return text.lower().translate(_SEPARATORS).split()
+
+
+def token_ids(texts: Iterable[str]) -> tuple[list[str], np.ndarray, list[int]]:
+    """Tokenize texts into one stream: the vocabulary in first-seen order,
+    every token occurrence's id as int64, text after text, and each text's
+    token count."""
+    # A token's id is its first-seen order: a missing key gets len(ids).
+    ids: defaultdict[str, int] = defaultdict()
+    ids.default_factory = ids.__len__
+    # The list holds the dict's own int objects, so it costs one pointer
+    # per occurrence.
+    occurrences: list[int] = []
+    lengths: list[int] = []
+    for text in texts:
+        tokens = tokenize(text)
+        occurrences.extend(map(ids.__getitem__, tokens))
+        lengths.append(len(tokens))
+    return list(ids), np.fromiter(occurrences, dtype=np.int64, count=len(occurrences)), lengths
 
 
 @dataclass(frozen=True)
@@ -87,9 +115,12 @@ class InvertedIndex:
         # math.log, not np.log: numpy's vectorized log may differ by an ulp
         self._idf = [math.log((self.n_passages - df + 0.5) / (df + 0.5) + 1.0) for df in dfs]
         lengths = np.asarray(doc_lengths, dtype=np.int64)[ordinals]
-        self.contributions = _tf_part(tfs, lengths, self.avg_doc_length, params)
-        del lengths
-        self.contributions *= np.repeat(self._idf, dfs)  # idf * tf part, as bm25_score multiplies
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge k1 is refused just below
+            self.contributions = _tf_part(tfs, lengths, self.avg_doc_length, params)
+            del lengths
+            self.contributions *= np.repeat(self._idf, dfs)  # idf * tf part, as bm25_score multiplies
+        if not np.isfinite(self.contributions).all():
+            raise ValueError(f"k1 {params.k1!r} makes a BM25 score overflow")
 
     def _span(self, token: str) -> slice:
         i = self.token_ids.get(token)
@@ -117,22 +148,8 @@ def build_index(store: PassageStore, params: Bm25Params = Bm25Params()) -> Inver
     """Tokenize every passage text and build the inverted index."""
     if len(store) == 0:
         raise EmptyCorpus("cannot build a BM25 index over an empty store")
-    # A token's id is its first-seen order: a missing key gets len(token_ids).
-    token_ids: defaultdict[str, int] = defaultdict()
-    token_ids.default_factory = token_ids.__len__
-    # Every token occurrence's id, passage after passage.  The list holds the
-    # dict's own int objects, so it costs one pointer per occurrence.
-    occurrences: list[int] = []
-    doc_lengths: list[int] = []
-    passage_ids: list[str] = []
-    for passage in store:
-        tokens = tokenize(passage.text)
-        occurrences.extend(map(token_ids.__getitem__, tokens))
-        doc_lengths.append(len(tokens))
-        passage_ids.append(passage.passage_id)
+    vocabulary, keys, doc_lengths = token_ids(p.text for p in store)
     n = len(store)
-    keys = np.fromiter(occurrences, dtype=np.int64, count=len(occurrences))
-    del occurrences
     keys *= n
     keys += np.repeat(np.arange(n, dtype=np.int64), doc_lengths)
     # One key per (token, passage): sorted, they group the postings by token
@@ -140,10 +157,11 @@ def build_index(store: PassageStore, params: Bm25Params = Bm25Params()) -> Inver
     keys, tfs = np.unique(keys, return_counts=True)
     token_of, ordinals = np.divmod(keys, n)
     del keys
-    offsets = np.zeros(len(token_ids) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(token_of, minlength=len(token_ids)), out=offsets[1:])
+    offsets = np.zeros(len(vocabulary) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(token_of, minlength=len(vocabulary)), out=offsets[1:])
     del token_of  # before the contributions take their memory
-    return InvertedIndex(list(token_ids), offsets, ordinals, tfs, doc_lengths, passage_ids, params)
+    passage_ids = [p.passage_id for p in store]
+    return InvertedIndex(vocabulary, offsets, ordinals, tfs, doc_lengths, passage_ids, params)
 
 
 def _tf_part(tf, doc_length, avg_doc_length: float, params: Bm25Params):

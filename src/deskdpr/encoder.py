@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from . import binfile
-from .bm25 import tokenize
+from .bm25 import token_ids
 from .errors import DimensionError
 
 # version 2 is version 1 with the CRC-32 trailer
@@ -45,29 +45,20 @@ def featurize_texts(texts: Sequence[str], hash_dim: int = DEFAULT_HASH_DIM) -> s
     """Stacked hashed-count rows, one per text, each L2-normalized."""
     if hash_dim < 1:
         raise ValueError(f"hash_dim must be >= 1, got {hash_dim}")
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    # token -> bucket for this call only: texts share most of their tokens
-    buckets: dict[str, int] = {}
-    for text in texts:
-        counts: dict[int, float] = {}
-        for token in tokenize(text):
-            bucket = buckets.get(token)
-            if bucket is None:
-                bucket = buckets[token] = hash_token(token, hash_dim)
-            counts[bucket] = counts.get(bucket, 0.0) + 1.0
-        row_indices = sorted(counts)
-        row_values = np.array([counts[i] for i in row_indices], dtype=np.float64)
-        if row_values.size:
-            row_values /= np.sqrt((row_values * row_values).sum())
-        indices.extend(row_indices)
-        data.extend(row_values.tolist())
-        indptr.append(len(indices))
-    return sparse.csr_array(
-        (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
-        shape=(len(texts), hash_dim),
-    )
+    vocabulary, ids, lengths = token_ids(texts)
+    buckets = np.array([hash_token(token, hash_dim) for token in vocabulary], dtype=np.int64)
+    keys = np.repeat(np.arange(0, len(lengths) * hash_dim, hash_dim, dtype=np.int64), lengths)
+    keys += buckets[ids]
+    # One key per (row, bucket): sorted, they run row by row with the
+    # buckets rising, and their counts are the bucket counts.
+    keys, counts = np.unique(keys, return_counts=True)
+    rows, indices = np.divmod(keys, hash_dim)
+    data = counts.astype(np.float64)
+    # the counts are integers, so every sum of squares is exact
+    data /= np.sqrt(np.bincount(rows, weights=data * data))[rows]
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(lengths)), out=indptr[1:])
+    return sparse.csr_array((data, indices, indptr), shape=(len(lengths), hash_dim))
 
 
 @dataclass

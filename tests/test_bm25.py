@@ -1,7 +1,10 @@
 import math
 import random
+import re
 import struct
+import sys
 import tempfile
+import warnings
 import zlib
 from pathlib import Path
 
@@ -19,9 +22,20 @@ from deskdpr.bm25 import (
     save_bm25_index,
     tokenize,
 )
+from deskdpr.corpus import render_encoder_input
 from deskdpr.errors import EmptyCorpus, ParseError, UnsupportedVersion
 
-from helpers import aligned_positive, factoid, random_text, rewrite_payload, set_bm25_ints, store_of, yesno
+from helpers import (
+    BM25_PREFIX,
+    aligned_positive,
+    factoid,
+    passage,
+    random_text,
+    rewrite_payload,
+    set_bm25_ints,
+    store_of,
+    yesno,
+)
 
 LN2 = 0.6931471805599453
 
@@ -48,6 +62,50 @@ class TestTokenize:
         assert tokenize("p53 binds 3 sites") == ["p53", "binds", "3", "sites"]
 
 
+# The oracle: Unicode alphanumeric runs of the lowered text, found by a regex.
+_ALNUM_RUNS = re.compile(r"[^\W_]+")
+
+
+def regex_tokenize(text):
+    return _ALNUM_RUNS.findall(text.lower())
+
+
+class TestTokenizeEqualsRegex:
+    """``tokenize`` keeps exactly what the regex ``[^\\W_]+`` keeps."""
+
+    def test_every_code_point_classed_alike(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert "".join(re.findall(r"[^\W_]", every)) == "".join(c for c in every if c.isalnum())
+        assert [c for c in every if c.isalnum() and c.isspace()] == []
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text())
+    def test_any_text(self, text):
+        assert tokenize(text) == regex_tokenize(text)
+
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            ("ΟΔΟΣ [SEP] ΣΑΣ", ["οδος", "sep", "σας"]),  # final sigma before a separator
+            ("İstanbul", ["i", "stanbul"]),  # lowers to i + U+0307, a combining mark
+            ("Straße", ["straße"]),
+            ("ﬁne", ["ﬁne"]),
+            ("１２３ｘ", ["１２３ｘ"]),  # fullwidth digits and letter
+            ("Ⅻ legion", ["ⅻ", "legion"]),
+            ("a\u00a0b", ["a", "b"]),  # no-break space
+            ("gene_name", ["gene", "name"]),
+        ],
+    )
+    def test_named_cases(self, text, tokens):
+        assert tokenize(text) == tokens == regex_tokenize(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(), st.text())
+    def test_encoder_input_is_title_sep_text(self, title, text):
+        p = passage(text, title=title)
+        assert tokenize(render_encoder_input(p)) == tokenize(title) + ["sep"] + tokenize(text)
+
+
 class TestParams:
     def test_defaults(self):
         p = Bm25Params()
@@ -65,6 +123,19 @@ class TestParams:
     def test_non_finite_k1_rejected(self, k1):
         with pytest.raises(ValueError, match="k1 must be finite"):
             Bm25Params(k1=k1)
+
+    def test_k1_whose_scores_overflow_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="k1 1e\\+308 makes a BM25 score overflow"):
+                build_index(store_of("a a b", "a c", "c d"), Bm25Params(k1=1e308))
+
+    def test_k1_whose_scores_overflow_refused_on_load(self, tmp_path):
+        path = tmp_path / "bm25.bin"
+        save_bm25_index(build_index(store_of("a a b", "a c", "c d")), path)
+        rewrite_payload(path, lambda payload: struct.pack_into("<d", payload, BM25_PREFIX.size - 16, 1e308))
+        with pytest.raises(ParseError, match="k1 1e\\+308 makes a BM25 score overflow"):
+            load_bm25_index(path)
 
 
 class TestBuildIndex:

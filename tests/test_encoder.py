@@ -4,8 +4,12 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
-from deskdpr.bm25 import tokenize
+from deskdpr import bm25, encoder
+from deskdpr.bm25 import build_index, tokenize
 from deskdpr.encoder import (
     EncoderModel,
     encode_passages,
@@ -19,6 +23,8 @@ from deskdpr.encoder import (
     save_model,
 )
 from deskdpr.errors import DimensionError, ParseError, UnsupportedVersion
+
+from helpers import store_of
 
 
 class TestHashToken:
@@ -86,8 +92,9 @@ class TestFeaturize:
         assert list(row.indices) == sorted(row.indices)
 
     def test_rows_equal_rows_hashed_token_by_token(self):
-        # featurize_texts remembers each token's bucket within one call;
-        # every row must still be the one hash_token gives token by token
+        # featurize_texts hashes each distinct token of a call once and
+        # counts buckets over arrays; every row must still be the one
+        # hash_token gives token by token
         texts = ["alpha beta alpha", "beta gamma", "", "gamma gamma delta alpha", "beta"]
         batch = featurize_texts(texts, hash_dim=64)
         for i, text in enumerate(texts):
@@ -106,6 +113,81 @@ class TestFeaturize:
     def test_bad_hash_dim_rejected(self):
         with pytest.raises(ValueError):
             featurize("a", hash_dim=0)
+
+
+def featurize_texts_by_row(texts, hash_dim):
+    """featurize_texts as a per-row loop: count buckets in a dict, sort them,
+    divide by the root of the summed squares."""
+    indptr, indices, data = [0], [], []
+    for text in texts:
+        counts = {}
+        for token in tokenize(text):
+            bucket = hash_token(token, hash_dim)
+            counts[bucket] = counts.get(bucket, 0.0) + 1.0
+        row_indices = sorted(counts)
+        row_values = np.array([counts[i] for i in row_indices], dtype=np.float64)
+        if row_values.size:
+            row_values /= np.sqrt((row_values * row_values).sum())
+        indices.extend(row_indices)
+        data.extend(row_values.tolist())
+        indptr.append(len(indices))
+    return sparse.csr_array(
+        (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
+        shape=(len(texts), hash_dim),
+    )
+
+
+WORDS = ["alpha", "beta", "gamma", "p53", "Σίγμα", "x", "ΟΔΟΣ", "dosr"]
+TEXTS = st.one_of(
+    st.just(""),
+    st.text(alphabet=" .,;-_!?", max_size=12),  # no token at all
+    st.lists(st.sampled_from(WORDS), max_size=40).map(" ".join),  # repeats and collisions
+    st.text(max_size=60),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TEXTS, max_size=12), st.sampled_from([1, 7, 64, 16384]))
+def test_featurize_texts_equals_per_row_loop_bitwise(texts, hash_dim):
+    batch = featurize_texts(texts, hash_dim)
+    expected = featurize_texts_by_row(texts, hash_dim)
+    assert batch.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(batch, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+class TestOneTokenPath:
+    """BM25 and the encoder read one token stream, ``bm25.token_ids``."""
+
+    def test_both_builds_call_token_ids(self, monkeypatch):
+        calls, token_ids = [], bm25.token_ids
+
+        def counting(texts):
+            texts = list(texts)
+            calls.append(texts)
+            return token_ids(texts)
+
+        monkeypatch.setattr(bm25, "token_ids", counting)
+        monkeypatch.setattr(encoder, "token_ids", counting)
+        build_index(store_of("a b", "b c"))
+        featurize_texts(["c d", "e"], 64)
+        assert calls == [["a b", "b c"], ["c d", "e"]]
+
+    def test_each_distinct_token_hashed_once_per_call(self, monkeypatch):
+        hashed = []
+
+        def counting(token, hash_dim):
+            hashed.append(token)
+            return hash_token(token, hash_dim)
+
+        monkeypatch.setattr(encoder, "hash_token", counting)
+        texts = ["b a b", "", "a c a", "C; B"]
+        featurize_texts(texts, 64)
+        assert sorted(hashed) == ["a", "b", "c"]
+        featurize_texts(texts, 64)  # a new call hashes again
+        assert sorted(hashed) == ["a", "a", "b", "b", "c", "c"]
 
 
 class TestInitModel:

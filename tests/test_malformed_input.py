@@ -281,8 +281,10 @@ def bm25_ints(name, first, values):
     return lambda tmp_path: rewrite_payload(tmp_path / "bm25.bin", lambda p: set_bm25_ints(p, name, first, values))
 
 
-def bm25_k1_inf(tmp_path):
-    rewrite_payload(tmp_path / "bm25.bin", lambda p: struct.pack_into("<d", p, BM25_PREFIX.size - 16, float("inf")))
+def bm25_k1(value):
+    """The BM25 index's k1 overwritten with value."""
+    edit = lambda p: struct.pack_into("<d", p, BM25_PREFIX.size - 16, value)
+    return lambda tmp_path: rewrite_payload(tmp_path / "bm25.bin", edit)
 
 
 def bm25_reversed_postings(tmp_path):
@@ -356,7 +358,8 @@ REPL = ["repl", "--index", "dense.bin", "--model", "model.bin", "--store", "stor
 
 PROBES = {
     # probe: (command, bad file, how it is made, where the error is)
-    "bm25 k1 is not finite": (BUILD_DATASET, "bm25.bin", bm25_k1_inf, "k1 must be finite"),
+    "bm25 k1 is not finite": (BUILD_DATASET, "bm25.bin", bm25_k1(float("inf")), "k1 must be finite"),
+    "bm25 k1 overflows a score": (BUILD_DATASET, "bm25.bin", bm25_k1(1e308), "k1 1e+308 makes a BM25 score overflow"),
     "bm25 ordinal is negative": (BUILD_DATASET, "bm25.bin", bm25_ints("ordinals", 0, [-1]), "token "),
     "bm25 ordinal is n_passages": (BUILD_DATASET, "bm25.bin", bm25_ints("ordinals", 0, [12]), "token "),
     "bm25 tf is 0": (BUILD_DATASET, "bm25.bin", bm25_ints("tfs", 0, [0]), "token "),
