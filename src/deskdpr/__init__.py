@@ -5,6 +5,14 @@ bag-of-words dual encoder trained with in-batch negatives, an exact
 dot-product index, and retrieval evaluation.
 """
 
+import contextlib
+import ctypes
+
+# glibc raises its mmap threshold (to 32 MiB) as mapped blocks are freed, moving index arrays into
+# the brk heap, which shrinks only from its top; fixed at 1 MiB, such blocks are unmapped on free.
+with contextlib.suppress(AttributeError, OSError, TypeError):  # not glibc
+    ctypes.CDLL(None).mallopt(-3, 1 << 20)  # M_MMAP_THRESHOLD
+
 __version__ = "0.1.0"
 
 from .corpus import (

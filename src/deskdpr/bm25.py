@@ -28,10 +28,9 @@ FORMAT = binfile.Format("BM25 index", b"BM25", 2, "QQQdd")
 
 
 class _Separators(dict):
-    """``str.translate`` table keeping alphanumeric code points and mapping
-    every other one, underscore included, to a space; no alphanumeric code
-    point is whitespace, so ``split`` cuts only at those spaces.  Each code
-    point is looked up once, on first sight."""
+    """``str.translate`` table, filled on first sight: an alphanumeric code
+    point maps to itself, any other (underscore too) to a space; no
+    alphanumeric code point is whitespace, so ``split`` cuts only there."""
 
     def __missing__(self, c: int) -> int:
         self[c] = kept = c if chr(c).isalnum() else 32
@@ -47,15 +46,11 @@ def tokenize(text: str) -> list[str]:
 
 
 def token_ids(texts: Iterable[str]) -> tuple[list[str], np.ndarray, list[int]]:
-    """Tokenize texts into one stream: the vocabulary in first-seen order,
-    every token occurrence's id as int64, text after text, and each text's
-    token count."""
-    # A token's id is its first-seen order: a missing key gets len(ids).
+    """The vocabulary in first-seen order, every token occurrence's id as
+    int64, text after text, and each text's token count."""
     ids: defaultdict[str, int] = defaultdict()
-    ids.default_factory = ids.__len__
-    # The list holds the dict's own int objects, so it costs one pointer
-    # per occurrence.
-    occurrences: list[int] = []
+    ids.default_factory = ids.__len__  # a new token's id is len(ids)
+    occurrences: list[int] = []  # the dict's own ints: a pointer per occurrence
     lengths: list[int] = []
     for text in texts:
         tokens = tokenize(text)
@@ -152,8 +147,7 @@ def build_index(store: PassageStore, params: Bm25Params = Bm25Params()) -> Inver
     n = len(store)
     keys *= n
     keys += np.repeat(np.arange(n, dtype=np.int64), doc_lengths)
-    # One key per (token, passage): sorted, they group the postings by token
-    # with ordinals increasing, and their counts are the tfs.
+    # sorted (token, passage) keys group postings by token; counts are tfs
     keys, tfs = np.unique(keys, return_counts=True)
     token_of, ordinals = np.divmod(keys, n)
     del keys

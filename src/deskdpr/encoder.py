@@ -49,8 +49,7 @@ def featurize_texts(texts: Sequence[str], hash_dim: int = DEFAULT_HASH_DIM) -> s
     buckets = np.array([hash_token(token, hash_dim) for token in vocabulary], dtype=np.int64)
     keys = np.repeat(np.arange(0, len(lengths) * hash_dim, hash_dim, dtype=np.int64), lengths)
     keys += buckets[ids]
-    # One key per (row, bucket): sorted, they run row by row with the
-    # buckets rising, and their counts are the bucket counts.
+    # sorted (row, bucket) keys run row by row; their counts are the buckets'
     keys, counts = np.unique(keys, return_counts=True)
     rows, indices = np.divmod(keys, hash_dim)
     data = counts.astype(np.float64)

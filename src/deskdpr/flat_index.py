@@ -79,12 +79,12 @@ def build_index(model: EncoderModel, store: PassageStore) -> FlatIndex:
     """
     if len(store) == 0:
         raise EmptyCorpus("cannot build a dense index over an empty store")
-    texts = [render_encoder_input(p) for p in store]
     ids = [p.passage_id for p in store]
     rows = []
     with np.errstate(over="ignore"):  # FlatIndex refuses rows that overflow float32
-        for lo in range(0, len(texts), BUILD_BATCH_ROWS):
-            rows.append(encode_passages(model, texts[lo : lo + BUILD_BATCH_ROWS]).astype(np.float32))
+        for lo in range(0, len(store), BUILD_BATCH_ROWS):
+            texts = [render_encoder_input(p) for p in store.passages[lo : lo + BUILD_BATCH_ROWS]]
+            rows.append(encode_passages(model, texts).astype(np.float32))
     return FlatIndex(d=model.d, ids=ids, vectors=np.vstack(rows))
 
 
