@@ -30,8 +30,9 @@ question = Question(
     gold_snippets=("the dosr regulon coordinates the response",),
 )
 
-# alignment locates the gold passage by snippet, then answer substring
-instances, dropped = align_questions([question], store)
+# alignment locates the gold passage by snippet, then answer substring;
+# the index narrows which passages it tests
+instances, dropped = align_questions([question], store, index)
 print("aligned:", len(instances), "dropped:", dropped)
 print("positive:", instances[0].positive.passage_id)
 

@@ -25,8 +25,9 @@ with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "questions.json"
     write_questions_json(data, path)
     questions = parse_bioasq(path)
-instances, dropped = align_questions(questions, store)
-instances, _ = attach_negatives(instances, store, build_index(store), n_hard=1)
+bm25 = build_index(store)
+instances, dropped = align_questions(questions, store, bm25)
+instances, _ = attach_negatives(instances, store, bm25, n_hard=1)
 split = DatasetSplit(name="train", instances=tuple(instances))
 
 model = init_model(d=64, hash_dim=4096, seed=7)

@@ -196,9 +196,9 @@ def _index_bm25(v, write) -> None:
 def _build_dataset(v, write) -> None:
     questions = parse_bioasq(v.questions)
     store = load_store(v.store)
-    aligned, dropped = align_questions(questions, store)
-    index = load_bm25_index(v.index)  # after aligning, so the alignment haystack is gone by then
+    index = load_bm25_index(v.index)
     _check_built_from(store, v.index, index.passage_ids)
+    aligned, dropped = align_questions(questions, store, index)
     instances, short_of_hard = attach_negatives(aligned, store, index, n_hard=v.n_hard, top_n=v.top_n)
     splits = split_instances(instances, v.split, seed=v.seed)
     out_dir = Path(v.out_dir)

@@ -20,7 +20,7 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .bm25 import InvertedIndex, mine_hard_negatives
+from .bm25 import InvertedIndex, mine_hard_negatives, tokenize
 from .corpus import Passage, PassageStore
 from .errors import ParseError, expect, reading
 from .questions import Question, match_needles, normalize_for_match
@@ -60,36 +60,89 @@ class DatasetSplit:
 
 
 def align_questions(
-    questions: Iterable[Question], store: PassageStore
+    questions: Iterable[Question], store: PassageStore, index: InvertedIndex | None = None
 ) -> tuple[list[TrainingInstance], int]:
     """Instances (no negatives yet) for every alignable question.
 
     A question's positive is the first passage, in store order, that
     contains one of its gold snippets, else the first that contains one
-    of its answers, by ``questions.contains_answer``.  The store's texts
-    are normalized once and joined with newlines, which normalizing has
-    turned into spaces, so no needle spans two passages; the smallest
-    ``find`` position of any needle lies in the lowest ordinal that
-    contains one.  Returns the instances plus the count of questions
-    dropped because no passage contained their snippets or answers.
+    of its answers, by ``questions.contains_answer``.  Returns the
+    instances plus the count of questions dropped because no passage
+    contained their snippets or answers.
+
+    ``index``, if given, must be the BM25 index of ``store``.  It narrows
+    the passages tested for a match-form needle with an interior run, an
+    entry of ``bm25.tokenize(needle)`` with a non-alphanumeric character
+    on both sides inside the needle.  Where the needle occurs in a
+    passage's match form, the run is bounded there too, so it is one of
+    the passage's tokens: normalizing only touches whitespace, which is
+    never alphanumeric, and lowering a match form changes nothing.  The
+    rarest interior run's postings thus hold every passage containing
+    the needle, and only they are tested, in ordinal order, by the same
+    ``in`` test.  Other needles, and all of them without an index, are
+    found by ``_Haystack``.
     """
-    texts = [normalize_for_match(p.text) for p in store]
-    starts = list(accumulate((len(t) + 1 for t in texts), initial=0))
-    haystack = "\n".join(texts)
+    if index is not None and index.n_passages != len(store):
+        raise ValueError(f"a BM25 index of {index.n_passages} passages for a store of {len(store)}")
+    haystack = None  # built on the first needle that needs it
     instances: list[TrainingInstance] = []
     dropped = 0
     for q in questions:
         for needles in (q.gold_snippets, q.answers):
-            found = [at for at in map(haystack.find, match_needles(needles)) if at >= 0]
-            if found:
-                positive = store[bisect_right(starts, min(found)) - 1]
-                instances.append(TrainingInstance(question=q, positive=positive))
+            best = len(store)  # the lowest ordinal found so far, len(store) for none
+            for needle in match_needles(needles):
+                candidates = None if index is None else _candidates(index, needle)
+                if candidates is None:
+                    if haystack is None:
+                        haystack = _Haystack(store)
+                    best = haystack.first(needle, best)
+                    continue
+                for ordinal in candidates:
+                    if ordinal >= best:
+                        break
+                    if needle in normalize_for_match(store[ordinal].text):
+                        best = ordinal
+                        break
+            if best < len(store):
+                instances.append(TrainingInstance(question=q, positive=store[best]))
                 break
         else:
             dropped += 1
     if dropped:
         log.warning("dropped %d questions with no aligned positive", dropped)
     return instances, dropped
+
+
+def _candidates(index: InvertedIndex, needle: str) -> list[int] | None:
+    """The ordinals posted under the needle's rarest interior run, or None
+    when the needle has no interior run."""
+    runs = tokenize(needle)
+    # a run at either end of the needle may be part of a longer token
+    interior = runs[needle[0].isalnum() : len(runs) - needle[-1].isalnum()]
+    if not interior:
+        return None
+    ids = [index.token_ids.get(run) for run in interior]
+    if None in ids:
+        return []  # a run no passage holds
+    offsets = index.offsets
+    rarest = min(ids, key=lambda i: offsets[i + 1] - offsets[i])
+    return index.ordinals[offsets[rarest] : offsets[rarest + 1]].tolist()
+
+
+class _Haystack:
+    """The store's match forms joined with newlines, which normalizing has
+    turned into spaces, so no needle spans two passages and the smallest
+    ``find`` position of a needle lies in the lowest ordinal containing it."""
+
+    def __init__(self, store: PassageStore):
+        texts = [normalize_for_match(p.text) for p in store]
+        self.starts = list(accumulate((len(t) + 1 for t in texts), initial=0))
+        self.text = "\n".join(texts)
+
+    def first(self, needle: str, before: int) -> int:
+        """The lowest ordinal below ``before`` containing the needle, else ``before``."""
+        at = self.text.find(needle, 0, self.starts[before])
+        return before if at < 0 else bisect_right(self.starts, at) - 1
 
 
 def attach_negatives(

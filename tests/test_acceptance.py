@@ -53,7 +53,7 @@ def pipeline(tmp_path_factory):
     assert len(questions) == 200
 
     bm25 = build_bm25_index(store)
-    aligned, dropped = align_questions(questions, store)
+    aligned, dropped = align_questions(questions, store, bm25)
     assert dropped == 0
     instances, short_of_hard = attach_negatives(aligned, store, bm25, n_hard=1, top_n=100)
     assert short_of_hard == 0

@@ -12,13 +12,15 @@ import pytest
 
 import deskdpr.manifest
 from deskdpr import cli
+from deskdpr.bm25 import build_index as build_bm25_index
+from deskdpr.bm25 import save_bm25_index
 from deskdpr.cli import build_parser, main
 from deskdpr.corpus import load_store
 from deskdpr.encoder import init_model, save_model
 from deskdpr.flat_index import load_index
 from deskdpr.manifest import manifest_path, read_manifest
 from deskdpr.synthetic import generate, write_corpus_jsonl, write_questions_json
-from helpers import snapshot_dir
+from helpers import snapshot_dir, store_of
 
 
 def write_fixture(root, n_passages=120, n_questions=16, chunk_size=20, seed=0):
@@ -579,6 +581,16 @@ class TestBuildDataset:
         rc = main(build_dataset_argv(pipeline, tmp_path / "d") + ["--split", split])
         assert rc == 2
         assert "fractions must be three finite non-negatives" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_index_from_another_store_refused_before_aligning(self, pipeline, tmp_path, monkeypatch, capsys):
+        other = tmp_path / "bm25.bin"
+        save_bm25_index(build_bm25_index(store_of("another store")), other)
+        monkeypatch.setattr(cli, "align_questions", lambda *a: pytest.fail("aligned"))
+        argv = build_dataset_argv(pipeline, tmp_path / "d")
+        argv[argv.index("--index") + 1] = str(other)
+        assert main(argv) == 2
+        assert "its 1 passage ids are not the store's" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
     def test_malformed_questions(self, pipeline, tmp_path, capsys):

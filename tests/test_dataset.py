@@ -96,9 +96,14 @@ def brute_force_positive(q, store):
     return None
 
 
-# words, whitespace, punctuation, and letters whose lowercase depends on
-# context (final sigma) or grows (dotted capital I)
-PIECES = ("alpha", "beta", "Alpha", "BETA", "i", " ", "  ", "\t", "\n", "_", ".", ",", "Σ", "ΑΣ", "ς", "σ", "İ")
+# words, whitespace, punctuation, letters whose lowercase depends on
+# context (final sigma) or grows (dotted capital I), and pieces at the
+# edges of the index's filter: a bare separator, a prefix of a word, a
+# word with a prefix, a one-letter word
+PIECES = (
+    "alpha", "beta", "Alpha", "BETA", "i", " ", "  ", "\t", "\n", "_", ".", ",", "Σ", "ΑΣ", "ς", "σ", "İ",
+    "-", "alph", "alphabet", "x",
+)
 pieces = st.lists(st.sampled_from(PIECES), max_size=5).map("".join)
 question_needles = st.tuples(st.lists(pieces, max_size=3), st.lists(pieces, min_size=1, max_size=3))
 
@@ -117,6 +122,14 @@ class TestAlignMatchesBruteForce:
     @example(texts=["beta", "alpha"], needles=[(["  ", "\t"], ["alpha"])])
     @example(texts=["alpha_beta.", "Alpha\t\nbeta"], needles=[(["alpha beta"], ["beta"])])
     @example(texts=["ΑΣ Σ", "İ"], needles=[(["ας σ"], ["i"]), ([], ["iΣ"])])
+    # with an index: a needle's run that is a prefix of a longer passage token
+    @example(texts=["x alphabet beta", "x alpha beta"], needles=[(["x alpha beta"], ["gamma"])])
+    # a run at either end of the needle may be the tail or the head of a longer token
+    @example(texts=["alphabet x", "x alphabet"], needles=[(["bet x"], ["beta"]), (["x alph"], ["beta"])])
+    # separators at both ends make every run interior
+    @example(texts=["alpha beta", "_Alpha beta."], needles=[(["_alpha beta."], ["beta"])])
+    # an interior run that no passage holds
+    @example(texts=["x alpha beta", "alph"], needles=[(["x alph beta"], ["alph"])])
     def test_first_passage_in_store_order(self, texts, needles):
         store = store_of(*texts)
         questions = [
@@ -124,9 +137,51 @@ class TestAlignMatchesBruteForce:
             for i, (snippets, answers) in enumerate(needles)
         ]
         expected = [(q, brute_force_positive(q, store)) for q in questions]
-        instances, dropped = align_questions(questions, store)
-        assert [(inst.question, inst.positive) for inst in instances] == [(q, p) for q, p in expected if p]
-        assert dropped == sum(p is None for _, p in expected)
+        for index in (None, build_index(store)) if len(store) else (None,):
+            instances, dropped = align_questions(questions, store, index)
+            assert [(inst.question, inst.positive) for inst in instances] == [(q, p) for q, p in expected if p]
+            assert dropped == sum(p is None for _, p in expected)
+
+
+class TestAlignThroughPostings:
+    def build(self, monkeypatch, *extra_texts):
+        rng = random.Random(0)
+        store = store_of(*[random_text(rng, 20, vocab_size=1000) for _ in range(200)], *extra_texts)
+        calls = []
+        monkeypatch.setattr(
+            "deskdpr.dataset.normalize_for_match", lambda text: calls.append(text) or normalize_for_match(text)
+        )
+        return store, build_index(store), calls
+
+    def test_tests_only_the_rarest_runs_postings(self, monkeypatch):
+        store, index, calls = self.build(monkeypatch)
+        # each snippet is a passage's words 3 to 7, so words 4 to 6 are interior runs
+        questions = [
+            factoid(f"q{i}", "t", ["unmatched answer"], snippets=[" ".join(store[i].text.split()[3:8])])
+            for i in range(0, 200, 10)
+        ]
+        expected = [aligned_positive(q, store) for q in questions]
+        calls.clear()
+        instances, dropped = align_questions(questions, store, index)
+        assert dropped == 0
+        assert [inst.positive for inst in instances] == expected
+        postings = sum(
+            min(len(index.posting_list(run)) for run in q.gold_snippets[0].split()[1:-1]) for q in questions
+        )
+        assert len(calls) <= postings < len(store)
+
+    def test_index_of_another_size_refused(self):
+        store = store_of("alpha beta", "beta gamma")
+        with pytest.raises(ValueError, match="BM25 index of 1 passages for a store of 2"):
+            align_questions([factoid("q1", "t", ["beta"])], store, build_index(store_of("alpha beta")))
+
+    def test_single_word_needle_scans_the_store(self, monkeypatch):
+        store, index, calls = self.build(monkeypatch, "the answer is yes")
+        q = yesno("q1", "is it", "yes")
+        instances, _ = align_questions([q], store, index)
+        assert len(calls) == len(store)  # the haystack normalizes every passage once
+        assert instances[0].positive == aligned_positive(q, store)
+        assert instances[0].positive.text == "the answer is yes"
 
 
 class TestAttachNegatives:
