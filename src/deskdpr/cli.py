@@ -39,7 +39,7 @@ from .errors import DeskdprError, StaleInput
 from .evaluation import MATCH_MODES, REPORT_FORMATS, EvalConfig, evaluate, write_report
 from .flat_index import build_index as build_dense_index
 from .flat_index import load_index, save_index, search
-from .manifest import read_manifest, verify_inputs, write_artifacts
+from .manifest import read_manifest, records_input, verify_inputs, write_artifacts
 from .questions import parse_bioasq
 from .training import OPTIMIZERS, TrainConfig, save_metrics, train
 
@@ -77,8 +77,9 @@ class Option:
 class Stage:
     """A subcommand: its flags in manifest order, and the function doing its own work.
 
-    run(values, write) gets every flag's value and the seed by key;
-    write({path: writer}) commits the stage's outputs, calling writer(tmp_path).
+    run(values, write) gets every flag's value, the seed and the inputs'
+    sha256 cache ``digests`` by key; write({path: writer}) commits the
+    stage's outputs, calling writer(tmp_path).
     """
 
     name: str
@@ -165,7 +166,7 @@ def _run(stage: Stage, args: argparse.Namespace) -> int:
         verify_inputs(path, digests)
     snapshot = {k: ",".join(map(str, v)) if isinstance(v, tuple) else v for k, v in values.items()}
     write = partial(write_artifacts, command=stage.name, config=snapshot, seed=seed, inputs=inputs, digests=digests)
-    stage.run(SimpleNamespace(**values, seed=seed), write)
+    stage.run(SimpleNamespace(**values, seed=seed, digests=digests), write)
     return 0
 
 
@@ -198,7 +199,12 @@ def _build_dataset(v, write) -> None:
     store = load_store(v.store)
     index = load_bm25_index(v.index)
     _check_built_from(store, v.index, index.passage_ids)
-    aligned, dropped = align_questions(questions, store, index)
+    # the index narrows the alignment only when its manifest vouches for
+    # the store's texts; an index without one leaves it to the full scan
+    built_from_store = records_input(v.index, v.store, v.digests)
+    if built_from_store is False:
+        raise ValueError(f"{v.index}: built from another store; its manifest does not record the sha256 of {v.store}")
+    aligned, dropped = align_questions(questions, store, index if built_from_store else None)
     instances, short_of_hard = attach_negatives(aligned, store, index, n_hard=v.n_hard, top_n=v.top_n)
     splits = split_instances(instances, v.split, seed=v.seed)
     out_dir = Path(v.out_dir)

@@ -70,21 +70,24 @@ def align_questions(
     instances plus the count of questions dropped because no passage
     contained their snippets or answers.
 
-    ``index``, if given, must be the BM25 index of ``store``.  It narrows
-    the passages tested for a match-form needle with an interior run, an
-    entry of ``bm25.tokenize(needle)`` with a non-alphanumeric character
-    on both sides inside the needle.  Where the needle occurs in a
-    passage's match form, the run is bounded there too, so it is one of
-    the passage's tokens: normalizing only touches whitespace, which is
-    never alphanumeric, and lowering a match form changes nothing.  The
-    rarest interior run's postings thus hold every passage containing
-    the needle, and only they are tested, in ordinal order, by the same
-    ``in`` test.  Other needles, and all of them without an index, are
-    found by ``_Haystack``.
+    ``index``, if given, must be the BM25 index of ``store``: only its
+    size is checked, and an index of other texts gives wrong positives.
+    It narrows the passages tested for a match-form needle with an
+    interior run, an entry of ``bm25.tokenize(needle)`` with a
+    non-alphanumeric character on both sides inside the needle.  Where
+    the needle occurs in a passage's match form, the run is bounded
+    there too, so it is one of the passage's tokens: normalizing only
+    touches whitespace, which is never alphanumeric, and lowering a
+    match form changes nothing.  The rarest interior run's postings thus
+    hold every passage containing the needle, and only they are tested,
+    in ordinal order, by the same ``in`` test.  Other needles, and all
+    of them without an index, are found by a whole-store scan.  Each
+    passage is normalized at most once per call, so testing a candidate
+    costs about what the scan spends on one passage.
     """
     if index is not None and index.n_passages != len(store):
         raise ValueError(f"a BM25 index of {index.n_passages} passages for a store of {len(store)}")
-    haystack = None  # built on the first needle that needs it
+    forms = _MatchForms(store)
     instances: list[TrainingInstance] = []
     dropped = 0
     for q in questions:
@@ -93,14 +96,12 @@ def align_questions(
             for needle in match_needles(needles):
                 candidates = None if index is None else _candidates(index, needle)
                 if candidates is None:
-                    if haystack is None:
-                        haystack = _Haystack(store)
-                    best = haystack.first(needle, best)
+                    best = forms.first(needle, best)
                     continue
                 for ordinal in candidates:
                     if ordinal >= best:
                         break
-                    if needle in normalize_for_match(store[ordinal].text):
+                    if forms.holds(ordinal, needle):
                         best = ordinal
                         break
             if best < len(store):
@@ -129,18 +130,35 @@ def _candidates(index: InvertedIndex, needle: str) -> list[int] | None:
     return index.ordinals[offsets[rarest] : offsets[rarest + 1]].tolist()
 
 
-class _Haystack:
-    """The store's match forms joined with newlines, which normalizing has
-    turned into spaces, so no needle spans two passages and the smallest
-    ``find`` position of a needle lies in the lowest ordinal containing it."""
+class _MatchForms:
+    """The store's match forms, each normalized at most once.
+
+    A candidate's form is normalized when it is first tested.  The first
+    whole-store scan normalizes the rest and joins them all with
+    newlines, which normalizing has turned into spaces, so no needle
+    spans two passages and the smallest ``find`` position of a needle
+    lies in the lowest ordinal containing it.
+    """
 
     def __init__(self, store: PassageStore):
-        texts = [normalize_for_match(p.text) for p in store]
-        self.starts = list(accumulate((len(t) + 1 for t in texts), initial=0))
-        self.text = "\n".join(texts)
+        self.store = store
+        self.forms: list[str | None] = [None] * len(store)
+        self.text: str | None = None  # the joined forms, made by the first scan
+        self.starts: list[int] = []
+
+    def holds(self, ordinal: int, needle: str) -> bool:
+        """Whether the passage at ``ordinal`` contains the needle."""
+        form = self.forms[ordinal]
+        if form is None:
+            form = self.forms[ordinal] = normalize_for_match(self.store[ordinal].text)
+        return needle in form
 
     def first(self, needle: str, before: int) -> int:
         """The lowest ordinal below ``before`` containing the needle, else ``before``."""
+        if self.text is None:
+            self.forms = [normalize_for_match(p.text) if f is None else f for f, p in zip(self.forms, self.store)]
+            self.starts = list(accumulate((len(t) + 1 for t in self.forms), initial=0))
+            self.text = "\n".join(self.forms)
         at = self.text.find(needle, 0, self.starts[before])
         return before if at < 0 else bisect_right(self.starts, at) - 1
 

@@ -173,3 +173,15 @@ def verify_inputs(artifact_path: str | Path, digests: dict[str, str] | None = No
             raise StaleInput(f"{path} (recorded for {artifact_path}) is missing")
         if _digest(path, digests) != recorded:
             raise StaleInput(f"{path} changed since {artifact_path} was built")
+
+
+def records_input(
+    artifact_path: str | Path, input_path: str | Path, digests: dict[str, str] | None = None
+) -> bool | None:
+    """Whether the artifact's manifest records an input with the bytes of
+    `input_path`, under any path; None when the artifact has no manifest.
+    `digests` caches checksums by path, as for `verify_inputs`."""
+    manifest = read_manifest(artifact_path)
+    if manifest is None:
+        return None
+    return _digest(input_path, {} if digests is None else digests) in manifest.input_checksums.values()

@@ -4,6 +4,7 @@ import io
 import json
 import logging
 import re
+import shutil
 import subprocess
 import sys
 
@@ -16,6 +17,7 @@ from deskdpr.bm25 import build_index as build_bm25_index
 from deskdpr.bm25 import save_bm25_index
 from deskdpr.cli import build_parser, main
 from deskdpr.corpus import load_store
+from deskdpr.dataset import align_questions
 from deskdpr.encoder import init_model, save_model
 from deskdpr.flat_index import load_index
 from deskdpr.manifest import manifest_path, read_manifest
@@ -592,6 +594,45 @@ class TestBuildDataset:
         assert main(argv) == 2
         assert "its 1 passage ids are not the store's" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
+
+    def test_index_of_an_edited_store_with_the_same_ids_refused(self, pipeline, tmp_path, monkeypatch, capsys):
+        # the index's manifest names the fixture's store, which is unchanged
+        corpus, store = tmp_path / "corpus.jsonl", tmp_path / "passages.jsonl"
+        corpus.write_text(pipeline["corpus"].read_text(encoding="utf-8").replace("w0", "v0"), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["ingest", "--corpus", str(corpus), "--out", str(store), "--chunk-size", "20"]) == 0
+        edited, fixture = load_store(store), load_store(pipeline["store"])
+        assert [p.passage_id for p in edited] == [p.passage_id for p in fixture]
+        assert [p.text for p in edited] != [p.text for p in fixture]
+        monkeypatch.setattr(cli, "align_questions", lambda *a: pytest.fail("aligned"))
+        argv = build_dataset_argv(pipeline, tmp_path / "d")
+        argv[argv.index("--store") + 1] = str(store)
+        assert main(argv) == 2
+        assert "built from another store" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("with_manifest", [True, False])
+    def test_only_an_index_whose_manifest_records_the_store_narrows_alignment(
+        self, pipeline, tmp_path, monkeypatch, with_manifest
+    ):
+        # the fixture's store and index under other paths, the index with or without its manifest
+        store, bm25 = tmp_path / "passages.jsonl", tmp_path / "bm25.bin"
+        shutil.copyfile(pipeline["store"], store)
+        shutil.copyfile(pipeline["bm25"], bm25)
+        if with_manifest:
+            shutil.copyfile(manifest_path(pipeline["bm25"]), manifest_path(bm25))
+        passed = []
+        monkeypatch.setattr(
+            cli, "align_questions", lambda q, s, index=None: passed.append(index) or align_questions(q, s, index)
+        )
+        argv = build_dataset_argv(pipeline, tmp_path / "d")
+        argv[argv.index("--store") + 1] = str(store)
+        argv[argv.index("--index") + 1] = str(bm25)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert [index is not None for index in passed] == [with_manifest]
+        for name in ("train", "dev", "test"):
+            assert (tmp_path / "d" / f"{name}.json").read_bytes() == (pipeline["dataset"] / f"{name}.json").read_bytes()
 
     def test_malformed_questions(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "questions.json"

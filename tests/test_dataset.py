@@ -170,6 +170,21 @@ class TestAlignThroughPostings:
         )
         assert len(calls) <= postings < len(store)
 
+    def test_each_passage_is_normalized_at_most_once(self, monkeypatch):
+        # every snippet's one interior run, "common", is in the last 50
+        # passages and none of them holds the snippet, so each question
+        # walks that whole posting list before its "yes" answer scans
+        rng = random.Random(1)
+        extra = [f"common {random_text(rng, 20, vocab_size=1000)} yes" for _ in range(50)]
+        store, index, calls = self.build(monkeypatch, *extra)
+        questions = [yesno(f"q{i}", "is it", "yes", snippets=["unmatched common needle"]) for i in range(30)]
+        expected = [aligned_positive(q, store) for q in questions]
+        calls.clear()
+        instances, _ = align_questions(questions, store, index)
+        assert [inst.positive for inst in instances] == expected
+        assert expected[0].text == extra[0]
+        assert sorted(calls) == sorted(p.text for p in store)
+
     def test_index_of_another_size_refused(self):
         store = store_of("alpha beta", "beta gamma")
         with pytest.raises(ValueError, match="BM25 index of 1 passages for a store of 2"):
