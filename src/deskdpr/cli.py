@@ -170,10 +170,15 @@ def _run(stage: Stage, args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_built_from(store: PassageStore, index_path: str, index_ids: list[str]) -> None:
-    """Refuse an index whose passage ids are not the store's ids in store order."""
+def _check_built_from(v, store: PassageStore, index_ids: list[str]) -> bool:
+    """Refuse an index whose passage ids are not the store's in store order, or whose manifest
+    records another store; return whether it has a manifest that vouches for the store."""
     if index_ids != [p.passage_id for p in store]:
-        raise ValueError(f"{index_path}: its {len(index_ids)} passage ids are not the store's {len(store)} in store order")
+        raise ValueError(f"{v.index}: its {len(index_ids)} passage ids are not the store's {len(store)} in store order")
+    built_from_store = records_input(v.index, v.store, v.digests)
+    if built_from_store is False:
+        raise ValueError(f"{v.index}: built from another store; its manifest does not record the sha256 of {v.store}")
+    return bool(built_from_store)
 
 
 # -- each stage's own work ------------------------------------------------------
@@ -181,6 +186,7 @@ def _check_built_from(store: PassageStore, index_path: str, index_ids: list[str]
 
 def _ingest(v, write) -> None:
     store, stats = ingest_corpus(v.corpus, v.chunk_size)
+    v.digests[v.corpus] = store.corpus_checksum  # the manifest records it without hashing the corpus again
     write({v.out: partial(save_store, store)})
     print(
         f"wrote {v.out}: {stats.documents} documents, "
@@ -198,12 +204,8 @@ def _build_dataset(v, write) -> None:
     questions = parse_bioasq(v.questions)
     store = load_store(v.store)
     index = load_bm25_index(v.index)
-    _check_built_from(store, v.index, index.passage_ids)
-    # the index narrows the alignment only when its manifest vouches for
-    # the store's texts; an index without one leaves it to the full scan
-    built_from_store = records_input(v.index, v.store, v.digests)
-    if built_from_store is False:
-        raise ValueError(f"{v.index}: built from another store; its manifest does not record the sha256 of {v.store}")
+    # only an index whose manifest vouches for the store narrows the alignment; else the full scan
+    built_from_store = _check_built_from(v, store, index.passage_ids)
     aligned, dropped = align_questions(questions, store, index if built_from_store else None)
     instances, short_of_hard = attach_negatives(aligned, store, index, n_hard=v.n_hard, top_n=v.top_n)
     splits = split_instances(instances, v.split, seed=v.seed)
@@ -257,7 +259,7 @@ def _evaluate(v, write) -> None:
     instances, dropped = align_questions(parse_bioasq(v.questions), store)
     # after aligning, so the alignment haystack is gone by then
     model, index = load_model(v.model), load_index(v.index)
-    _check_built_from(store, v.index, index.ids)
+    _check_built_from(v, store, index.ids)
     report = evaluate(model, index, store, instances, cfg, meta=_model_meta(v.model))
     write({v.out: partial(write_report, report, fmt=v.format)})
     for k in v.k:
@@ -273,7 +275,7 @@ def _repl(v, write) -> None:
     index = load_index(v.index)
     model = load_model(v.model)
     store = load_store(v.store)
-    _check_built_from(store, v.index, index.ids)
+    _check_built_from(v, store, index.ids)
     print(f"{len(index)} passages loaded; :show <passage_id> for full text, :quit to exit")
     while True:
         try:

@@ -1,15 +1,16 @@
 """Document cleaning, fixed-size word chunking, and the passage store.
 
-A "word" is a maximal run of non-whitespace characters.  Documents are
-split into disjoint blocks of ``chunk_size`` words; every chunk except
-possibly the last one is full, and joining the chunks in order reproduces
-the document's word sequence exactly.
+Whitespace is what ``str.split`` splits on, which is ``str.isspace`` and
+equals ``re``'s ``\\s``; every module uses this one rule.  A "word" is a
+maximal run of non-whitespace characters.  Documents are split into
+disjoint blocks of ``chunk_size`` words; every chunk except possibly the
+last one is full, and joining the chunks in order reproduces the
+document's word sequence exactly.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -23,10 +24,8 @@ SEPARATOR_TOKEN = "[SEP]"
 STORE_FORMAT = "deskdpr-passages"
 STORE_VERSION = 1
 
-# Control characters that survive a plain-text dump; normalized to spaces
-# before whitespace collapsing.
-_CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
-_WS_RE = re.compile(r"\s+")
+# C0 control characters and DEL, which survive a plain-text dump, become spaces
+_CONTROL = dict.fromkeys([*range(0x20), 0x7F], " ")
 # the fields load_store reads and checks, in the order Passage declares them
 _PASSAGE_FIELDS = (("passage_id", str), ("doc_id", str), ("title", str), ("text", str), ("chunk_index", int))
 
@@ -107,12 +106,12 @@ class PassageStore:
 def clean_document(raw: str, title: str, doc_id: str) -> Document:
     """Normalize a raw text body into a single-spaced plain-text document.
 
-    Control characters become spaces, runs of whitespace collapse to one
-    space, and the result is trimmed.  Raises EmptyDocument if nothing
-    remains.
+    Control characters become spaces, and the words that ``str.split``
+    finds are joined by one space: runs of whitespace (``str.isspace``,
+    which equals ``re``'s ``\\s``) collapse and the ends are trimmed.
+    Raises EmptyDocument if nothing remains.
     """
-    body = _CONTROL_RE.sub(" ", raw)
-    body = _WS_RE.sub(" ", body).strip()
+    body = " ".join(raw.translate(_CONTROL).split())
     if not body:
         raise EmptyDocument(f"document {doc_id!r} is empty after cleaning")
     return Document(doc_id=doc_id, title=title, body=body)
@@ -144,9 +143,9 @@ def chunk_document(doc: Document, chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[
     return passages
 
 
-def render_encoder_input(p: Passage, separator: str = SEPARATOR_TOKEN) -> str:
-    """Text form fed to the passage encoder: title, separator, passage text."""
-    return f"{p.title} {separator} {p.text}"
+def render_encoder_input(p: Passage) -> str:
+    """Text form fed to the passage encoder: title, ``SEPARATOR_TOKEN``, passage text."""
+    return f"{p.title} {SEPARATOR_TOKEN} {p.text}"
 
 
 def build_store(

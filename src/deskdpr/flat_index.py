@@ -10,7 +10,7 @@ kept as the reference the fast kernel is tested against.
 speed of a float32 matrix-vector product.  It
 
 1. scores every row approximately with float32 products of
-   ``block_rows`` rows each, and shortlists every row whose approximate
+   ``SEARCH_BLOCK_ROWS`` rows each, and shortlists every row whose approximate
    score is within a rigorous rounding bound of the k-th best;
 2. rescores only the shortlist with the defining float64 expression;
 3. orders the rescored rows by (score descending, ordinal ascending).
@@ -40,6 +40,8 @@ from .results import RetrievalResult, hits_from_ranking
 FORMAT = binfile.Format("dense index", b"DRIX", 1, "IQ")
 # passages encoded at once; over 50k passages this adds 33 MiB to peak RSS, where one batch adds 278 MiB
 BUILD_BATCH_ROWS = 1024
+# rows scored by one float32 product in search, and rescored at once
+SEARCH_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -145,48 +147,43 @@ def _shortlist(approx: np.ndarray, bound: float, k: int) -> np.ndarray:
     return np.flatnonzero(approx >= threshold32)
 
 
-def _ranked(index: FlatIndex, rows: np.ndarray, q: np.ndarray, k: int, block_rows: int) -> RetrievalResult:
+def _ranked(index: FlatIndex, rows: np.ndarray, q: np.ndarray, k: int) -> RetrievalResult:
     """The top k of ``rows`` by the defining expression, rescored
-    ``block_rows`` rows at a time, ties toward the lower ordinal."""
-    scores = np.concatenate(
-        [(index.vectors[rows[lo : lo + block_rows]] * q).sum(axis=1) for lo in range(0, len(rows), block_rows)]
-    )
+    ``SEARCH_BLOCK_ROWS`` rows at a time, ties toward the lower ordinal."""
+    step = SEARCH_BLOCK_ROWS
+    scores = np.concatenate([(index.vectors[rows[lo : lo + step]] * q).sum(axis=1) for lo in range(0, len(rows), step)])
     top = np.lexsort((rows, -scores))[:k]
     return hits_from_ranking([(index.ids[rows[j]], float(scores[j])) for j in top])
 
 
-def search(index: FlatIndex, q_emb: np.ndarray, k: int, block_rows: int = 4096) -> RetrievalResult:
+def search(index: FlatIndex, q_emb: np.ndarray, k: int) -> RetrievalResult:
     """Top-k rows by dot product for one query.
 
     Equals ``search_naive(index, q_emb, k)`` in ids, score bits and
-    ranks.  Each float32 product scores ``block_rows`` rows.
+    ranks.  Each float32 product scores ``SEARCH_BLOCK_ROWS`` rows.
     """
-    if block_rows < 1:
-        raise ValueError(f"block_rows must be >= 1, got {block_rows}")
     q = _check_query(index, q_emb, k)
     m = len(index)
     if m == 0:
         return RetrievalResult(hits=[])
     approx = np.empty(m, dtype=np.float32)
-    block_max = np.empty(-(-m // block_rows))
+    block_max = np.empty(-(-m // SEARCH_BLOCK_ROWS))
     with np.errstate(over="ignore", invalid="ignore"):
         q32 = q.astype(np.float32)
-        for i, lo in enumerate(range(0, m, block_rows)):
-            block = index.vectors[lo : lo + block_rows]
-            np.matmul(block, q32, out=approx[lo : lo + block_rows])
+        for i, lo in enumerate(range(0, m, SEARCH_BLOCK_ROWS)):
+            block = index.vectors[lo : lo + SEARCH_BLOCK_ROWS]
+            np.matmul(block, q32, out=approx[lo : lo + SEARCH_BLOCK_ROWS])
             block_max[i] = max(block.max(), -block.min())
         bound = _approximation_bound(index.d, float(block_max.max()), float(np.abs(q).sum()))
-        return _ranked(index, _shortlist(approx, bound, k), q, k, block_rows)
+        return _ranked(index, _shortlist(approx, bound, k), q, k)
 
 
-def search_many(
-    index: FlatIndex, queries: np.ndarray, k: int, block_rows: int = 4096
-) -> list[RetrievalResult]:
+def search_many(index: FlatIndex, queries: np.ndarray, k: int) -> list[RetrievalResult]:
     """``search`` for each row of ``queries`` (n, d)."""
     queries = np.asarray(queries)
     if queries.ndim != 2 or queries.shape[1] != index.d:
         raise DimensionError(f"queries shape {queries.shape} does not match index dimension {index.d}")
-    return [search(index, q, k, block_rows) for q in queries]
+    return [search(index, q, k) for q in queries]
 
 
 def search_naive(index: FlatIndex, q_emb: np.ndarray, k: int) -> RetrievalResult:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -18,8 +17,6 @@ from .errors import ParseError, expect, reading
 log = logging.getLogger(__name__)
 
 QUESTION_TYPES = ("factoid", "yesno")
-
-_WS_RE = re.compile(r"\s+")
 
 
 @dataclass(frozen=True)
@@ -51,8 +48,10 @@ def answer_exclusion_strings(q: Question) -> tuple[str, ...]:
 
 
 def normalize_for_match(text: str) -> str:
-    """Lowercase and collapse whitespace, for containment tests."""
-    return _WS_RE.sub(" ", text.lower()).strip()
+    """Lowercase, and join the words that ``str.split`` finds by one space,
+    for containment tests.  Whitespace is ``str.isspace``, which equals
+    ``re``'s ``\\s``: the rule ``clean_document`` uses."""
+    return " ".join(text.lower().split())
 
 
 def match_needles(needles: Iterable[str]) -> list[str]:

@@ -8,6 +8,13 @@ from deskdpr.dataset import TrainingInstance, align_questions
 from deskdpr.questions import Question
 
 
+# Characters near the edge of "whitespace": every C0 control and DEL, the
+# Unicode spaces, and U+200B and U+FEFF, which are not whitespace; plus letters.
+SPACE_LIKE = "".join(map(chr, [*range(0x20), 0x7F, 0x85, 0xA0, 0x1680, *range(0x2000, 0x200C)])) + (
+    "\u2028\u2029\u3000\ufeffaBİ"
+)
+
+
 def passage(text: str, pid: str = "d0#0", title: str = "title") -> Passage:
     doc_id, chunk_index = Passage.split_id(pid)
     return Passage(passage_id=pid, doc_id=doc_id, title=title, text=text, chunk_index=chunk_index)

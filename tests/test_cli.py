@@ -595,8 +595,9 @@ class TestBuildDataset:
         assert "its 1 passage ids are not the store's" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
-    def test_index_of_an_edited_store_with_the_same_ids_refused(self, pipeline, tmp_path, monkeypatch, capsys):
-        # the index's manifest names the fixture's store, which is unchanged
+    @pytest.mark.parametrize("command", ["build-dataset", "evaluate", "repl"])
+    def test_index_of_an_edited_store_with_the_same_ids_refused(self, pipeline, tmp_path, monkeypatch, capsys, command):
+        # the BM25 and dense indexes' manifests name the fixture's store, which is unchanged
         corpus, store = tmp_path / "corpus.jsonl", tmp_path / "passages.jsonl"
         corpus.write_text(pipeline["corpus"].read_text(encoding="utf-8").replace("w0", "v0"), encoding="utf-8")
         with contextlib.redirect_stdout(io.StringIO()):
@@ -604,12 +605,20 @@ class TestBuildDataset:
         edited, fixture = load_store(store), load_store(pipeline["store"])
         assert [p.passage_id for p in edited] == [p.passage_id for p in fixture]
         assert [p.text for p in edited] != [p.text for p in fixture]
-        monkeypatch.setattr(cli, "align_questions", lambda *a: pytest.fail("aligned"))
-        argv = build_dataset_argv(pipeline, tmp_path / "d")
+        out = tmp_path / "out"
+        argv = {
+            "build-dataset": build_dataset_argv(pipeline, out),
+            "evaluate": evaluate_argv(pipeline, out),
+            "repl": ["repl", "--index", str(pipeline["dense"]), "--model", str(pipeline["model"]),
+                     "--store", str(pipeline["store"])],
+        }[command]
         argv[argv.index("--store") + 1] = str(store)
+        if command == "build-dataset":
+            monkeypatch.setattr(cli, "align_questions", lambda *a: pytest.fail("aligned"))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
         assert main(argv) == 2
         assert "built from another store" in capsys.readouterr().err
-        assert not (tmp_path / "d").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("with_manifest", [True, False])
     def test_only_an_index_whose_manifest_records_the_store_narrows_alignment(

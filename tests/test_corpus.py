@@ -1,8 +1,15 @@
+import ast
 import json
 import random
+import re
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import deskdpr
 from deskdpr.corpus import (
     DEFAULT_CHUNK_SIZE,
     Document,
@@ -18,7 +25,7 @@ from deskdpr.corpus import (
 )
 from deskdpr.errors import DuplicateId, EmptyDocument, ParseError, UnsupportedVersion
 
-from helpers import store_of
+from helpers import SPACE_LIKE, store_of
 
 
 class TestCleanDocument:
@@ -43,6 +50,55 @@ class TestCleanDocument:
     def test_control_characters_removed(self):
         doc = clean_document("a\x00b\x07c", "T", "d1")
         assert doc.body == "a b c"
+
+
+# The oracle: the regexes clean_document applied before it split on str.isspace.
+_CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
+_WS_RE = re.compile(r"\s+")
+
+
+def regex_clean(raw):
+    return _WS_RE.sub(" ", _CONTROL_RE.sub(" ", raw)).strip()
+
+
+def cleaned(raw):
+    try:
+        return clean_document(raw, "T", "d1").body
+    except EmptyDocument:
+        return ""
+
+
+class TestCleanEqualsRegex:
+    """``clean_document`` keeps exactly what the two regexes keep."""
+
+    def test_every_code_point_alone(self):
+        every = map(chr, range(sys.maxunicode + 1))
+        assert [c for c in every if cleaned(c) != regex_clean(c)] == []
+
+    def test_every_code_point_between_two_letters(self):
+        text = "a" + "a".join(map(chr, range(sys.maxunicode + 1))) + "a"
+        assert cleaned(text) == regex_clean(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=SPACE_LIKE))
+    def test_space_like_text(self, raw):
+        assert cleaned(raw) == regex_clean(raw)
+
+    def test_zero_width_space_and_bom_are_not_whitespace(self):
+        assert cleaned("a\u200b b\ufeff\x85c") == "a\u200b b\ufeff c"
+
+
+def test_no_module_imports_re():
+    """One whitespace rule, ``str.split``: the package uses no regular expressions."""
+    importers = []
+    for path in sorted(Path(deskdpr.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            if any(name == "re" or name.startswith("re.") for name in names):
+                importers.append(path.name)
+    assert importers == []
 
 
 class TestChunkDocument:
@@ -111,10 +167,6 @@ class TestRenderEncoderInput:
     def test_empty_title(self):
         p = Passage(passage_id="d#0", doc_id="d", title="", text="abc", chunk_index=0)
         assert render_encoder_input(p) == " [SEP] abc"
-
-    def test_custom_separator(self):
-        p = Passage(passage_id="d#0", doc_id="d", title="A", text="B", chunk_index=0)
-        assert render_encoder_input(p, separator="<sep>") == "A <sep> B"
 
     def test_inserts_exactly_one_separator_occurrence(self):
         p = Passage(

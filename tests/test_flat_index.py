@@ -2,6 +2,7 @@ import re
 import struct
 import warnings
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -108,7 +109,8 @@ class TestSearch:
         q = rng.normal(size=16)
         reference = [(h.passage_id, h.score) for h in search(index, q, 10)]
         for block_rows in (1, 3, 25, 32, 4096):
-            got = [(h.passage_id, h.score) for h in search(index, q, 10, block_rows=block_rows)]
+            with mock.patch.object(flat_index, "SEARCH_BLOCK_ROWS", block_rows):
+                got = [(h.passage_id, h.score) for h in search(index, q, 10)]
             assert got == reference
 
     def test_scores_match_sim_exactly(self):
@@ -154,12 +156,6 @@ class TestSearch:
             search(index, rng.normal(size=16), 0)
         with pytest.raises(ValueError):
             search_naive(index, rng.normal(size=16), 0)
-
-    def test_bad_block_rows_rejected(self):
-        rng = np.random.default_rng(7)
-        index = random_index(rng, 3)
-        with pytest.raises(ValueError):
-            search(index, rng.normal(size=16), 1, block_rows=0)
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(8)

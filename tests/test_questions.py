@@ -1,6 +1,10 @@
 import json
+import re
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deskdpr.errors import ParseError
 from deskdpr.questions import (
@@ -8,10 +12,11 @@ from deskdpr.questions import (
     answer_exclusion_strings,
     contains_answer,
     match_needles,
+    normalize_for_match,
     parse_bioasq,
 )
 
-from helpers import factoid, yesno
+from helpers import SPACE_LIKE, factoid, yesno
 
 
 def write_questions(tmp_path, entries):
@@ -67,6 +72,36 @@ class TestContainsAnswer:
     def test_blank_needles_match_nothing(self):
         assert not contains_answer("some text here", [" ", "\t", ""])
         assert match_needles([" A  b ", "  ", "C"]) == ["a b", "c"]
+
+
+# The oracle: the regex normalize_for_match applied before it split on str.isspace.
+_WS_RE = re.compile(r"\s+")
+
+
+def regex_normalize(text):
+    return _WS_RE.sub(" ", text.lower()).strip()
+
+
+class TestNormalizeEqualsRegex:
+    """``normalize_for_match`` gives exactly what ``\\s+`` collapsing gives."""
+
+    def test_every_code_point_alone(self):
+        every = map(chr, range(sys.maxunicode + 1))
+        assert [c for c in every if normalize_for_match(c) != regex_normalize(c)] == []
+
+    def test_every_code_point_between_two_letters(self):
+        text = "a" + "a".join(map(chr, range(sys.maxunicode + 1))) + "a"
+        assert normalize_for_match(text) == regex_normalize(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=SPACE_LIKE))
+    def test_space_like_text(self, text):
+        assert normalize_for_match(text) == regex_normalize(text)
+
+    def test_named_cases(self):
+        assert normalize_for_match(" A\u3000\u2028B\x1c c ") == "a b c"
+        assert normalize_for_match("a\u200bb\ufeff") == "a\u200bb\ufeff"  # neither is whitespace
+        assert normalize_for_match("İ") == "i\u0307"
 
 
 class TestParseBioasq:

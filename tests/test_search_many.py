@@ -1,5 +1,7 @@
 """Properties of the shortlist-and-rescore kernel against the naive scan."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,8 @@ def make_index(vectors):
 
 
 def assert_matches_naive(index, queries, k, block_rows=4096):
-    got = search_many(index, queries, k, block_rows)
+    with mock.patch.object(flat_index, "SEARCH_BLOCK_ROWS", block_rows):
+        got = search_many(index, queries, k)
     assert len(got) == len(queries)
     for q, result in zip(queries, got):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -78,9 +81,10 @@ class TestMatchesNaive:
     @given(random_case())
     def test_batch_row_equals_single_search(self, case):
         index, queries, k, block_rows = case
-        batch = search_many(index, queries, k, block_rows)
-        for q, result in zip(queries, batch):
-            assert hits(result) == hits(search(index, q, k, block_rows))
+        with mock.patch.object(flat_index, "SEARCH_BLOCK_ROWS", block_rows):
+            batch = search_many(index, queries, k)
+            for q, result in zip(queries, batch):
+                assert hits(result) == hits(search(index, q, k))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -214,9 +218,7 @@ class TestValidation:
         with pytest.raises(DimensionError):
             search_many(index, np.ones((2, 5)), 1)
 
-    def test_bad_k_and_block_rows(self):
+    def test_bad_k(self):
         index = make_index(np.ones((3, 4)))
         with pytest.raises(ValueError):
             search_many(index, np.ones((1, 4)), 0)
-        with pytest.raises(ValueError):
-            search_many(index, np.ones((1, 4)), 1, block_rows=0)
