@@ -2,14 +2,16 @@
 
 Scoring uses the non-negative IDF variant ln((N - df + 0.5)/(df + 0.5) + 1)
 with k1=1.2, b=0.75 defaults.  No stemming, no stopword removal.  The
-postings are flat numpy arrays holding each posting's precomputed score
-contribution, so a query is one gather-and-add per query token into a
-float64 accumulator, bit-identical to scoring passage by passage.
+postings are flat numpy arrays, int32 passage ordinals and tfs beside each
+posting's precomputed float64 score contribution, so a query is one
+gather-and-add per query token into a float64 accumulator, bit-identical to
+scoring passage by passage.  An index holds fewer than 2^31 passages.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,8 +25,10 @@ from .errors import EmptyCorpus
 from .questions import Question, answer_exclusion_strings, contains_answer
 from .results import RetrievalResult, hits_from_ranking
 
-# version 1 was JSON Lines
-FORMAT = binfile.Format("BM25 index", b"BM25", 2, "QQQdd")
+# version 1 was JSON Lines, version 2 held int64 ordinals and tfs
+FORMAT = binfile.Format("BM25 index", b"BM25", 3, "QQQdd")
+# the dtype of ordinals and tfs, in memory and on disk
+POSTING_DTYPE = np.dtype("<i4")
 
 
 class _Separators(dict):
@@ -46,17 +50,23 @@ def tokenize(text: str) -> list[str]:
 
 
 def token_ids(texts: Iterable[str]) -> tuple[list[str], np.ndarray, list[int]]:
-    """The vocabulary in first-seen order, every token occurrence's id as
-    int64, text after text, and each text's token count."""
+    """The vocabulary in first-seen order, every token occurrence's id in a
+    writable int64 array, text after text, and each text's token count."""
     ids: defaultdict[str, int] = defaultdict()
     ids.default_factory = ids.__len__  # a new token's id is len(ids)
-    occurrences: list[int] = []  # the dict's own ints: a pointer per occurrence
+    occurrences = array("q")  # 8 bytes per occurrence, handed to numpy without a copy
     lengths: list[int] = []
     for text in texts:
         tokens = tokenize(text)
-        occurrences.extend(map(ids.__getitem__, tokens))
+        occurrences.fromlist(list(map(ids.__getitem__, tokens)))  # faster than extend's item-by-item growth
         lengths.append(len(tokens))
-    return list(ids), np.fromiter(occurrences, dtype=np.int64, count=len(occurrences)), lengths
+    return list(ids), np.frombuffer(occurrences, dtype=np.int64), lengths
+
+
+def _check_passage_count(n: int) -> None:
+    """Refuse a passage count whose ordinals do not fit ``POSTING_DTYPE``."""
+    if n > np.iinfo(POSTING_DTYPE).max:
+        raise ValueError(f"{n} passages: a BM25 index holds fewer than 2^31")
 
 
 @dataclass(frozen=True)
@@ -75,8 +85,8 @@ class InvertedIndex:
     """Okapi BM25 postings in flat numpy arrays, plus length statistics.
 
     Token ``t`` has id ``i = token_ids[t]`` and owns positions
-    ``offsets[i]:offsets[i + 1]`` of three parallel arrays: ``ordinals``
-    (int64, strictly increasing), ``tfs`` (int64, >= 1) and
+    ``offsets[i]:offsets[i + 1]`` (int64) of three parallel arrays:
+    ``ordinals`` (int32, strictly increasing), ``tfs`` (int32, >= 1) and
     ``contributions`` (float64, ``idf(t) * _tf_part(tf, dl, avg, params)``
     per posting).  The contributions are computed once, here, with the
     same float64 operations in the same order as ``bm25_score``, so a query
@@ -109,10 +119,14 @@ class InvertedIndex:
         dfs = np.diff(offsets).tolist()
         # math.log, not np.log: numpy's vectorized log may differ by an ulp
         self._idf = [math.log((self.n_passages - df + 0.5) / (df + 0.5) + 1.0) for df in dfs]
-        lengths = np.asarray(doc_lengths, dtype=np.int64)[ordinals]
+        # _tf_part's operations elementwise, in place: tf * (k1 + 1) / (tf + k1 * norm)
         with np.errstate(over="ignore", invalid="ignore"):  # a huge k1 is refused just below
-            self.contributions = _tf_part(tfs, lengths, self.avg_doc_length, params)
-            del lengths
+            norm = _norm(np.asarray(doc_lengths, dtype=np.int64), self.avg_doc_length, params)[ordinals]
+            norm *= params.k1
+            norm += tfs
+            self.contributions = np.multiply(tfs, params.k1 + 1.0)
+            self.contributions /= norm
+            del norm
             self.contributions *= np.repeat(self._idf, dfs)  # idf * tf part, as bm25_score multiplies
         if not np.isfinite(self.contributions).all():
             raise ValueError(f"k1 {params.k1!r} makes a BM25 score overflow")
@@ -140,28 +154,42 @@ class InvertedIndex:
 
 
 def build_index(store: PassageStore, params: Bm25Params = Bm25Params()) -> InvertedIndex:
-    """Tokenize every passage text and build the inverted index."""
-    if len(store) == 0:
-        raise EmptyCorpus("cannot build a BM25 index over an empty store")
-    vocabulary, keys, doc_lengths = token_ids(p.text for p in store)
+    """Tokenize every passage text and build the inverted index.
+
+    Each occurrence becomes the key ``token id * n + ordinal``; sorted, the
+    keys run token by token and, within a token, passage by passage, so a
+    run of equal keys is one posting and its length the tf.
+    """
     n = len(store)
+    if n == 0:
+        raise EmptyCorpus("cannot build a BM25 index over an empty store")
+    _check_passage_count(n)
+    vocabulary, keys, doc_lengths = token_ids(p.text for p in store)
     keys *= n
     keys += np.repeat(np.arange(n, dtype=np.int64), doc_lengths)
-    # sorted (token, passage) keys group postings by token; counts are tfs
-    keys, tfs = np.unique(keys, return_counts=True)
-    token_of, ordinals = np.divmod(keys, n)
-    del keys
-    offsets = np.zeros(len(vocabulary) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(token_of, minlength=len(vocabulary)), out=offsets[1:])
-    del token_of  # before the contributions take their memory
+    keys.sort()
+    starts = np.ones(len(keys) + 1, dtype=bool)  # where each run of equal keys starts, then the end
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:-1])
+    keys = keys[starts[:-1]]  # one key per posting; the occurrences' keys are freed
+    bounds = np.flatnonzero(starts)
+    del starts
+    tfs = np.subtract(bounds[1:], bounds[:-1], dtype=POSTING_DTYPE)
+    del bounds
+    offsets = np.searchsorted(keys, np.arange(len(vocabulary) + 1, dtype=np.int64) * n)
+    ordinals = np.remainder(keys, n, out=keys).astype(POSTING_DTYPE)
+    del keys  # before the contributions take their memory
     passage_ids = [p.passage_id for p in store]
     return InvertedIndex(vocabulary, offsets, ordinals, tfs, doc_lengths, passage_ids, params)
 
 
-def _tf_part(tf, doc_length, avg_doc_length: float, params: Bm25Params):
-    """BM25's tf part for ints or, elementwise with the same roundings, int64 arrays."""
-    norm = 1.0 - params.b + params.b * doc_length / avg_doc_length
-    return tf * (params.k1 + 1.0) / (tf + params.k1 * norm)
+def _norm(doc_length, avg_doc_length: float, params: Bm25Params):
+    """BM25's length normalization for an int or, elementwise with the same roundings, an int64 array."""
+    return 1.0 - params.b + params.b * doc_length / avg_doc_length
+
+
+def _tf_part(tf: int, doc_length: int, avg_doc_length: float, params: Bm25Params) -> float:
+    """BM25's tf part of one posting; ``InvertedIndex`` does the same operations over arrays."""
+    return tf * (params.k1 + 1.0) / (tf + params.k1 * _norm(doc_length, avg_doc_length, params))
 
 
 def bm25_score(index: InvertedIndex, query_tokens: Sequence[str], passage_ordinal: int) -> float:
@@ -196,7 +224,7 @@ def bm25_top_k(index: InvertedIndex, query: str, k: int) -> RetrievalResult:
     acc = np.zeros(index.n_passages)
     for token in tokenize(query):
         span = index._span(token)
-        acc[index.ordinals[span]] += index.contributions[span]
+        np.add.at(acc, index.ordinals[span], index.contributions[span])  # no intp copy of the int32 ordinals
     # every contribution is > 0, so the touched passages are exactly these
     candidates = np.flatnonzero(acc > 0.0)
     if len(candidates) > k:
@@ -246,14 +274,15 @@ def mine_hard_negatives(
 
 
 def save_bm25_index(index: InvertedIndex, path: str | Path) -> None:
-    """``FORMAT``: u64 n_passages, n_tokens and n_postings, f64 k1 and b;
-    the tokens in id order, the passage ids; then int64 doc lengths,
-    offsets, ordinals and tfs."""
+    """``FORMAT`` (version 3): u64 n_passages, n_tokens and n_postings, f64 k1
+    and b; the tokens in id order, the passage ids; then int64 doc lengths
+    and offsets, then int32 ordinals and tfs."""
     header = (index.n_passages, len(index.token_ids), len(index.ordinals), index.params.k1, index.params.b)
     parts = (
         binfile.strings(index.token_ids),
         binfile.strings(index.passage_ids),
-        *(np.ascontiguousarray(a, dtype="<i8") for a in (index.doc_lengths, index.offsets, index.ordinals, index.tfs)),
+        *(np.ascontiguousarray(a, dtype="<i8") for a in (index.doc_lengths, index.offsets)),
+        *(np.ascontiguousarray(a, dtype=POSTING_DTYPE) for a in (index.ordinals, index.tfs)),
     )
     binfile.write(path, FORMAT, header, parts)
 
@@ -261,19 +290,20 @@ def save_bm25_index(index: InvertedIndex, path: str | Path) -> None:
 def load_bm25_index(path: str | Path) -> InvertedIndex:
     """Load a BM25 index saved by save_bm25_index.
 
-    Every value is checked, since a query indexes arrays with it: every
-    token owns at least one posting, ordinals lie in ``[0, n_passages)``
-    and rise strictly within each posting list, tfs are >= 1, and each
-    doc length is the sum of its passage's tfs.
+    Every value is checked, since a query indexes arrays with it: fewer
+    than 2^31 passages, every token owns at least one posting, ordinals lie
+    in ``[0, n_passages)`` and rise strictly within each posting list, tfs
+    are >= 1, and each doc length is the sum of its passage's tfs.
     """
     with binfile.Reader(path, FORMAT) as r:
         n, n_tokens, n_postings, k1, b = r.header
+        _check_passage_count(n)
         params = Bm25Params(k1=k1, b=b)
         tokens = r.strings(n_tokens, "tokens")
         passage_ids = r.strings(n, "passage ids")
         doc_lengths = r.array("<i8", n, "doc lengths")
         offsets = r.array("<i8", n_tokens + 1, "offsets")
-        ordinals, tfs = (r.array("<i8", n_postings, what) for what in ("ordinals", "tfs"))
+        ordinals, tfs = (r.array(POSTING_DTYPE, n_postings, what) for what in ("ordinals", "tfs"))
         if offsets[0] != 0 or offsets[-1] != n_postings or (offsets[1:] <= offsets[:-1]).any():
             raise ValueError(f"offsets must rise strictly from 0 to n_postings {n_postings}")
         rising = np.empty(n_postings, dtype=bool)

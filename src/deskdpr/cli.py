@@ -256,10 +256,10 @@ def _model_meta(model_path: str) -> dict[str, str]:
 def _evaluate(v, write) -> None:
     cfg = EvalConfig(k_values=v.k, match_mode=v.mode)
     store = load_store(v.store)
-    instances, dropped = align_questions(parse_bioasq(v.questions), store)
-    # after aligning, so the alignment haystack is gone by then
-    model, index = load_model(v.model), load_index(v.index)
+    index = load_index(v.index)
     _check_built_from(v, store, index.ids)
+    instances, dropped = align_questions(parse_bioasq(v.questions), store)
+    model = load_model(v.model)  # after aligning, so the alignment haystack is gone by then
     report = evaluate(model, index, store, instances, cfg, meta=_model_meta(v.model))
     write({v.out: partial(write_report, report, fmt=v.format)})
     for k in v.k:

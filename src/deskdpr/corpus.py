@@ -26,8 +26,13 @@ STORE_VERSION = 1
 
 # C0 control characters and DEL, which survive a plain-text dump, become spaces
 _CONTROL = dict.fromkeys([*range(0x20), 0x7F], " ")
-# the fields load_store reads and checks, in the order Passage declares them
-_PASSAGE_FIELDS = (("passage_id", str), ("doc_id", str), ("title", str), ("text", str), ("chunk_index", int))
+# the fields load_store reads and checks, in the order Passage declares them, each with
+# its label in messages; and read_corpus_jsonl's, all strings
+_PASSAGE_FIELDS = tuple(
+    (key, kind, repr(key))
+    for key, kind in (("passage_id", str), ("doc_id", str), ("title", str), ("text", str), ("chunk_index", int))
+)
+_DOCUMENT_FIELDS = tuple((key, repr(key)) for key in ("doc_id", "title", "body"))
 
 
 @dataclass(frozen=True)
@@ -175,8 +180,8 @@ def read_corpus_jsonl(path: str | Path) -> list[dict]:
             if not line.strip():
                 continue
             row = json.loads(line)
-            for key in ("doc_id", "title", "body"):
-                expect(row[key], str, repr(key))
+            for key, label in _DOCUMENT_FIELDS:
+                expect(row[key], str, label)
             rows.append(row)
     if not rows:
         raise ParseError(f"{path}: no documents found")
@@ -241,7 +246,7 @@ def load_store(path: str | Path) -> PassageStore:
             if not line.strip():
                 continue
             row = json.loads(line)
-            passages.append(Passage(*(expect(row[key], kind, repr(key)) for key, kind in _PASSAGE_FIELDS)))
+            passages.append(Passage(*(expect(row[key], kind, label) for key, kind, label in _PASSAGE_FIELDS)))
         r.at = None  # what follows concerns the file as a whole
         expected = meta.get("count")
         if expected is not None and expected != len(passages):

@@ -82,24 +82,39 @@ def rewrite_payload(path, edit) -> None:
 
 # magic, version, n_passages, n_tokens, n_postings, k1, b
 BM25_PREFIX = struct.Struct("<4sIQQQdd")
+# the integer arrays of a BM25 index after its two string tables, in file order, with their struct codes
+BM25_INTS = {"doc_lengths": "q", "offsets": "q", "ordinals": "i", "tfs": "i"}
+
+
+def _bm25_counts(payload) -> dict[str, int]:
+    _, _, n, n_tokens, n_postings, _, _ = BM25_PREFIX.unpack_from(payload)
+    return {"doc_lengths": n, "offsets": n_tokens + 1, "ordinals": n_postings, "tfs": n_postings}
 
 
 def bm25_parts(payload) -> dict[str, int]:
     """Where each part of a BM25 index payload starts: the token and passage id
-    tables, then the int64 doc lengths, offsets, ordinals and tfs."""
-    _, _, n, n_tokens, n_postings, _, _ = BM25_PREFIX.unpack_from(payload)
+    tables, then the int64 doc lengths and offsets and the int32 ordinals and tfs."""
+    _, _, n, n_tokens, _, _, _ = BM25_PREFIX.unpack_from(payload)
     starts, at = {"tokens": BM25_PREFIX.size}, BM25_PREFIX.size
     for _ in range(n_tokens):
         at += 4 + struct.unpack_from("<I", payload, at)[0]
     starts["passage_ids"] = at
     for _ in range(n):
         at += 4 + struct.unpack_from("<I", payload, at)[0]
-    for name, count in (("doc_lengths", n), ("offsets", n_tokens + 1), ("ordinals", n_postings), ("tfs", n_postings)):
-        starts[name], at = at, at + 8 * count
+    for name, count in _bm25_counts(payload).items():
+        starts[name], at = at, at + struct.calcsize(BM25_INTS[name]) * count
     assert at == len(payload)
     return starts
 
 
+def bm25_array(payload, name: str) -> tuple[int, ...]:
+    """Integer array `name` of a BM25 index payload."""
+    count = _bm25_counts(payload)[name]
+    return struct.unpack_from(f"<{count}{BM25_INTS[name]}", payload, bm25_parts(payload)[name])
+
+
 def set_bm25_ints(payload, name: str, first: int, values) -> None:
-    """Overwrite int64 array `name` of a BM25 index payload from position `first`."""
-    struct.pack_into(f"<{len(values)}q", payload, bm25_parts(payload)[name] + 8 * first, *values)
+    """Overwrite integer array `name` of a BM25 index payload from position `first`."""
+    code = BM25_INTS[name]
+    at = bm25_parts(payload)[name] + struct.calcsize(code) * first
+    struct.pack_into(f"<{len(values)}{code}", payload, at, *values)

@@ -4,10 +4,13 @@ import re
 import struct
 import sys
 import tempfile
+import tracemalloc
 import warnings
 import zlib
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +23,7 @@ from deskdpr.bm25 import (
     load_bm25_index,
     mine_hard_negatives,
     save_bm25_index,
+    token_ids,
     tokenize,
 )
 from deskdpr.corpus import render_encoder_input
@@ -174,6 +178,54 @@ class TestBuildIndex:
             assert ordinals == sorted(ordinals)
             for ordinal, tf in plist:
                 assert 1 <= tf <= index.doc_lengths[ordinal]
+
+    @pytest.mark.parametrize("n, refused", [(2**31 - 1, False), (2**31, True)])
+    def test_passage_count_bounded_by_int32(self, n, refused):
+        class Tokenized(Exception):
+            pass
+
+        class LengthOnly:
+            """A store's length, and nothing to tokenize."""
+
+            def __len__(self):
+                return n
+
+            def __iter__(self):
+                raise Tokenized
+
+        with pytest.raises(ValueError if refused else Tokenized, match="2147483648 passages" if refused else None):
+            build_index(LengthOnly())
+
+
+# repeats, a word only its case tells apart, non-ASCII letters, and runs that
+# tokenize to nothing, so some passages have no tokens at all
+BUILD_WORDS = ["alpha", "Alpha", "beta", "\u03b2eta", "\u03a9mega", "\u0130x", "p53", "--", "\u00b7", ""]
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=st.lists(st.lists(st.sampled_from(BUILD_WORDS), max_size=12).map(" ".join), min_size=1, max_size=10))
+def test_build_equals_counter_reference(texts):
+    _, ids, _ = token_ids(texts)
+    assert ids.dtype == np.int64 and ids.flags.writeable  # build_index rewrites it in place
+    index = build_index(store_of(*texts))
+    counts = [Counter(tokenize(text)) for text in texts]
+    vocabulary = list(dict.fromkeys(token for c in counts for token in c))
+    want = [[(ordinal, c[token]) for ordinal, c in enumerate(counts) if token in c] for token in vocabulary]
+    assert list(index.token_ids) == vocabulary
+    assert index.offsets.tolist() == [sum(map(len, want[:i])) for i in range(len(want) + 1)]
+    assert index.ordinals.tolist() == [ordinal for plist in want for ordinal, _ in plist]
+    assert index.tfs.tolist() == [tf for plist in want for _, tf in plist]
+    assert index.ordinals.dtype == index.tfs.dtype == np.int32
+    # a one-token query's score is 0.0 plus the one term, exactly
+    terms = [bm25_score(index, [token], ordinal).hex() for token, plist in zip(vocabulary, want) for ordinal, _ in plist]
+    assert [c.hex() for c in index.contributions.tolist()] == terms
+    with tempfile.TemporaryDirectory() as tmp:
+        save_bm25_index(index, Path(tmp) / "bm25.bin")
+        loaded = load_bm25_index(Path(tmp) / "bm25.bin")
+    for name in ("offsets", "ordinals", "tfs", "contributions"):
+        a, b = getattr(index, name), getattr(loaded, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert loaded.doc_lengths == index.doc_lengths
 
 
 class TestScore:
@@ -447,17 +499,17 @@ class TestPersistence:
             assert bm25_score(loaded, query, ordinal) == bm25_score(index, query, ordinal)
 
     def test_file_is_the_documented_layout(self, tmp_path):
-        # tokens in id order (first seen), then passage ids, then int64 arrays
+        # tokens in id order (first seen), then passage ids, then int64 and int32 arrays
         index = build_index(store_of("b a b", "a c"), Bm25Params(k1=1.5, b=0.5))
         path = tmp_path / "bm25.bin"
         save_bm25_index(index, path)
         payload = b"".join([
-            struct.pack("<4sIQQQdd", b"BM25", 2, 2, 3, 4, 1.5, 0.5),
+            struct.pack("<4sIQQQdd", b"BM25", 3, 2, 3, 4, 1.5, 0.5),
             *(struct.pack("<I", len(s)) + s.encode() for s in ("b", "a", "c", "d0#0", "d1#0")),
             struct.pack("<2q", 3, 2),  # doc lengths
             struct.pack("<4q", 0, 1, 3, 4),  # offsets
-            struct.pack("<4q", 0, 0, 1, 1),  # ordinals
-            struct.pack("<4q", 2, 1, 1, 1),  # tfs
+            struct.pack("<4i", 0, 0, 1, 1),  # ordinals
+            struct.pack("<4i", 2, 1, 1, 1),  # tfs
         ])
         assert path.read_bytes() == payload + struct.pack("<I", zlib.crc32(payload))
 
@@ -475,10 +527,23 @@ class TestPersistence:
         with pytest.raises(UnsupportedVersion):
             load_bm25_index(path)
 
+    def test_header_of_2_31_passages_refused_before_allocating(self, tmp_path):
+        path = tmp_path / "bm25.bin"
+        save_bm25_index(build_index(store_of("a b", "b c")), path)
+        rewrite_payload(path, lambda payload: struct.pack_into("<Q", payload, 8, 2**31))  # n_passages
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=r"^\S+: 2147483648 passages: a BM25 index holds fewer than 2\^31$"):
+                load_bm25_index(path)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < 2**16
+
     def test_truncated_postings_detected(self, tmp_path):
         path = tmp_path / "bm25.bin"
         save_bm25_index(build_index(store_of("a b c d")), path)
-        rewrite_payload(path, lambda payload: payload.__delitem__(slice(-8, None)))  # the last tf
+        rewrite_payload(path, lambda payload: payload.__delitem__(slice(-4, None)))  # the last tf
         with pytest.raises(ParseError, match="truncated tfs"):
             load_bm25_index(path)
 

@@ -613,7 +613,7 @@ class TestBuildDataset:
                      "--store", str(pipeline["store"])],
         }[command]
         argv[argv.index("--store") + 1] = str(store)
-        if command == "build-dataset":
+        if command in ("build-dataset", "evaluate"):
             monkeypatch.setattr(cli, "align_questions", lambda *a: pytest.fail("aligned"))
         monkeypatch.setattr(sys, "stdin", io.StringIO(""))
         assert main(argv) == 2

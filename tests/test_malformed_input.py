@@ -25,7 +25,7 @@ from deskdpr.flat_index import load_index, save_index
 from deskdpr.manifest import manifest_path, read_manifest, write_manifest
 from deskdpr.questions import parse_bioasq
 from deskdpr.synthetic import generate, write_corpus_jsonl, write_questions_json
-from helpers import BM25_PREFIX, bm25_parts, rewrite_payload, set_bm25_ints, snapshot_dir
+from helpers import BM25_INTS, BM25_PREFIX, bm25_array, bm25_parts, rewrite_payload, set_bm25_ints, snapshot_dir
 
 
 @pytest.fixture(scope="module")
@@ -277,34 +277,36 @@ def dense_entry_inf(tmp_path):
 
 
 def bm25_ints(name, first, values):
-    """Int64 array `name` of the BM25 index overwritten from position `first`."""
+    """Integer array `name` of the BM25 index overwritten from position `first`."""
     return lambda tmp_path: rewrite_payload(tmp_path / "bm25.bin", lambda p: set_bm25_ints(p, name, first, values))
+
+
+def bm25_header(fmt, offset, value):
+    """One field of the BM25 index's prefix, at `offset` and of struct code `fmt`, overwritten with value."""
+    edit = lambda p: struct.pack_into(fmt, p, offset, value)
+    return lambda tmp_path: rewrite_payload(tmp_path / "bm25.bin", edit)
 
 
 def bm25_k1(value):
     """The BM25 index's k1 overwritten with value."""
-    edit = lambda p: struct.pack_into("<d", p, BM25_PREFIX.size - 16, value)
-    return lambda tmp_path: rewrite_payload(tmp_path / "bm25.bin", edit)
+    return bm25_header("<d", BM25_PREFIX.size - 16, value)
 
 
 def bm25_reversed_postings(tmp_path):
     """The first posting list of two or more postings reversed, tfs with it."""
     def edit(payload):
-        parts = bm25_parts(payload)
-        _, _, n, n_tokens, n_postings, _, _ = BM25_PREFIX.unpack_from(payload)
-        offsets = struct.unpack_from(f"<{n_tokens + 1}q", payload, parts["offsets"])
+        offsets = bm25_array(payload, "offsets")
         lo, hi = next((lo, hi) for lo, hi in zip(offsets, offsets[1:]) if hi - lo >= 2)
         for name in ("ordinals", "tfs"):
-            values = struct.unpack_from(f"<{n_postings}q", payload, parts[name])
-            set_bm25_ints(payload, name, lo, values[lo:hi][::-1])
+            set_bm25_ints(payload, name, lo, bm25_array(payload, name)[lo:hi][::-1])
     rewrite_payload(tmp_path / "bm25.bin", edit)
 
 
 def bm25_first_cut(part):
-    """The first entry of a part of the BM25 index cut out: a string of a table, or an int64."""
+    """The first entry of a part of the BM25 index cut out: a string of a table, or an integer."""
     def edit(payload):
         start = bm25_parts(payload)[part]
-        size = 4 + struct.unpack_from("<I", payload, start)[0] if part in ("tokens", "passage_ids") else 8
+        size = struct.calcsize(BM25_INTS[part]) if part in BM25_INTS else 4 + struct.unpack_from("<I", payload, start)[0]
         del payload[start : start + size]
     return lambda tmp_path: rewrite_payload(tmp_path / "bm25.bin", edit)
 
@@ -369,6 +371,8 @@ PROBES = {
     "bm25 n_passages exceeds doc_lengths": (BUILD_DATASET, "bm25.bin", bm25_first_cut("doc_lengths"), "truncated "),
     "bm25 n_passages exceeds passage_ids": (BUILD_DATASET, "bm25.bin", bm25_first_cut("passage_ids"), "truncated "),
     "bm25 index from another store": (BUILD_DATASET, "bm25.bin", bm25_from_another_store, "its 11 passage ids"),
+    "bm25 is version 2": (BUILD_DATASET, "bm25.bin", bm25_header("<I", 4, 2), "BM25 index version 2, this build reads 3"),
+    "bm25 claims 2^31 passages": (BUILD_DATASET, "bm25.bin", bm25_header("<Q", 8, 2**31), "2147483648 passages"),
     "dense index from another store": (EVALUATE, "dense.bin", dense_from_another_store, "its 11 passage ids"),
     "repl index from another store": (REPL, "dense.bin", dense_from_another_store, "its 11 passage ids"),
     "store line 1 is []": (INDEX_BM25, "store.jsonl", edit_jsonl("store.jsonl", 0, lambda row: []), "line 1: "),
