@@ -21,20 +21,20 @@ write_questions_json(data, root / "questions.json")
 
 steps = [
     ["ingest", "--corpus", str(root / "corpus.jsonl"),
-     "--out", str(root / "passages.jsonl"), "--chunk-size", "20"],
-    ["index-bm25", "--corpus", str(root / "passages.jsonl"),
+     "--out", str(root / "passages.bin"), "--chunk-size", "20"],
+    ["index-bm25", "--corpus", str(root / "passages.bin"),
      "--out", str(root / "bm25.bin")],
     ["build-dataset", "--questions", str(root / "questions.json"),
-     "--store", str(root / "passages.jsonl"), "--index", str(root / "bm25.bin"),
+     "--store", str(root / "passages.bin"), "--index", str(root / "bm25.bin"),
      "--out-dir", str(root / "dataset")],
     ["train", "--train", str(root / "dataset" / "train.json"),
      "--dev", str(root / "dataset" / "dev.json"),
      "--out", str(root / "model.bin"), "--metrics", str(root / "metrics.jsonl"),
      "--batch-size", "8", "--epochs", "3", "--d", "64", "--hash-dim", "4096"],
     ["index-dense", "--model", str(root / "model.bin"),
-     "--store", str(root / "passages.jsonl"), "--out", str(root / "dense.bin")],
+     "--store", str(root / "passages.bin"), "--out", str(root / "dense.bin")],
     ["evaluate", "--model", str(root / "model.bin"),
-     "--index", str(root / "dense.bin"), "--store", str(root / "passages.jsonl"),
+     "--index", str(root / "dense.bin"), "--store", str(root / "passages.bin"),
      "--questions", str(root / "questions.json"),
      "--out", str(root / "report.json")],
 ]
@@ -50,5 +50,5 @@ for k, row in report["per_k"].items():
 
 # the manifest is why stale inputs are caught: edit corpus.jsonl after
 # ingest and the very next stage exits with status 3 instead of running
-manifest = json.loads((root / "passages.jsonl.manifest.json").read_text(encoding="utf-8"))
+manifest = json.loads((root / "passages.bin.manifest.json").read_text(encoding="utf-8"))
 print("ingest recorded inputs:", list(manifest["input_checksums"]))

@@ -1,4 +1,5 @@
-"""The one binary container of the BM25 index, the dense index and the model.
+"""The one binary container of the program's artifacts: the passage store,
+the BM25 index, the dense index and the model.
 
 A file is a 4-byte magic, a u32 version, a fixed ``struct`` header, then
 its parts, then a u32 CRC-32 of every byte before it; all little-endian.
@@ -42,10 +43,15 @@ def strings(values: Iterable[str]) -> bytes:
 
 def write(path: str | Path, fmt: Format, header: Sequence, parts: Iterable) -> None:
     """Write the prefix, each bytes-like part and the CRC, computed as they stream:
-    the payload is never joined into one copy."""
+    the payload is never joined into one copy.  A header value its struct
+    code cannot hold is a ValueError, raised before the file is opened."""
+    try:
+        prefix = fmt.prefix.pack(fmt.magic, fmt.version, *header)
+    except struct.error as exc:
+        raise ValueError(f"{path}: {fmt.kind} header {tuple(header)} does not fit: {exc}") from None
     crc = 0
     with open(path, "wb") as f:
-        for part in (fmt.prefix.pack(fmt.magic, fmt.version, *header), *parts):
+        for part in (prefix, *parts):
             f.write(part)
             crc = zlib.crc32(part, crc)
         f.write(_U32.pack(crc))

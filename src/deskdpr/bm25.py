@@ -153,13 +153,34 @@ class InvertedIndex:
         return 0
 
 
-def build_index(store: PassageStore, params: Bm25Params = Bm25Params()) -> InvertedIndex:
-    """Tokenize every passage text and build the inverted index.
+def count_keys(keys: np.ndarray, width: int, n_groups: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Count each distinct int64 key ``group * width + member``, reusing ``keys``' memory.
 
-    Each occurrence becomes the key ``token id * n + ordinal``; sorted, the
-    keys run token by token and, within a token, passage by passage, so a
-    run of equal keys is one posting and its length the tf.
+    Sorted, the keys run group by group and, within a group, member by
+    member, so a run of equal keys is one (group, member) pair and its
+    length the pair's count.  Returns int64 ``offsets``, group g's pairs
+    being ``offsets[g]:offsets[g + 1]``, then each pair's member and count
+    as ``POSTING_DTYPE``.  ``keys`` is left overwritten.
     """
+    keys.sort()
+    starts = np.ones(len(keys) + 1, dtype=bool)  # where each run of equal keys starts, then the end
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:-1])
+    # each run's key, moved to the front: the caller still holds `keys`, so no copy outlives this line
+    distinct = keys[: np.count_nonzero(starts) - 1]
+    distinct[:] = keys[starts[:-1]]
+    bounds = np.flatnonzero(starts)
+    del starts
+    counts = np.subtract(bounds[1:], bounds[:-1], dtype=POSTING_DTYPE)
+    del bounds
+    offsets = np.searchsorted(distinct, np.arange(n_groups + 1, dtype=np.int64) * width)
+    members = np.remainder(distinct, width, out=distinct).astype(POSTING_DTYPE)
+    return offsets, members, counts
+
+
+def build_index(store: PassageStore, params: Bm25Params = Bm25Params()) -> InvertedIndex:
+    """Tokenize every passage text and build the inverted index: each
+    occurrence is the key ``token id * n + ordinal``, and ``count_keys``
+    turns the keys into postings."""
     n = len(store)
     if n == 0:
         raise EmptyCorpus("cannot build a BM25 index over an empty store")
@@ -167,16 +188,7 @@ def build_index(store: PassageStore, params: Bm25Params = Bm25Params()) -> Inver
     vocabulary, keys, doc_lengths = token_ids(p.text for p in store)
     keys *= n
     keys += np.repeat(np.arange(n, dtype=np.int64), doc_lengths)
-    keys.sort()
-    starts = np.ones(len(keys) + 1, dtype=bool)  # where each run of equal keys starts, then the end
-    np.not_equal(keys[1:], keys[:-1], out=starts[1:-1])
-    keys = keys[starts[:-1]]  # one key per posting; the occurrences' keys are freed
-    bounds = np.flatnonzero(starts)
-    del starts
-    tfs = np.subtract(bounds[1:], bounds[:-1], dtype=POSTING_DTYPE)
-    del bounds
-    offsets = np.searchsorted(keys, np.arange(len(vocabulary) + 1, dtype=np.int64) * n)
-    ordinals = np.remainder(keys, n, out=keys).astype(POSTING_DTYPE)
+    offsets, ordinals, tfs = count_keys(keys, n, len(vocabulary))
     del keys  # before the contributions take their memory
     passage_ids = [p.passage_id for p in store]
     return InvertedIndex(vocabulary, offsets, ordinals, tfs, doc_lengths, passage_ids, params)

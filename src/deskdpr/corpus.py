@@ -1,5 +1,8 @@
 """Document cleaning, fixed-size word chunking, and the passage store.
 
+The store is a ``binfile`` artifact, like the BM25 index, the dense index
+and the model; only the raw corpus it is cut from is JSON Lines.
+
 Whitespace is what ``str.split`` splits on, which is ``str.isspace`` and
 equals ``re``'s ``\\s``; every module uses this one rule.  A "word" is a
 maximal run of non-whitespace characters.  Documents are split into
@@ -15,23 +18,21 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import DuplicateId, EmptyDocument, ParseError, UnsupportedVersion, expect, reading
+import numpy as np
+
+from . import binfile
+from .errors import DuplicateId, EmptyDocument, ParseError, expect, reading
 from .manifest import sha256_file
 
 DEFAULT_CHUNK_SIZE = 100
 SEPARATOR_TOKEN = "[SEP]"
 
-STORE_FORMAT = "deskdpr-passages"
-STORE_VERSION = 1
+# a store the program wrote before this format is JSON Lines, refused by its magic
+FORMAT = binfile.Format("passage store", b"PSGS", 1, "QQ")
 
 # C0 control characters and DEL, which survive a plain-text dump, become spaces
 _CONTROL = dict.fromkeys([*range(0x20), 0x7F], " ")
-# the fields load_store reads and checks, in the order Passage declares them, each with
-# its label in messages; and read_corpus_jsonl's, all strings
-_PASSAGE_FIELDS = tuple(
-    (key, kind, repr(key))
-    for key, kind in (("passage_id", str), ("doc_id", str), ("title", str), ("text", str), ("chunk_index", int))
-)
+# the fields of a corpus line, all strings, each with its label in messages
 _DOCUMENT_FIELDS = tuple((key, repr(key)) for key in ("doc_id", "title", "body"))
 
 
@@ -208,53 +209,31 @@ def ingest_corpus(path: str | Path, chunk_size: int = DEFAULT_CHUNK_SIZE) -> tup
 
 
 def save_store(store: PassageStore, path: str | Path) -> None:
-    """Persist a passage store as JSONL with a leading metadata line."""
-    with open(path, "w", encoding="utf-8") as f:
-        meta = {
-            "format": STORE_FORMAT,
-            "version": STORE_VERSION,
-            "chunk_size": store.chunk_size,
-            "corpus_checksum": store.corpus_checksum,
-            "count": len(store),
-        }
-        f.write(json.dumps(meta) + "\n")
-        for p in store:
-            # a Passage's fields in declaration order: passage_id, doc_id, title, text, chunk_index
-            f.write(json.dumps(vars(p), ensure_ascii=False) + "\n")
+    """``FORMAT``: u64 passage count and chunk_size; the corpus checksum as a
+    one-string table; string tables of the passage ids, doc ids, titles and
+    texts, in the order ``Passage`` declares them; then int64 chunk indexes."""
+    passages = store.passages
+    parts = (
+        binfile.strings([store.corpus_checksum]),
+        *(binfile.strings(getattr(p, key) for p in passages) for key in ("passage_id", "doc_id", "title", "text")),
+        np.array([p.chunk_index for p in passages], dtype="<i8"),
+    )
+    binfile.write(path, FORMAT, (len(passages), store.chunk_size), parts)
 
 
 def load_store(path: str | Path) -> PassageStore:
     """Load a passage store; the inverse of save_store.
 
-    Raises ParseError (with the offending line) on malformed or truncated
-    files and DuplicateId on repeated passage ids.
+    Raises ParseError naming the file on a malformed, truncated or foreign
+    file, UnsupportedVersion on another version, and DuplicateId on
+    repeated passage ids.
     """
-    with reading(path) as r, open(path, encoding="utf-8") as f:
-        r.at = 1
-        header = f.readline()
-        if not header.strip():
-            raise ParseError(f"{path}: line 1: missing metadata line")
-        meta = json.loads(header)
-        if meta.get("format") != STORE_FORMAT:
-            raise ParseError(f"{path}: line 1: not a passage store file")
-        if meta.get("version") != STORE_VERSION:
-            raise UnsupportedVersion(
-                f"{path}: store version {meta.get('version')!r}, this build reads {STORE_VERSION}"
-            )
-        passages = []
-        for r.at, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            passages.append(Passage(*(expect(row[key], kind, label) for key, kind, label in _PASSAGE_FIELDS)))
-        r.at = None  # what follows concerns the file as a whole
-        expected = meta.get("count")
-        if expected is not None and expected != len(passages):
-            raise ParseError(
-                f"{path}: truncated store: metadata says {expected} passages, found {len(passages)}"
-            )
-        return PassageStore(
-            passages,
-            chunk_size=meta.get("chunk_size", DEFAULT_CHUNK_SIZE),
-            corpus_checksum=meta.get("corpus_checksum", ""),
-        )
+    with binfile.Reader(path, FORMAT) as r:
+        n, chunk_size = r.header
+        (corpus_checksum,) = r.strings(1, "corpus checksum")
+        columns = [r.strings(n, what) for what in ("passage ids", "doc ids", "titles", "texts")]
+        columns.append(r.array("<i8", n, "chunk indexes").tolist())
+    try:
+        return PassageStore(map(Passage, *columns), chunk_size=chunk_size, corpus_checksum=corpus_checksum)
+    except DuplicateId as exc:
+        raise DuplicateId(f"{path}: {exc}") from None

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from . import binfile
-from .bm25 import token_ids
+from .bm25 import count_keys, token_ids
 from .errors import DimensionError
 
 # version 2 is version 1 with the CRC-32 trailer
@@ -49,14 +49,11 @@ def featurize_texts(texts: Sequence[str], hash_dim: int = DEFAULT_HASH_DIM) -> s
     buckets = np.array([hash_token(token, hash_dim) for token in vocabulary], dtype=np.int64)
     keys = np.repeat(np.arange(0, len(lengths) * hash_dim, hash_dim, dtype=np.int64), lengths)
     keys += buckets[ids]
-    # sorted (row, bucket) keys run row by row; their counts are the buckets'
-    keys, counts = np.unique(keys, return_counts=True)
-    rows, indices = np.divmod(keys, hash_dim)
+    indptr, indices, counts = count_keys(keys, hash_dim, len(lengths))
     data = counts.astype(np.float64)
     # the counts are integers, so every sum of squares is exact
+    rows = np.repeat(np.arange(len(lengths)), np.diff(indptr))
     data /= np.sqrt(np.bincount(rows, weights=data * data))[rows]
-    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=len(lengths)), out=indptr[1:])
     return sparse.csr_array((data, indices, indptr), shape=(len(lengths), hash_dim))
 
 

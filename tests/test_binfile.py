@@ -109,3 +109,11 @@ def test_string_not_utf8_is_a_parse_error(tmp_path):
     edited(path, 28, b"\xff")  # the first name's byte
     with pytest.raises(ParseError, match="not valid UTF-8"):
         read_thing(path)
+
+
+@pytest.mark.parametrize("count", [-1, 2**64])
+def test_header_value_out_of_range_is_a_value_error_before_writing(tmp_path, count):
+    path = tmp_path / "thing.bin"
+    with pytest.raises(ValueError, match=f"^{path}: thing header \\({count}, 0.25\\) does not fit"):
+        binfile.write(path, THING, (count, 0.25), (binfile.strings(["a"]),))
+    assert not path.exists()

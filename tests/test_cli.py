@@ -323,6 +323,15 @@ class TestIngest:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_chunk_size_beyond_the_store_header_writes_nothing(self, tmp_path, capsys):
+        corpus, _ = write_fixture(tmp_path, n_passages=10, n_questions=2)
+        before = snapshot_dir(tmp_path)
+        rc = main(["ingest", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+                   "--chunk-size", "99999999999999999999999"])
+        assert rc == 2
+        assert "passage store header" in capsys.readouterr().err
+        assert snapshot_dir(tmp_path) == before
+
     def test_chunk_size_from_config_flag_wins(self, tmp_path, capsys):
         corpus, _ = write_fixture(tmp_path, n_passages=10, n_questions=2, chunk_size=20)
         config = tmp_path / "run.conf"
@@ -406,7 +415,7 @@ class TestStaleness:
         store = tmp_path / "passages.jsonl"
         assert main(["ingest", "--corpus", str(corpus), "--out", str(store), "--chunk-size", "20"]) == 0
         capsys.readouterr()
-        store.write_text(store.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+        store.write_bytes(store.read_bytes() + b"\n")
         rc = main(["index-bm25", "--corpus", str(store), "--out", str(tmp_path / "bm25.jsonl")])
         assert rc == 3
         assert capsys.readouterr().err == f"stale input: {store} changed since it was written\n"

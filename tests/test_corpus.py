@@ -2,14 +2,18 @@ import ast
 import json
 import random
 import re
+import struct
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deskdpr
+from deskdpr import binfile
+from deskdpr.corpus import FORMAT as STORE_FORMAT
 from deskdpr.corpus import (
     DEFAULT_CHUNK_SIZE,
     Document,
@@ -25,7 +29,7 @@ from deskdpr.corpus import (
 )
 from deskdpr.errors import DuplicateId, EmptyDocument, ParseError, UnsupportedVersion
 
-from helpers import SPACE_LIKE, store_of
+from helpers import SPACE_LIKE, rewrite_payload, store_of
 
 
 class TestCleanDocument:
@@ -226,44 +230,40 @@ class TestStorePersistence:
         store = store_of("one", "two", "three")
         path = tmp_path / "store.jsonl"
         save_store(store, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="truncat"):
+
+        def cut_last_chunk_index(payload):
+            del payload[-8:]
+
+        rewrite_payload(path, cut_last_chunk_index)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: truncated chunk indexes"):
             load_store(path)
 
-    def test_malformed_line_reported_with_line_number(self, tmp_path):
+    def test_text_not_utf8_named_by_file(self, tmp_path):
         store = store_of("one", "two")
         path = tmp_path / "store.jsonl"
         save_store(store, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        lines[2] = "{not json"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="line 3"):
+
+        def break_utf8(payload):
+            payload[payload.index(b"two")] = 0xFF
+
+        rewrite_payload(path, break_utf8)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not valid UTF-8"):
             load_store(path)
 
     def test_duplicate_id_in_file_rejected(self, tmp_path):
-        store = store_of("one")
         path = tmp_path / "store.jsonl"
-        save_store(store, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        header = json.loads(lines[0])
-        header["count"] = 2
-        lines[0] = json.dumps(header)
-        lines.append(lines[1])
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(DuplicateId):
+        columns = [["d0#0", "d0#0"], ["d0", "d0"], ["t", "t"], ["one", "two"]]
+        parts = [binfile.strings([""]), *map(binfile.strings, columns), np.zeros(2, dtype="<i8")]
+        binfile.write(path, STORE_FORMAT, (2, 100), parts)
+        with pytest.raises(DuplicateId, match=f"^{re.escape(str(path))}: duplicate passage_id 'd0#0'"):
             load_store(path)
 
     def test_unsupported_version_rejected(self, tmp_path):
         store = store_of("one")
         path = tmp_path / "store.jsonl"
         save_store(store, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        header = json.loads(lines[0])
-        header["version"] = 99
-        lines[0] = json.dumps(header)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(UnsupportedVersion):
+        rewrite_payload(path, lambda payload: struct.pack_into("<I", payload, 4, 99))
+        with pytest.raises(UnsupportedVersion, match="passage store version 99, this build reads 1"):
             load_store(path)
 
     def test_not_a_store_file_rejected(self, tmp_path):

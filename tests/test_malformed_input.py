@@ -143,7 +143,6 @@ def write_json(path, doc):
 READERS = {
     # file: (reader, JSON Lines?)
     "corpus.jsonl": (read_corpus_jsonl, True),
-    "store.jsonl": (load_store, True),
     "questions.json": (parse_bioasq, False),
     "train.json": (load_dpr_json, False),
     "store.jsonl.manifest.json": (lambda path: read_manifest(str(path)[: -len(".manifest.json")]), False),
@@ -171,7 +170,9 @@ def test_reader_returns_or_raises_a_library_error(good, tmp_path, name, data):
         pass
 
 
-BINARY_READERS = {"bm25.bin": load_bm25_index, "dense.bin": load_index, "model.bin": load_model}
+BINARY_READERS = {
+    "store.jsonl": load_store, "bm25.bin": load_bm25_index, "dense.bin": load_index, "model.bin": load_model,
+}
 
 
 @pytest.mark.parametrize("name", sorted(BINARY_READERS))
@@ -281,15 +282,15 @@ def bm25_ints(name, first, values):
     return lambda tmp_path: rewrite_payload(tmp_path / "bm25.bin", lambda p: set_bm25_ints(p, name, first, values))
 
 
-def bm25_header(fmt, offset, value):
-    """One field of the BM25 index's prefix, at `offset` and of struct code `fmt`, overwritten with value."""
+def prefix_field(name, fmt, offset, value):
+    """One field of binary artifact `name`'s prefix, at `offset` and of struct code `fmt`, overwritten with value."""
     edit = lambda p: struct.pack_into(fmt, p, offset, value)
-    return lambda tmp_path: rewrite_payload(tmp_path / "bm25.bin", edit)
+    return lambda tmp_path: rewrite_payload(tmp_path / name, edit)
 
 
 def bm25_k1(value):
     """The BM25 index's k1 overwritten with value."""
-    return bm25_header("<d", BM25_PREFIX.size - 16, value)
+    return prefix_field("bm25.bin", "<d", BM25_PREFIX.size - 16, value)
 
 
 def bm25_reversed_postings(tmp_path):
@@ -318,6 +319,32 @@ def bm25_zero_lengths_b_0(tmp_path):
         set_bm25_ints(payload, "doc_lengths", 0, [0] * n)
         struct.pack_into("<d", payload, BM25_PREFIX.size - 8, 0.0)
     rewrite_payload(tmp_path / "bm25.bin", edit)
+
+
+def store_edit(edit):
+    """edit(payload) applied to the store's payload, under a new CRC."""
+    return lambda tmp_path: rewrite_payload(tmp_path / "store.jsonl", edit)
+
+
+def store_text_not_utf8(payload):
+    """The last byte of the last text, just before the n int64 chunk indexes, made 0xff."""
+    n = struct.unpack_from("<Q", payload, 8)[0]
+    payload[-8 * n - 1] = 0xFF
+
+
+def store_second_id_is_the_first(payload):
+    """The second passage id overwritten with the first; ids come first after the checksum, which has no '#'."""
+    at = payload.index(b"doc0000#1")
+    payload[at : at + 9] = b"doc0000#0"
+
+
+def store_as_json_lines(tmp_path):
+    """The store in the JSON Lines format the program wrote before the binary one."""
+    path = tmp_path / "store.jsonl"
+    store = load_store(path)
+    meta = {"format": "deskdpr-passages", "version": 1, "chunk_size": store.chunk_size,
+            "corpus_checksum": store.corpus_checksum, "count": len(store)}
+    write_jsonl(path, [meta, *map(vars, store)])
 
 
 def store_without_first_passage(tmp_path):
@@ -352,6 +379,7 @@ def bad_input_checksums(tmp_path):
 BUILD_DATASET = ["build-dataset", "--questions", "questions.json", "--store", "store.jsonl",
                  "--index", "bm25.bin", "--out-dir", "dataset"]
 INDEX_BM25 = ["index-bm25", "--corpus", "store.jsonl", "--out", "out.jsonl"]
+INDEX_DENSE = ["index-dense", "--model", "model.bin", "--store", "store.jsonl", "--out", "out.bin"]
 INGEST = ["ingest", "--corpus", "corpus.jsonl", "--out", "out.jsonl"]
 TRAIN = ["train", "--train", "train.json", "--out", "model.bin", "--d", "8", "--hash-dim", "64"]
 EVALUATE = ["evaluate", "--model", "model.bin", "--index", "dense.bin", "--store", "store.jsonl",
@@ -371,12 +399,21 @@ PROBES = {
     "bm25 n_passages exceeds doc_lengths": (BUILD_DATASET, "bm25.bin", bm25_first_cut("doc_lengths"), "truncated "),
     "bm25 n_passages exceeds passage_ids": (BUILD_DATASET, "bm25.bin", bm25_first_cut("passage_ids"), "truncated "),
     "bm25 index from another store": (BUILD_DATASET, "bm25.bin", bm25_from_another_store, "its 11 passage ids"),
-    "bm25 is version 2": (BUILD_DATASET, "bm25.bin", bm25_header("<I", 4, 2), "BM25 index version 2, this build reads 3"),
-    "bm25 claims 2^31 passages": (BUILD_DATASET, "bm25.bin", bm25_header("<Q", 8, 2**31), "2147483648 passages"),
+    "bm25 is version 2": (
+        BUILD_DATASET, "bm25.bin", prefix_field("bm25.bin", "<I", 4, 2), "BM25 index version 2, this build reads 3",
+    ),
+    "bm25 claims 2^31 passages": (
+        BUILD_DATASET, "bm25.bin", prefix_field("bm25.bin", "<Q", 8, 2**31), "2147483648 passages",
+    ),
     "dense index from another store": (EVALUATE, "dense.bin", dense_from_another_store, "its 11 passage ids"),
     "repl index from another store": (REPL, "dense.bin", dense_from_another_store, "its 11 passage ids"),
-    "store line 1 is []": (INDEX_BM25, "store.jsonl", edit_jsonl("store.jsonl", 0, lambda row: []), "line 1: "),
-    "store line 2 is [1, 2]": (INDEX_BM25, "store.jsonl", edit_jsonl("store.jsonl", 1, lambda row: [1, 2]), "line 2: "),
+    "store is version 2": (
+        INDEX_BM25, "store.jsonl", prefix_field("store.jsonl", "<I", 4, 2), "passage store version 2, this build reads 1",
+    ),
+    "store claims 2^40 passages": (
+        INDEX_BM25, "store.jsonl", prefix_field("store.jsonl", "<Q", 8, 2**40), "truncated passage ids: ",
+    ),
+    "store in the JSON Lines format": (INDEX_BM25, "store.jsonl", store_as_json_lines, "bad magic "),
     "questions are [1, 2]": (BUILD_DATASET, "questions.json", edit_questions(lambda doc: {"questions": [1, 2]}), "question 0: "),
     "questions are 5": (BUILD_DATASET, "questions.json", edit_questions(lambda doc: {"questions": 5}), ""),
     "question body is 5": (BUILD_DATASET, "questions.json", edit_questions(first_question("body", 5)), "question 0: "),
@@ -385,9 +422,9 @@ PROBES = {
     ),
     "corpus body is 5": (INGEST, "corpus.jsonl", edit_jsonl("corpus.jsonl", 0, with_field("body", 5)), "line 1: "),
     "manifest input_checksums is []": (INDEX_BM25, "store.jsonl.manifest.json", bad_input_checksums, ""),
-    "store text is 5": (INDEX_BM25, "store.jsonl", edit_jsonl("store.jsonl", 1, with_field("text", 5)), "line 2: "),
-    "store chunk_index is '0'": (
-        INDEX_BM25, "store.jsonl", edit_jsonl("store.jsonl", 1, with_field("chunk_index", "0")), "line 2: ",
+    "store text is not UTF-8": (INDEX_BM25, "store.jsonl", store_edit(store_text_not_utf8), "not valid UTF-8: "),
+    "store passage id repeats": (
+        INDEX_BM25, "store.jsonl", store_edit(store_second_id_is_the_first), "duplicate passage_id 'doc0000#0'",
     ),
     "train question is 5": (TRAIN, "train.json", first_record(with_field("question", 5)), "record 0: "),
     "train ctx text is 5": (TRAIN, "train.json", first_positive("text", 5), "record 0: "),
@@ -405,6 +442,12 @@ PROBES = {
 @pytest.mark.parametrize("probe", list(PROBES))
 def test_probe_exits_2_naming_the_file(good, tmp_path, monkeypatch, probe):
     argv, bad, make, where = PROBES[probe]
+    assert_exits_2_naming(good, tmp_path, monkeypatch, argv, make, f"{bad}: {where}")
+
+
+def assert_exits_2_naming(good, tmp_path, monkeypatch, argv, make, message):
+    """In a copy of the good files that make(copy) edited, argv exits 2 with one
+    error line starting with `message`, and writes nothing."""
     for name in good:
         shutil.copy(good[name], tmp_path / name)
     make(tmp_path)
@@ -412,6 +455,34 @@ def test_probe_exits_2_naming_the_file(good, tmp_path, monkeypatch, probe):
     before = snapshot_dir(tmp_path)
     rc, err = run_cli(argv)
     assert rc == 2, err
-    assert err.startswith(f"error: {bad}: {where}"), err
+    assert err.startswith(f"error: {message}"), err
     assert len(err.splitlines()) == 1, err
     assert snapshot_dir(tmp_path) == before
+
+
+# every path flag that reads a binary artifact: (command, flag, the artifact it takes)
+BINARY_FLAGS = [
+    (INDEX_BM25, "--corpus", "store.jsonl"),
+    (BUILD_DATASET, "--store", "store.jsonl"),
+    (BUILD_DATASET, "--index", "bm25.bin"),
+    (INDEX_DENSE, "--model", "model.bin"),
+    (INDEX_DENSE, "--store", "store.jsonl"),
+    (EVALUATE, "--model", "model.bin"),
+    (EVALUATE, "--index", "dense.bin"),
+    (EVALUATE, "--store", "store.jsonl"),
+    (REPL, "--index", "dense.bin"),
+    (REPL, "--model", "model.bin"),
+    (REPL, "--store", "store.jsonl"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, other", [
+    pytest.param(argv, flag, other, id=f"{argv[0]} {flag} {other}")
+    for argv, flag, own in BINARY_FLAGS
+    for other in ("store.jsonl", "bm25.bin", "dense.bin", "model.bin", "questions.json")
+    if other != own
+])
+def test_binary_flag_given_another_kind_exits_2_naming_it(good, tmp_path, monkeypatch, argv, flag, other):
+    argv = list(argv)
+    argv[argv.index(flag) + 1] = other
+    assert_exits_2_naming(good, tmp_path, monkeypatch, argv, lambda copy: None, f"{other}: ")
