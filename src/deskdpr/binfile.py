@@ -44,11 +44,12 @@ def strings(values: Iterable[str]) -> bytes:
 def write(path: str | Path, fmt: Format, header: Sequence, parts: Iterable) -> None:
     """Write the prefix, each bytes-like part and the CRC, computed as they stream:
     the payload is never joined into one copy.  A header value its struct
-    code cannot hold is a ValueError, raised before the file is opened."""
+    code cannot hold is a ValueError, raised before the file is opened; it
+    names no path, since ``path`` may be a temp file the caller renames."""
     try:
         prefix = fmt.prefix.pack(fmt.magic, fmt.version, *header)
     except struct.error as exc:
-        raise ValueError(f"{path}: {fmt.kind} header {tuple(header)} does not fit: {exc}") from None
+        raise ValueError(f"{fmt.kind} header {tuple(header)} does not fit: {exc}") from None
     crc = 0
     with open(path, "wb") as f:
         for part in (prefix, *parts):

@@ -6,6 +6,10 @@ postings are flat numpy arrays, int32 passage ordinals and tfs beside each
 posting's precomputed float64 score contribution, so a query is one
 gather-and-add per query token into a float64 accumulator, bit-identical to
 scoring passage by passage.  An index holds fewer than 2^31 passages.
+
+Building and loading an index work through the postings in blocks of
+``BLOCK_POSTINGS``, so no step holds a scratch array as long as the
+postings beside the arrays the index keeps.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +33,14 @@ from .results import RetrievalResult, hits_from_ranking
 FORMAT = binfile.Format("BM25 index", b"BM25", 3, "QQQdd")
 # the dtype of ordinals and tfs, in memory and on disk
 POSTING_DTYPE = np.dtype("<i4")
+# postings (or occurrence keys) worked through at once: 128 KiB a float64 array.  Blocks of 512 KiB
+# arrays, freed below longer-lived ones in the brk heap, left holes there of a few MiB.
+BLOCK_POSTINGS = 1 << 14
+
+
+def _blocks(n: int) -> Iterator[slice]:
+    """Consecutive slices of at most ``BLOCK_POSTINGS`` positions, covering ``range(n)``."""
+    return (slice(lo, min(lo + BLOCK_POSTINGS, n)) for lo in range(0, n, BLOCK_POSTINGS))
 
 
 class _Separators(dict):
@@ -88,7 +100,7 @@ class InvertedIndex:
     ``offsets[i]:offsets[i + 1]`` (int64) of three parallel arrays:
     ``ordinals`` (int32, strictly increasing), ``tfs`` (int32, >= 1) and
     ``contributions`` (float64, ``idf(t) * _tf_part(tf, dl, avg, params)``
-    per posting).  The contributions are computed once, here, with the
+    per posting).  The contributions are computed here, in blocks, with the
     same float64 operations in the same order as ``bm25_score``, so a query
     only gathers and adds them and gets the same score bits.
     """
@@ -119,17 +131,24 @@ class InvertedIndex:
         dfs = np.diff(offsets).tolist()
         # math.log, not np.log: numpy's vectorized log may differ by an ulp
         self._idf = [math.log((self.n_passages - df + 0.5) / (df + 0.5) + 1.0) for df in dfs]
-        # _tf_part's operations elementwise, in place: tf * (k1 + 1) / (tf + k1 * norm)
-        with np.errstate(over="ignore", invalid="ignore"):  # a huge k1 is refused just below
-            norm = _norm(np.asarray(doc_lengths, dtype=np.int64), self.avg_doc_length, params)[ordinals]
-            norm *= params.k1
-            norm += tfs
-            self.contributions = np.multiply(tfs, params.k1 + 1.0)
-            self.contributions /= norm
-            del norm
-            self.contributions *= np.repeat(self._idf, dfs)  # idf * tf part, as bm25_score multiplies
-        if not np.isfinite(self.contributions).all():
-            raise ValueError(f"k1 {params.k1!r} makes a BM25 score overflow")
+        idf = np.array(self._idf)
+        self.contributions = np.empty(len(ordinals))
+        # _tf_part's operations elementwise, block by block: tf * (k1 + 1) / (tf + k1 * norm)
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge k1 is refused in the loop
+            k1_norm = _norm(np.asarray(doc_lengths, dtype=np.int64), self.avg_doc_length, params)
+            k1_norm *= params.k1  # per passage, then gathered: the same products as per posting
+            for block in _blocks(len(ordinals)):
+                denominator = k1_norm[ordinals[block]]
+                denominator += tfs[block]
+                part = self.contributions[block]
+                np.multiply(tfs[block], params.k1 + 1.0, out=part)
+                part /= denominator
+                # the idf of only the tokens whose postings the block holds, each repeated over its share
+                first = int(np.searchsorted(offsets, block.start, side="right")) - 1
+                last = int(np.searchsorted(offsets, block.stop))
+                part *= np.repeat(idf[first:last], np.diff(offsets[first : last + 1].clip(block.start, block.stop)))
+                if not np.isfinite(part).all():
+                    raise ValueError(f"k1 {params.k1!r} makes a BM25 score overflow")
 
     def _span(self, token: str) -> slice:
         i = self.token_ids.get(token)
@@ -160,18 +179,25 @@ def count_keys(keys: np.ndarray, width: int, n_groups: int) -> tuple[np.ndarray,
     member, so a run of equal keys is one (group, member) pair and its
     length the pair's count.  Returns int64 ``offsets``, group g's pairs
     being ``offsets[g]:offsets[g + 1]``, then each pair's member and count
-    as ``POSTING_DTYPE``.  ``keys`` is left overwritten.
+    as ``POSTING_DTYPE``.  ``keys`` is left overwritten.  The runs are
+    found in blocks, so the only scratch array as long as ``keys`` is one
+    bool per key.
     """
     keys.sort()
     starts = np.ones(len(keys) + 1, dtype=bool)  # where each run of equal keys starts, then the end
     np.not_equal(keys[1:], keys[:-1], out=starts[1:-1])
-    # each run's key, moved to the front: the caller still holds `keys`, so no copy outlives this line
     distinct = keys[: np.count_nonzero(starts) - 1]
-    distinct[:] = keys[starts[:-1]]
-    bounds = np.flatnonzero(starts)
+    counts = np.empty(len(distinct), dtype=POSTING_DTYPE)
+    done = end = 0  # the runs found so far, and where the last of them ends
+    for block in _blocks(len(keys)):
+        # the runs whose last key is in the block: each ends where the next starts
+        ends = np.flatnonzero(starts[block.start + 1 : block.stop + 1])
+        ends += block.start + 1
+        # each run's key moves to the front; `done` never passes the block, so no unread key is overwritten
+        distinct[done : done + len(ends)] = keys[ends - 1]
+        counts[done : done + len(ends)] = np.diff(ends, prepend=end)
+        done, end = done + len(ends), ends[-1] if len(ends) else end
     del starts
-    counts = np.subtract(bounds[1:], bounds[:-1], dtype=POSTING_DTYPE)
-    del bounds
     offsets = np.searchsorted(distinct, np.arange(n_groups + 1, dtype=np.int64) * width)
     members = np.remainder(distinct, width, out=distinct).astype(POSTING_DTYPE)
     return offsets, members, counts
@@ -187,7 +213,7 @@ def build_index(store: PassageStore, params: Bm25Params = Bm25Params()) -> Inver
     _check_passage_count(n)
     vocabulary, keys, doc_lengths = token_ids(p.text for p in store)
     keys *= n
-    keys += np.repeat(np.arange(n, dtype=np.int64), doc_lengths)
+    keys += np.repeat(np.arange(n, dtype=POSTING_DTYPE), doc_lengths)  # 4 bytes an occurrence, not 8
     offsets, ordinals, tfs = count_keys(keys, n, len(vocabulary))
     del keys  # before the contributions take their memory
     passage_ids = [p.passage_id for p in store]
@@ -318,20 +344,28 @@ def load_bm25_index(path: str | Path) -> InvertedIndex:
         ordinals, tfs = (r.array(POSTING_DTYPE, n_postings, what) for what in ("ordinals", "tfs"))
         if offsets[0] != 0 or offsets[-1] != n_postings or (offsets[1:] <= offsets[:-1]).any():
             raise ValueError(f"offsets must rise strictly from 0 to n_postings {n_postings}")
-        rising = np.empty(n_postings, dtype=bool)
-        rising[1:] = ordinals[1:] > ordinals[:-1]
-        rising[offsets[:-1]] = True  # a list's first posting follows no other
-        valid = rising & (ordinals >= 0) & (ordinals < n) & (tfs >= 1)
-        if not valid.all():
-            bad = int(np.argmin(valid))
+        bad = _first_bad_posting(offsets, ordinals, tfs, n)
+        if bad is not None:
             r.at = ("token", repr(tokens[int(np.searchsorted(offsets, bad, side="right")) - 1]))
             raise ValueError(
                 f"posting [{ordinals[bad]}, {tfs[bad]}]: ordinals must rise strictly "
                 f"within [0, {n}) and tfs be >= 1"
             )
-        sums = np.bincount(ordinals, weights=tfs, minlength=n)
+        sums = np.zeros(n, dtype=np.int64)
+        for block in _blocks(n_postings):
+            np.add.at(sums, ordinals[block], tfs[block].astype(np.int64))  # int64 on both sides: numpy's fast path
         if (sums != doc_lengths).any():
             bad = int(np.argmax(sums != doc_lengths))
             r.at = ("passage", repr(passage_ids[bad]))
-            raise ValueError(f"doc length {doc_lengths[bad]}, but its postings' tfs sum to {sums[bad]:.0f}")
+            raise ValueError(f"doc length {doc_lengths[bad]}, but its postings' tfs sum to {sums[bad]}")
         return InvertedIndex(tokens, offsets, ordinals, tfs, doc_lengths.tolist(), passage_ids, params)
+
+
+def _first_bad_posting(offsets: np.ndarray, ordinals: np.ndarray, tfs: np.ndarray, n: int) -> int | None:
+    """The first posting whose ordinal does not rise strictly within its list
+    or lie in ``[0, n)``, or whose tf is below 1; None if every one is valid."""
+    rising = np.empty(len(ordinals), dtype=bool)
+    rising[1:] = ordinals[1:] > ordinals[:-1]
+    rising[offsets[:-1]] = True  # a list's first posting follows no other
+    valid = rising & (ordinals >= 0) & (ordinals < n) & (tfs >= 1)
+    return None if valid.all() else int(np.argmin(valid))

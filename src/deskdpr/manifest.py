@@ -124,12 +124,16 @@ def write_artifacts(
     Each `writer(tmp)` writes its artifact's bytes to a temp file beside the
     artifact.  Once every writer has succeeded, each artifact's manifest,
     recording the temp file's sha256, is moved into place, then the
-    artifact.  Temp files are removed on any failure.
+    artifact.  Temp files are removed on any failure.  A writer's
+    ValueError is raised again naming the artifact, never its temp file.
     """
     with contextlib.ExitStack() as stack:
         temps = {target: stack.enter_context(_temp_beside(target)) for target in writers}
         for target, writer in writers.items():
-            writer(temps[target])
+            try:
+                writer(temps[target])
+            except ValueError as exc:
+                raise ValueError(f"{target}: {exc}") from None
         for target, tmp in temps.items():
             write_manifest(target, command, config, seed, inputs, output=tmp, digests=digests)
             os.replace(tmp, target)

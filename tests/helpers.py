@@ -1,6 +1,8 @@
 """Small builders shared across test modules."""
 
+import gc
 import struct
+import tracemalloc
 import zlib
 
 from deskdpr.corpus import Passage, PassageStore
@@ -118,3 +120,18 @@ def set_bm25_ints(payload, name: str, first: int, values) -> None:
     code = BM25_INTS[name]
     at = bm25_parts(payload)[name] + struct.calcsize(code) * first
     struct.pack_into(f"<{len(values)}{code}", payload, at, *values)
+
+
+def scratch_beyond_result(fn, *args):
+    """``fn(*args)`` and how many bytes its traced peak rose above what its
+    result holds.  The cyclic collector is paused, so a collection run
+    inside the call cannot add its own transient allocations."""
+    gc.disable()
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    return result, peak - held

@@ -114,6 +114,6 @@ def test_string_not_utf8_is_a_parse_error(tmp_path):
 @pytest.mark.parametrize("count", [-1, 2**64])
 def test_header_value_out_of_range_is_a_value_error_before_writing(tmp_path, count):
     path = tmp_path / "thing.bin"
-    with pytest.raises(ValueError, match=f"^{path}: thing header \\({count}, 0.25\\) does not fit"):
+    with pytest.raises(ValueError, match=f"^thing header \\({count}, 0.25\\) does not fit"):
         binfile.write(path, THING, (count, 0.25), (binfile.strings(["a"]),))
     assert not path.exists()

@@ -9,12 +9,14 @@ import warnings
 import zlib
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deskdpr import bm25
 from deskdpr.bm25 import (
     Bm25Params,
     bm25_score,
@@ -36,6 +38,7 @@ from helpers import (
     passage,
     random_text,
     rewrite_payload,
+    scratch_beyond_result,
     set_bm25_ints,
     store_of,
     yesno,
@@ -202,9 +205,25 @@ class TestBuildIndex:
 BUILD_WORDS = ["alpha", "Alpha", "beta", "\u03b2eta", "\u03a9mega", "\u0130x", "p53", "--", "\u00b7", ""]
 
 
+BUILD_TEXTS = st.lists(st.lists(st.sampled_from(BUILD_WORDS), max_size=12).map(" ".join), min_size=1, max_size=10)
+
+
 @settings(max_examples=150, deadline=None)
-@given(texts=st.lists(st.lists(st.sampled_from(BUILD_WORDS), max_size=12).map(" ".join), min_size=1, max_size=10))
+@given(texts=BUILD_TEXTS)
 def test_build_equals_counter_reference(texts):
+    check_against_counter_reference(texts)
+
+
+@pytest.mark.parametrize("block_postings", [1, 2, 7])
+@settings(max_examples=50, deadline=None)
+@given(texts=BUILD_TEXTS)
+def test_build_equals_counter_reference_in_small_blocks(block_postings, texts):
+    with mock.patch.object(bm25, "BLOCK_POSTINGS", block_postings):
+        check_against_counter_reference(texts)
+
+
+def check_against_counter_reference(texts):
+    """Build, save and load an index of the texts; check every array against Counter's counts."""
     _, ids, _ = token_ids(texts)
     assert ids.dtype == np.int64 and ids.flags.writeable  # build_index rewrites it in place
     index = build_index(store_of(*texts))
@@ -569,3 +588,69 @@ class TestPersistence:
         loaded = load_bm25_index(path)
         for token in index.token_ids:
             assert loaded.idf(token) == index.idf(token)
+
+
+class TestBlocks:
+    """The build and the load work through the postings in blocks of
+    ``BLOCK_POSTINGS``; no block size may change a bit."""
+
+    @pytest.mark.parametrize("block_postings", [1, 2, 7])
+    def test_small_blocks_change_nothing_through_a_round_trip(self, tmp_path, block_postings):
+        rng = random.Random(37)
+        texts = [random_text(rng, rng.randrange(0, 30)) for _ in range(40)]
+        queries = [random_text(rng, 4) for _ in range(10)]
+        whole = build_index(store_of(*texts), Bm25Params(k1=1.4, b=0.6))
+        with mock.patch.object(bm25, "BLOCK_POSTINGS", block_postings):
+            built = build_index(store_of(*texts), Bm25Params(k1=1.4, b=0.6))
+            save_bm25_index(built, tmp_path / "bm25.bin")
+            loaded = load_bm25_index(tmp_path / "bm25.bin")
+        for index in (built, loaded):
+            for name in ("offsets", "ordinals", "tfs", "contributions"):
+                assert getattr(index, name).tobytes() == getattr(whole, name).tobytes(), name
+            for query in queries:
+                got = [(h.passage_id, h.score.hex()) for h in bm25_top_k(index, query, 10)]
+                assert got == [(h.passage_id, h.score.hex()) for h in bm25_top_k(whole, query, 10)]
+
+    # only the last posting, z's in the last passage, has tf 2: 2 * (1e308 + 1) overflows
+    OVERFLOW_TEXTS = ("a b", "c d", "e f", "g h", "y z z")
+
+    @pytest.mark.parametrize("block_postings", [1, 2, 7])
+    def test_k1_overflow_in_a_later_block_refused(self, block_postings):
+        with mock.patch.object(bm25, "BLOCK_POSTINGS", block_postings), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="k1 1e\\+308 makes a BM25 score overflow"):
+                build_index(store_of(*self.OVERFLOW_TEXTS), Bm25Params(k1=1e308))
+
+    @pytest.mark.parametrize("block_postings", [1, 2, 7])
+    def test_k1_overflow_in_a_later_block_refused_on_load(self, tmp_path, block_postings):
+        path = tmp_path / "bm25.bin"
+        save_bm25_index(build_index(store_of(*self.OVERFLOW_TEXTS)), path)
+        rewrite_payload(path, lambda payload: struct.pack_into("<d", payload, BM25_PREFIX.size - 16, 1e308))
+        with mock.patch.object(bm25, "BLOCK_POSTINGS", block_postings):
+            with pytest.raises(ParseError, match="k1 1e\\+308 makes a BM25 score overflow"):
+                load_bm25_index(path)
+
+
+class TestPeakMemory:
+    """Beside what it returns, a build or a load holds one block's scratch
+    arrays and a few arrays of one value a passage, never scratch arrays as
+    long as the postings (8 bytes a posting is 2.8 MiB here)."""
+
+    SLACK = 1 << 20
+
+    @pytest.fixture(scope="class")
+    def store(self):
+        rng = random.Random(41)
+        return store_of(*(random_text(rng, 80, vocab_size=400) for _ in range(5000)))  # about 360k postings
+
+    def test_build_holds_one_block_beyond_its_index(self, store):
+        index, scratch = scratch_beyond_result(build_index, store)
+        assert 8 * len(index.ordinals) > 2 * self.SLACK  # scratch 8 bytes a posting long would show
+        assert scratch < self.SLACK
+
+    def test_load_holds_one_block_beyond_its_index(self, store, tmp_path):
+        path = tmp_path / "bm25.bin"
+        save_bm25_index(build_index(store), path)
+        # what the index keeps: the file's bytes (ordinals and tfs are views of them) and 8 bytes a posting
+        _, scratch = scratch_beyond_result(load_bm25_index, path)
+        assert scratch < self.SLACK

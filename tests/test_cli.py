@@ -326,10 +326,14 @@ class TestIngest:
     def test_chunk_size_beyond_the_store_header_writes_nothing(self, tmp_path, capsys):
         corpus, _ = write_fixture(tmp_path, n_passages=10, n_questions=2)
         before = snapshot_dir(tmp_path)
-        rc = main(["ingest", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+        out = tmp_path / "o.bin"
+        rc = main(["ingest", "--corpus", str(corpus), "--out", str(out),
                    "--chunk-size", "99999999999999999999999"])
         assert rc == 2
-        assert "passage store header" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the message names the artifact, not the temp file it was being written through
+        assert f"error: {out}: passage store header" in err
+        assert ".tmp" not in err
         assert snapshot_dir(tmp_path) == before
 
     def test_chunk_size_from_config_flag_wins(self, tmp_path, capsys):

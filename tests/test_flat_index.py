@@ -1,3 +1,4 @@
+import random
 import re
 import struct
 import warnings
@@ -27,7 +28,7 @@ from deskdpr.flat_index import (
     search_naive,
 )
 
-from helpers import store_of
+from helpers import random_text, scratch_beyond_result, store_of
 
 
 def random_index(rng, m, d=16, duplicate_rows=0):
@@ -79,6 +80,16 @@ class TestBuildIndex:
         model = init_model(d=8, hash_dim=64, seed=0)
         with pytest.raises(EmptyCorpus):
             build_index(model, store_of())
+
+    def test_rows_written_into_one_matrix(self, monkeypatch):
+        # beside the rows it returns, the build holds one batch's scratch, not a second copy of the rows
+        rng = random.Random(5)
+        store = store_of(*(random_text(rng, 40, vocab_size=400) for _ in range(3000)))
+        model = init_model(d=256, hash_dim=1024, seed=0)
+        monkeypatch.setattr(flat_index, "BUILD_BATCH_ROWS", 100)
+        index, scratch = scratch_beyond_result(build_index, model, store)
+        assert index.vectors.nbytes == 3000 * 256 * 4
+        assert scratch < index.vectors.nbytes // 3
 
     def test_rows_overflowing_float32_rejected_without_a_warning(self):
         model = init_model(d=8, hash_dim=64, seed=0)

@@ -191,3 +191,15 @@ class TestOutputChecksum:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "corpus.jsonl", "store.jsonl", "store.jsonl.manifest.json",
         ]
+
+    def test_writer_value_error_names_the_artifact(self, tmp_path):
+        artifact = tmp_path / "store.bin"
+
+        def refuse(tmp):
+            tmp.write_text("half", encoding="utf-8")
+            raise ValueError("header does not fit")
+
+        with pytest.raises(ValueError) as raised:
+            write_artifacts({artifact: refuse}, command="ingest", config={}, seed=0, inputs=[])
+        assert str(raised.value) == f"{artifact}: header does not fit"
+        assert list(tmp_path.iterdir()) == []
