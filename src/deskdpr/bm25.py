@@ -72,6 +72,7 @@ def token_ids(texts: Iterable[str]) -> tuple[list[str], np.ndarray, list[int]]:
         tokens = tokenize(text)
         occurrences.fromlist(list(map(ids.__getitem__, tokens)))  # faster than extend's item-by-item growth
         lengths.append(len(tokens))
+    ids.default_factory = None  # the factory is bound to ids: break the cycle so ids is freed on return
     return list(ids), np.frombuffer(occurrences, dtype=np.int64), lengths
 
 

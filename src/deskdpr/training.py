@@ -20,10 +20,11 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .corpus import render_encoder_input
+from .corpus import Passage, PassageStore, render_encoder_input
 from .dataset import DatasetSplit, TrainingInstance
 from .encoder import EncoderModel, featurize_texts
-from .flat_index import FlatIndex, search_many
+from .evaluation import EvalConfig, evaluate
+from .flat_index import build_index
 
 log = logging.getLogger(__name__)
 
@@ -291,48 +292,21 @@ def make_optimizer(name: str, learning_rate: float):
     raise ValueError(f"unknown optimizer {name!r}")
 
 
-class DevPool:
-    """A dev split's passage pool and the feature rows dev scoring needs.
+def dev_hit_at_k(model: EncoderModel, dev_split: DatasetSplit, k: int = 10) -> float:
+    """hit@k of ``evaluate`` over a dense index of the dev split's passage pool.
 
-    The pool is every distinct passage mentioned by a dev instance, its
-    positive and its hard negatives, in first-appearance order.  Features
-    do not depend on the weights, so ``train`` builds one pool and each
-    epoch only projects it through the current towers.
+    The pool is every distinct passage a dev instance mentions, its
+    positive and its hard negatives, in first-mention order.  A question
+    scores a hit when its positive lands in the top k.  Raises
+    ``ValueError`` when a pool passage's embedding overflows float32.
     """
-
-    def __init__(self, dev_split: DatasetSplit, hash_dim: int):
-        pool: list = []
-        seen: set[str] = set()
-        for inst in dev_split:
-            for passage in (inst.positive, *inst.hard_negatives):
-                if passage.passage_id not in seen:
-                    seen.add(passage.passage_id)
-                    pool.append(passage)
-        if not pool:
-            raise ValueError("dev split mentions no passages")
-        self.ids = [p.passage_id for p in pool]
-        self.positives = [inst.positive.passage_id for inst in dev_split]
-        self.passage_features = featurize_texts([render_encoder_input(p) for p in pool], hash_dim)
-        self.question_features = featurize_texts([inst.question.text for inst in dev_split], hash_dim)
-
-
-def dev_hit_at_k(
-    model: EncoderModel, dev_split: DatasetSplit, k: int = 10, pool: DevPool | None = None
-) -> float:
-    """hit@k over a dense index built on the dev split's passage pool.
-
-    A question scores a hit when its positive lands in the top k by dot
-    product.  ``pool``, built over this split, saves featurizing it again.
-    Raises ``ValueError`` when a pool passage's embedding overflows float32.
-    """
-    if pool is None:
-        pool = DevPool(dev_split, model.hash_dim)
-    with np.errstate(over="ignore"):  # FlatIndex refuses rows that overflow float32
-        vectors = (pool.passage_features @ model.w_p.T).astype(np.float32)
-    index = FlatIndex(d=model.d, ids=pool.ids, vectors=vectors)
-    results = search_many(index, pool.question_features @ model.w_q.T, k)
-    hits = sum(positive in result.ids() for positive, result in zip(pool.positives, results))
-    return hits / len(pool.positives)
+    pool: dict[str, Passage] = {}
+    for inst in dev_split:
+        for passage in (inst.positive, *inst.hard_negatives):
+            pool.setdefault(passage.passage_id, passage)
+    store = PassageStore(pool.values())
+    report = evaluate(model, build_index(model, store), store, dev_split.instances, EvalConfig(k_values=(k,)))
+    return report.per_k[k]["hit_rate"]
 
 
 def train(
@@ -346,7 +320,8 @@ def train(
     Batches are consecutive runs of the per-epoch permutation; a trailing
     single-instance batch is dropped (it has nothing to contrast against).
     The loss in the metrics is measured at the parameters each batch was
-    trained on, averaged over questions.
+    trained on, averaged over questions.  With a non-empty ``dev_split``,
+    each row also holds ``dev_hit_at_k`` of the epoch's towers, else None.
 
     Training steps a compact model of the towers' active rows, the
     ``rows`` of the training split's ``FeatureTable``, gathered once
@@ -374,7 +349,6 @@ def train(
     features = FeatureTable(instances, model.hash_dim)
     rows = features.rows
     active = EncoderModel(model.d, len(rows), model.w_q[:, rows], model.w_p[:, rows])
-    dev_pool = DevPool(dev_split, model.hash_dim) if dev_split and len(dev_split) else None
     for epoch in range(1, cfg.epochs + 1):
         start = time.perf_counter()
         perm = rng.permutation(len(instances))
@@ -400,7 +374,7 @@ def train(
             )
         model.w_q[:, rows] = active.w_q
         model.w_p[:, rows] = active.w_p
-        dev_hit = dev_hit_at_k(model, dev_split, k=10, pool=dev_pool) if dev_pool is not None else None
+        dev_hit = dev_hit_at_k(model, dev_split) if dev_split else None
         metrics.append(
             {
                 "epoch": epoch,

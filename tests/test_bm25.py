@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import re
@@ -220,6 +221,22 @@ def test_build_equals_counter_reference(texts):
 def test_build_equals_counter_reference_in_small_blocks(block_postings, texts):
     with mock.patch.object(bm25, "BLOCK_POSTINGS", block_postings):
         check_against_counter_reference(texts)
+
+
+def test_token_ids_leaves_no_reference_cycle():
+    """Its token-to-id dict is freed on return, not left to the cyclic collector."""
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # every object a collection finds unreachable lands in gc.garbage
+    try:
+        vocabulary, _, _ = token_ids(["alpha beta", "beta gamma"])
+        gc.collect()
+        leaked = [obj for obj in gc.garbage if isinstance(obj, dict)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert vocabulary == ["alpha", "beta", "gamma"]
+    assert leaked == []
 
 
 def check_against_counter_reference(texts):

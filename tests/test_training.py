@@ -499,6 +499,20 @@ class TestTrainConfig:
             TrainConfig(d=0)
 
 
+def per_epoch_dev_hit(model, split, k):
+    """Dev hit@k by a reference scan: encode the pool of every distinct
+    positive and hard negative, one search per question."""
+    pool = {}
+    for inst in split:
+        for p in (inst.positive, *inst.hard_negatives):
+            pool.setdefault(p.passage_id, p)
+    vectors = encode_passages(model, [render_encoder_input(p) for p in pool.values()])
+    index = FlatIndex(d=model.d, ids=list(pool), vectors=vectors.astype(np.float32))
+    q = encode_questions(model, [inst.question.text for inst in split])
+    hits = sum(inst.positive.passage_id in search(index, q[i], k).ids() for i, inst in enumerate(split))
+    return hits / len(split)
+
+
 class TestDevHitAtK:
     def identity_setup(self):
         # d == hash_dim with identity towers makes similarities readable:
@@ -543,6 +557,21 @@ class TestDevHitAtK:
         )
         split = DatasetSplit(name="dev", instances=instances)
         assert dev_hit_at_k(model, split, k=10) == 1.0
+
+    def test_passage_shared_by_two_instances_pooled_once(self):
+        model, tokens = self.identity_setup()
+        positives = [passage(tokens[i], pid=f"d{i}#0", title=tokens[-1]) for i in range(3)]
+        # B's hard negative is A's positive, and C's positive is A's too
+        instances = (
+            instance(factoid("qa", tokens[0], ["x"]), positives[0], hard=[positives[1]]),
+            instance(factoid("qb", tokens[1], ["x"]), positives[1], hard=[positives[0], positives[2]]),
+            instance(factoid("qc", tokens[2], ["x"]), positives[0]),
+        )
+        split = DatasetSplit(name="dev", instances=instances)
+        for k in (1, 2, 3):
+            assert dev_hit_at_k(model, split, k=k) == per_epoch_dev_hit(model, split, k)
+        assert dev_hit_at_k(model, split, k=1) == 2 / 3
+        assert dev_hit_at_k(model, split, k=3) == 1.0
 
 
 class TestTrain:
@@ -617,37 +646,15 @@ class TestTrain:
             self.run(n=5, batch_size=2, epochs=1)
         assert any("dropped" in rec.message for rec in caplog.records)
 
-    def test_dev_pool_featurized_once_with_per_epoch_values(self, monkeypatch):
-        def per_epoch_dev_hit(model, split, k):
-            """Dev scoring as it ran before the pool was kept: featurize and
-            encode everything again, one search per question."""
-            pool = {}
-            for inst in split:
-                for p in (inst.positive, *inst.hard_negatives):
-                    pool.setdefault(p.passage_id, p)
-            vectors = encode_passages(model, [render_encoder_input(p) for p in pool.values()])
-            index = FlatIndex(d=model.d, ids=list(pool), vectors=vectors.astype(np.float32))
-            q = encode_questions(model, [inst.question.text for inst in split])
-            hits = sum(inst.positive.passage_id in search(index, q[i], k).ids() for i, inst in enumerate(split))
-            return hits / len(split)
+    def test_dev_hit_per_epoch_equals_reference_scan(self, monkeypatch):
+        scored, recorded, reference = training.dev_hit_at_k, [], []
 
-        pooled, fresh = [], []
-        scored = training.dev_hit_at_k
-
-        def recording(model, split, k=10, pool=None):
-            pooled.append(scored(model, split, k, pool))
-            fresh.append(per_epoch_dev_hit(model, split, k))
-            return pooled[-1]
-
-        calls = []
-        featurize = training.featurize_texts
-
-        def counting(texts, hash_dim):
-            calls.append(len(texts))
-            return featurize(texts, hash_dim)
+        def recording(model, split, k=10):
+            recorded.append(scored(model, split, k))
+            reference.append(per_epoch_dev_hit(model, split, k))
+            return recorded[-1]
 
         monkeypatch.setattr(training, "dev_hit_at_k", recording)
-        monkeypatch.setattr(training, "featurize_texts", counting)
         dev = separable_split(12, name="dev")
         dev = DatasetSplit(
             name="dev",
@@ -657,10 +664,8 @@ class TestTrain:
             ),
         )
         _, metrics = self.run(dev=dev, epochs=4, n=10, lr=0.05)
-        assert [m["dev_hit_at_10"] for m in metrics] == pooled == fresh
-        assert len(set(pooled)) > 1  # the values move as the model trains
-        # the training table, then the dev pool's passages and questions
-        assert calls == [calls[0], 24, 12]
+        assert [m["dev_hit_at_10"] for m in metrics] == recorded == reference
+        assert len(set(recorded)) > 1  # the values move as the model trains
 
     @pytest.mark.parametrize("optimizer, lr", [("adam", 0.05), ("sgd", 0.5)])
     def test_towers_equal_a_dense_reference_loop(self, optimizer, lr):
