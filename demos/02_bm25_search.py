@@ -5,7 +5,7 @@ Lexical search with an Okapi BM25 inverted index
 
 import math
 
-from deskdpr.bm25 import Bm25Params, bm25_score, bm25_top_k, build_index, tokenize
+from deskdpr.bm25 import K1, B, bm25_score, bm25_top_k, build_index, tokenize
 from deskdpr.corpus import Document, build_store
 
 documents = [
@@ -17,7 +17,9 @@ documents = [
              body="rifampicin shortens treatment of active tuberculosis"),
 ]
 store = build_store(documents, chunk_size=100)
-index = build_index(store, Bm25Params(k1=1.2, b=0.75))
+index = build_index(store)
+
+print(f"k1 = {K1}, b = {B}")
 
 print("tokenized query:", tokenize("Which regulator controls dormancy?"))
 for hit in bm25_top_k(index, "Which regulator controls dormancy?", k=3):

@@ -1,11 +1,11 @@
 """Okapi BM25 over an in-memory inverted index, plus hard-negative mining.
 
 Scoring uses the non-negative IDF variant ln((N - df + 0.5)/(df + 0.5) + 1)
-with k1=1.2, b=0.75 defaults.  No stemming, no stopword removal.  The
-postings are flat numpy arrays, int32 passage ordinals and tfs beside each
-posting's precomputed float64 score contribution, so a query is one
-gather-and-add per query token into a float64 accumulator, bit-identical to
-scoring passage by passage.  An index holds fewer than 2^31 passages.
+with the constants ``K1`` = 1.2 and ``B`` = 0.75.  No stemming, no stopword
+removal.  The postings are flat numpy arrays, int32 passage ordinals and tfs
+beside each posting's precomputed float64 score contribution, so a query is
+one gather-and-add per query token into a float64 accumulator, bit-identical
+to scoring passage by passage.  An index holds fewer than 2^31 passages.
 
 Building and loading an index work through the postings in blocks of
 ``BLOCK_POSTINGS``, so no step holds a scratch array as long as the
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -29,8 +28,9 @@ from .errors import EmptyCorpus
 from .questions import Question, answer_exclusion_strings, contains_answer
 from .results import RetrievalResult, hits_from_ranking
 
-# version 1 was JSON Lines, version 2 held int64 ordinals and tfs
-FORMAT = binfile.Format("BM25 index", b"BM25", 3, "QQQdd")
+# version 1 was JSON Lines, version 2 held int64 ordinals and tfs, version 3 also k1 and b
+FORMAT = binfile.Format("BM25 index", b"BM25", 4, "QQQ")
+K1, B = 1.2, 0.75
 # the dtype of ordinals and tfs, in memory and on disk
 POSTING_DTYPE = np.dtype("<i4")
 # postings (or occurrence keys) worked through at once: 128 KiB a float64 array.  Blocks of 512 KiB
@@ -82,25 +82,13 @@ def _check_passage_count(n: int) -> None:
         raise ValueError(f"{n} passages: a BM25 index holds fewer than 2^31")
 
 
-@dataclass(frozen=True)
-class Bm25Params:
-    k1: float = 1.2
-    b: float = 0.75
-
-    def __post_init__(self):
-        if not 0 <= self.k1 < math.inf:
-            raise ValueError(f"k1 must be finite and >= 0, got {self.k1}")
-        if not 0 <= self.b <= 1:
-            raise ValueError(f"b must be in [0, 1], got {self.b}")
-
-
 class InvertedIndex:
     """Okapi BM25 postings in flat numpy arrays, plus length statistics.
 
     Token ``t`` has id ``i = token_ids[t]`` and owns positions
     ``offsets[i]:offsets[i + 1]`` (int64) of three parallel arrays:
     ``ordinals`` (int32, strictly increasing), ``tfs`` (int32, >= 1) and
-    ``contributions`` (float64, ``idf(t) * _tf_part(tf, dl, avg, params)``
+    ``contributions`` (float64, ``idf(t) * _tf_part(tf, dl, avg)``
     per posting).  The contributions are computed here, in blocks, with the
     same float64 operations in the same order as ``bm25_score``, so a query
     only gathers and adds them and gets the same score bits.
@@ -114,7 +102,6 @@ class InvertedIndex:
         tfs: np.ndarray,
         doc_lengths: list[int],
         passage_ids: list[str],
-        params: Bm25Params = Bm25Params(),
     ):
         if len(passage_ids) != len(doc_lengths):
             raise ValueError(
@@ -128,28 +115,24 @@ class InvertedIndex:
         self.passage_ids = passage_ids
         self.n_passages = len(doc_lengths)
         self.avg_doc_length = sum(doc_lengths) / self.n_passages if doc_lengths else 0.0
-        self.params = params
         dfs = np.diff(offsets).tolist()
         # math.log, not np.log: numpy's vectorized log may differ by an ulp
-        self._idf = [math.log((self.n_passages - df + 0.5) / (df + 0.5) + 1.0) for df in dfs]
-        idf = np.array(self._idf)
+        self._idf = np.array([math.log((self.n_passages - df + 0.5) / (df + 0.5) + 1.0) for df in dfs])
         self.contributions = np.empty(len(ordinals))
-        # _tf_part's operations elementwise, block by block: tf * (k1 + 1) / (tf + k1 * norm)
-        with np.errstate(over="ignore", invalid="ignore"):  # a huge k1 is refused in the loop
-            k1_norm = _norm(np.asarray(doc_lengths, dtype=np.int64), self.avg_doc_length, params)
-            k1_norm *= params.k1  # per passage, then gathered: the same products as per posting
-            for block in _blocks(len(ordinals)):
-                denominator = k1_norm[ordinals[block]]
-                denominator += tfs[block]
-                part = self.contributions[block]
-                np.multiply(tfs[block], params.k1 + 1.0, out=part)
-                part /= denominator
-                # the idf of only the tokens whose postings the block holds, each repeated over its share
-                first = int(np.searchsorted(offsets, block.start, side="right")) - 1
-                last = int(np.searchsorted(offsets, block.stop))
-                part *= np.repeat(idf[first:last], np.diff(offsets[first : last + 1].clip(block.start, block.stop)))
-                if not np.isfinite(part).all():
-                    raise ValueError(f"k1 {params.k1!r} makes a BM25 score overflow")
+        # _tf_part's operations elementwise, block by block: tf * (K1 + 1) / (tf + K1 * norm)
+        with np.errstate(invalid="ignore"):  # 0/0 when no passage has a token, and then nothing is gathered
+            k1_norm = _norm(np.asarray(doc_lengths, dtype=np.int64), self.avg_doc_length)
+        k1_norm *= K1  # per passage, then gathered: the same products as per posting
+        for block in _blocks(len(ordinals)):
+            denominator = k1_norm[ordinals[block]]
+            denominator += tfs[block]
+            part = self.contributions[block]
+            np.multiply(tfs[block], K1 + 1.0, out=part)
+            part /= denominator
+            # the idf of only the tokens whose postings the block holds, each repeated over its share
+            first = int(np.searchsorted(offsets, block.start, side="right")) - 1
+            last = int(np.searchsorted(offsets, block.stop))
+            part *= np.repeat(self._idf[first:last], np.diff(offsets[first : last + 1].clip(block.start, block.stop)))
 
     def _span(self, token: str) -> slice:
         i = self.token_ids.get(token)
@@ -157,7 +140,7 @@ class InvertedIndex:
 
     def idf(self, token: str) -> float:
         i = self.token_ids.get(token)
-        return 0.0 if i is None else self._idf[i]
+        return 0.0 if i is None else float(self._idf[i])
 
     def posting_list(self, token: str) -> list[tuple[int, int]]:
         """The token's (ordinal, tf) pairs in ordinal order; [] for an unknown token."""
@@ -204,7 +187,7 @@ def count_keys(keys: np.ndarray, width: int, n_groups: int) -> tuple[np.ndarray,
     return offsets, members, counts
 
 
-def build_index(store: PassageStore, params: Bm25Params = Bm25Params()) -> InvertedIndex:
+def build_index(store: PassageStore) -> InvertedIndex:
     """Tokenize every passage text and build the inverted index: each
     occurrence is the key ``token id * n + ordinal``, and ``count_keys``
     turns the keys into postings."""
@@ -218,17 +201,17 @@ def build_index(store: PassageStore, params: Bm25Params = Bm25Params()) -> Inver
     offsets, ordinals, tfs = count_keys(keys, n, len(vocabulary))
     del keys  # before the contributions take their memory
     passage_ids = [p.passage_id for p in store]
-    return InvertedIndex(vocabulary, offsets, ordinals, tfs, doc_lengths, passage_ids, params)
+    return InvertedIndex(vocabulary, offsets, ordinals, tfs, doc_lengths, passage_ids)
 
 
-def _norm(doc_length, avg_doc_length: float, params: Bm25Params):
+def _norm(doc_length, avg_doc_length: float):
     """BM25's length normalization for an int or, elementwise with the same roundings, an int64 array."""
-    return 1.0 - params.b + params.b * doc_length / avg_doc_length
+    return 1.0 - B + B * doc_length / avg_doc_length
 
 
-def _tf_part(tf: int, doc_length: int, avg_doc_length: float, params: Bm25Params) -> float:
+def _tf_part(tf: int, doc_length: int, avg_doc_length: float) -> float:
     """BM25's tf part of one posting; ``InvertedIndex`` does the same operations over arrays."""
-    return tf * (params.k1 + 1.0) / (tf + params.k1 * _norm(doc_length, avg_doc_length, params))
+    return tf * (K1 + 1.0) / (tf + K1 * _norm(doc_length, avg_doc_length))
 
 
 def bm25_score(index: InvertedIndex, query_tokens: Sequence[str], passage_ordinal: int) -> float:
@@ -245,7 +228,7 @@ def bm25_score(index: InvertedIndex, query_tokens: Sequence[str], passage_ordina
         tf = index.term_frequency(token, passage_ordinal)
         if tf == 0:
             continue
-        score += index.idf(token) * _tf_part(tf, dl, index.avg_doc_length, index.params)
+        score += index.idf(token) * _tf_part(tf, dl, index.avg_doc_length)
     return score
 
 
@@ -313,10 +296,10 @@ def mine_hard_negatives(
 
 
 def save_bm25_index(index: InvertedIndex, path: str | Path) -> None:
-    """``FORMAT`` (version 3): u64 n_passages, n_tokens and n_postings, f64 k1
-    and b; the tokens in id order, the passage ids; then int64 doc lengths
-    and offsets, then int32 ordinals and tfs."""
-    header = (index.n_passages, len(index.token_ids), len(index.ordinals), index.params.k1, index.params.b)
+    """``FORMAT`` (version 4): u64 n_passages, n_tokens and n_postings; the
+    tokens in id order, the passage ids; then int64 doc lengths and offsets,
+    then int32 ordinals and tfs."""
+    header = (index.n_passages, len(index.token_ids), len(index.ordinals))
     parts = (
         binfile.strings(index.token_ids),
         binfile.strings(index.passage_ids),
@@ -335,9 +318,8 @@ def load_bm25_index(path: str | Path) -> InvertedIndex:
     are >= 1, and each doc length is the sum of its passage's tfs.
     """
     with binfile.Reader(path, FORMAT) as r:
-        n, n_tokens, n_postings, k1, b = r.header
+        n, n_tokens, n_postings = r.header
         _check_passage_count(n)
-        params = Bm25Params(k1=k1, b=b)
         tokens = r.strings(n_tokens, "tokens")
         passage_ids = r.strings(n, "passage ids")
         doc_lengths = r.array("<i8", n, "doc lengths")
@@ -359,7 +341,7 @@ def load_bm25_index(path: str | Path) -> InvertedIndex:
             bad = int(np.argmax(sums != doc_lengths))
             r.at = ("passage", repr(passage_ids[bad]))
             raise ValueError(f"doc length {doc_lengths[bad]}, but its postings' tfs sum to {sums[bad]}")
-        return InvertedIndex(tokens, offsets, ordinals, tfs, doc_lengths.tolist(), passage_ids, params)
+        return InvertedIndex(tokens, offsets, ordinals, tfs, doc_lengths.tolist(), passage_ids)
 
 
 def _first_bad_posting(offsets: np.ndarray, ordinals: np.ndarray, tfs: np.ndarray, n: int) -> int | None:

@@ -217,14 +217,14 @@ class AdamOptimizer:
     ``train`` is the compact model of the active rows.  A row whose
     gradient has been +0.0 at every step keeps its bits (-0.0 included):
     its moments stay 0 and its update is
-    ``lr * 0 / (sqrt(0) + epsilon) = +0.0`` for any ``lr`` that
+    ``lr * 0 / (sqrt(0) + EPSILON) = +0.0`` for any ``lr`` that
     ``TrainConfig`` accepts: finite, with its sign bit clear.
 
     Each step evaluates, element by element and in this order,
 
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * (g * g)
-        p -= lr * (m / bias1) / (sqrt(v / bias2) + epsilon)
+        m = BETA1 * m + (1 - BETA1) * g
+        v = BETA2 * v + (1 - BETA2) * (g * g)
+        p -= lr * (m / bias1) / (sqrt(v / bias2) + EPSILON)
 
     as ``out=`` ufuncs into two scratch blocks reused across steps, over
     one contiguous block of ``BLOCK_ROWS`` rows of the towers' (hash_dim, d)
@@ -234,18 +234,10 @@ class AdamOptimizer:
     """
 
     BLOCK_ROWS = 512
+    BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
-    def __init__(
-        self,
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ):
+    def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         # moments in the (hash_dim, d) layout of w.T, and scratch
         self._m: list[np.ndarray] | None = None
@@ -259,8 +251,8 @@ class AdamOptimizer:
             shape = (min(self.BLOCK_ROWS, model.hash_dim), model.d)
             self._scratch = (np.empty(shape), np.empty(shape))
         self.t += 1
-        bias1 = 1.0 - self.beta1**self.t
-        bias2 = 1.0 - self.beta2**self.t
+        bias1 = 1.0 - self.BETA1**self.t
+        bias2 = 1.0 - self.BETA2**self.t
         for w, g, m, v in zip((model.w_q, model.w_p), (g_wq.T, g_wp.T), self._m, self._v):
             for lo in range(0, model.hash_dim, self.BLOCK_ROWS):
                 hi = lo + self.BLOCK_ROWS
@@ -268,18 +260,18 @@ class AdamOptimizer:
 
     def _update(self, p, g, m, v, bias1: float, bias2: float) -> None:
         a, b = (s[: p.shape[0]] for s in self._scratch)
-        m *= self.beta1
-        np.multiply(1.0 - self.beta1, g, out=a)
+        m *= self.BETA1
+        np.multiply(1.0 - self.BETA1, g, out=a)
         m += a
-        v *= self.beta2
+        v *= self.BETA2
         np.multiply(g, g, out=a)
-        np.multiply(1.0 - self.beta2, a, out=a)
+        np.multiply(1.0 - self.BETA2, a, out=a)
         v += a
         np.divide(m, bias1, out=a)
         np.multiply(self.learning_rate, a, out=a)
         np.divide(v, bias2, out=b)
         np.sqrt(b, out=b)
-        b += self.epsilon
+        b += self.EPSILON
         a /= b
         p -= a
 

@@ -82,21 +82,21 @@ def rewrite_payload(path, edit) -> None:
     path.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
 
 
-# magic, version, n_passages, n_tokens, n_postings, k1, b
-BM25_PREFIX = struct.Struct("<4sIQQQdd")
+# magic, version, n_passages, n_tokens, n_postings
+BM25_PREFIX = struct.Struct("<4sIQQQ")
 # the integer arrays of a BM25 index after its two string tables, in file order, with their struct codes
 BM25_INTS = {"doc_lengths": "q", "offsets": "q", "ordinals": "i", "tfs": "i"}
 
 
 def _bm25_counts(payload) -> dict[str, int]:
-    _, _, n, n_tokens, n_postings, _, _ = BM25_PREFIX.unpack_from(payload)
+    _, _, n, n_tokens, n_postings = BM25_PREFIX.unpack_from(payload)
     return {"doc_lengths": n, "offsets": n_tokens + 1, "ordinals": n_postings, "tfs": n_postings}
 
 
 def bm25_parts(payload) -> dict[str, int]:
     """Where each part of a BM25 index payload starts: the token and passage id
     tables, then the int64 doc lengths and offsets and the int32 ordinals and tfs."""
-    _, _, n, n_tokens, _, _, _ = BM25_PREFIX.unpack_from(payload)
+    _, _, n, n_tokens, _ = BM25_PREFIX.unpack_from(payload)
     starts, at = {"tokens": BM25_PREFIX.size}, BM25_PREFIX.size
     for _ in range(n_tokens):
         at += 4 + struct.unpack_from("<I", payload, at)[0]

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from deskdpr import bm25
 from deskdpr.bm25 import (
-    Bm25Params,
     bm25_score,
     bm25_top_k,
     build_index,
@@ -33,7 +32,6 @@ from deskdpr.corpus import render_encoder_input
 from deskdpr.errors import EmptyCorpus, ParseError, UnsupportedVersion
 
 from helpers import (
-    BM25_PREFIX,
     aligned_positive,
     factoid,
     passage,
@@ -114,36 +112,9 @@ class TestTokenizeEqualsRegex:
         assert tokenize(render_encoder_input(p)) == tokenize(title) + ["sep"] + tokenize(text)
 
 
-class TestParams:
-    def test_defaults(self):
-        p = Bm25Params()
-        assert p.k1 == 1.2 and p.b == 0.75
-
-    def test_negative_k1_rejected(self):
-        with pytest.raises(ValueError):
-            Bm25Params(k1=-0.1)
-
-    def test_b_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            Bm25Params(b=1.5)
-
-    @pytest.mark.parametrize("k1", [math.inf, math.nan])
-    def test_non_finite_k1_rejected(self, k1):
-        with pytest.raises(ValueError, match="k1 must be finite"):
-            Bm25Params(k1=k1)
-
-    def test_k1_whose_scores_overflow_rejected(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="k1 1e\\+308 makes a BM25 score overflow"):
-                build_index(store_of("a a b", "a c", "c d"), Bm25Params(k1=1e308))
-
-    def test_k1_whose_scores_overflow_refused_on_load(self, tmp_path):
-        path = tmp_path / "bm25.bin"
-        save_bm25_index(build_index(store_of("a a b", "a c", "c d")), path)
-        rewrite_payload(path, lambda payload: struct.pack_into("<d", payload, BM25_PREFIX.size - 16, 1e308))
-        with pytest.raises(ParseError, match="k1 1e\\+308 makes a BM25 score overflow"):
-            load_bm25_index(path)
+class TestConstants:
+    def test_k1_and_b_are_the_okapi_reference_values(self):
+        assert (bm25.K1, bm25.B) == (1.2, 0.75)
 
 
 class TestBuildIndex:
@@ -168,6 +139,23 @@ class TestBuildIndex:
     def test_empty_store_rejected(self):
         with pytest.raises(EmptyCorpus):
             build_index(store_of())
+
+    def test_store_of_no_tokens_builds_and_loads_without_warnings(self, tmp_path):
+        # every doc length and the average are 0, so the length normalization is 0/0; no posting gathers it
+        path = tmp_path / "bm25.bin"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            save_bm25_index(build_index(store_of("--", "·")), path)
+            index = load_bm25_index(path)
+            assert len(bm25_top_k(index, "alpha", 5)) == 0
+
+    def test_idf_is_the_log_formula_bitwise(self):
+        # dfs 1, 2 and 3 of 3 passages; math.log, not numpy's, on every one
+        index = build_index(store_of("a b c", "b c", "c"))
+        for token, df in (("a", 1), ("b", 2), ("c", 3)):
+            idf = index.idf(token)
+            assert type(idf) is float
+            assert idf.hex() == math.log((3 - df + 0.5) / (df + 0.5) + 1.0).hex()
 
     def test_unseen_token_idf_zero(self):
         index = build_index(store_of("a b"))
@@ -404,16 +392,14 @@ texts_strategy = st.lists(
     copies=st.integers(0, 3),
     query=st.lists(st.sampled_from(WORDS + ["unknown", "zzz"]), min_size=1, max_size=8).map(" ".join),
     extra_k=st.integers(-11, 3),
-    k1=st.sampled_from([0.0, 0.5, 1.2, 2.0]),
-    b=st.sampled_from([0.0, 0.3, 0.75, 1.0]),
 )
-def test_top_k_equals_okapi_reference_bitwise(texts, copies, query, extra_k, k1, b):
+def test_top_k_equals_okapi_reference_bitwise(texts, copies, query, extra_k):
     # repeated passages tie; the query repeats tokens and holds unknown ones;
     # k runs from below the candidate count to beyond the passage count
     texts = texts + texts[:copies]
     k = max(1, len(texts) + extra_k)
-    want = okapi_top_k(texts, query, k, k1, b)
-    index = build_index(store_of(*texts), Bm25Params(k1=k1, b=b))
+    want = okapi_top_k(texts, query, k, 1.2, 0.75)
+    index = build_index(store_of(*texts))
     with tempfile.TemporaryDirectory() as tmp:
         save_bm25_index(index, Path(tmp) / "bm25.bin")
         loaded = load_bm25_index(Path(tmp) / "bm25.bin")
@@ -520,7 +506,7 @@ class TestPersistence:
     def test_round_trip(self, tmp_path):
         rng = random.Random(31)
         texts = [random_text(rng, rng.randrange(1, 30)) for _ in range(25)]
-        index = build_index(store_of(*texts), Bm25Params(k1=1.4, b=0.6))
+        index = build_index(store_of(*texts))
         path = tmp_path / "bm25.bin"
         save_bm25_index(index, path)
         loaded = load_bm25_index(path)
@@ -528,7 +514,6 @@ class TestPersistence:
         assert postings(loaded) == postings(index)
         assert loaded.doc_lengths == index.doc_lengths
         assert loaded.passage_ids == index.passage_ids
-        assert loaded.params == index.params
         assert loaded.contributions.tobytes() == index.contributions.tobytes()
         query = texts[0].split()[:3]
         for ordinal in range(len(texts)):
@@ -536,11 +521,11 @@ class TestPersistence:
 
     def test_file_is_the_documented_layout(self, tmp_path):
         # tokens in id order (first seen), then passage ids, then int64 and int32 arrays
-        index = build_index(store_of("b a b", "a c"), Bm25Params(k1=1.5, b=0.5))
+        index = build_index(store_of("b a b", "a c"))
         path = tmp_path / "bm25.bin"
         save_bm25_index(index, path)
         payload = b"".join([
-            struct.pack("<4sIQQQdd", b"BM25", 3, 2, 3, 4, 1.5, 0.5),
+            struct.pack("<4sIQQQ", b"BM25", 4, 2, 3, 4),
             *(struct.pack("<I", len(s)) + s.encode() for s in ("b", "a", "c", "d0#0", "d1#0")),
             struct.pack("<2q", 3, 2),  # doc lengths
             struct.pack("<4q", 0, 1, 3, 4),  # offsets
@@ -616,9 +601,9 @@ class TestBlocks:
         rng = random.Random(37)
         texts = [random_text(rng, rng.randrange(0, 30)) for _ in range(40)]
         queries = [random_text(rng, 4) for _ in range(10)]
-        whole = build_index(store_of(*texts), Bm25Params(k1=1.4, b=0.6))
+        whole = build_index(store_of(*texts))
         with mock.patch.object(bm25, "BLOCK_POSTINGS", block_postings):
-            built = build_index(store_of(*texts), Bm25Params(k1=1.4, b=0.6))
+            built = build_index(store_of(*texts))
             save_bm25_index(built, tmp_path / "bm25.bin")
             loaded = load_bm25_index(tmp_path / "bm25.bin")
         for index in (built, loaded):
@@ -628,23 +613,29 @@ class TestBlocks:
                 got = [(h.passage_id, h.score.hex()) for h in bm25_top_k(index, query, 10)]
                 assert got == [(h.passage_id, h.score.hex()) for h in bm25_top_k(whole, query, 10)]
 
-    # only the last posting, z's in the last passage, has tf 2: 2 * (1e308 + 1) overflows
-    OVERFLOW_TEXTS = ("a b", "c d", "e f", "g h", "y z z")
+    # a run of 5000 of one token beside passages of one or two: doc lengths far from the average
+    EXTREME_TEXTS = ("a b", "c", "e f", "g " * 5000 + "h", "y z z")
 
     @pytest.mark.parametrize("block_postings", [1, 2, 7])
-    def test_k1_overflow_in_a_later_block_refused(self, block_postings):
+    def test_contributions_finite_and_at_most_idf_times_k1_plus_1(self, block_postings):
         with mock.patch.object(bm25, "BLOCK_POSTINGS", block_postings), warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="k1 1e\\+308 makes a BM25 score overflow"):
-                build_index(store_of(*self.OVERFLOW_TEXTS), Bm25Params(k1=1e308))
+            index = build_index(store_of(*self.EXTREME_TEXTS))
+        idf = np.repeat([index.idf(t) for t in index.token_ids], np.diff(index.offsets))
+        assert np.isfinite(index.contributions).all()
+        assert (index.contributions > 0).all()
+        assert (index.contributions <= idf * (bm25.K1 + 1.0)).all()
 
     @pytest.mark.parametrize("block_postings", [1, 2, 7])
-    def test_k1_overflow_in_a_later_block_refused_on_load(self, tmp_path, block_postings):
+    def test_tf_raised_in_the_last_block_refused_on_load(self, tmp_path, block_postings):
+        # the last posting is z's in passage 4, tf 2: raised to 3, its tfs sum past the doc length
         path = tmp_path / "bm25.bin"
-        save_bm25_index(build_index(store_of(*self.OVERFLOW_TEXTS)), path)
-        rewrite_payload(path, lambda payload: struct.pack_into("<d", payload, BM25_PREFIX.size - 16, 1e308))
+        index = build_index(store_of(*self.EXTREME_TEXTS))
+        save_bm25_index(index, path)
+        last = len(index.tfs) - 1
+        rewrite_payload(path, lambda payload: set_bm25_ints(payload, "tfs", last, [3]))
         with mock.patch.object(bm25, "BLOCK_POSTINGS", block_postings):
-            with pytest.raises(ParseError, match="k1 1e\\+308 makes a BM25 score overflow"):
+            with pytest.raises(ParseError, match=r"^\S+: passage 'd4#0': doc length 3, but its postings' tfs sum to 4$"):
                 load_bm25_index(path)
 
 

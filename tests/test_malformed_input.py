@@ -288,11 +288,6 @@ def prefix_field(name, fmt, offset, value):
     return lambda tmp_path: rewrite_payload(tmp_path / name, edit)
 
 
-def bm25_k1(value):
-    """The BM25 index's k1 overwritten with value."""
-    return prefix_field("bm25.bin", "<d", BM25_PREFIX.size - 16, value)
-
-
 def bm25_reversed_postings(tmp_path):
     """The first posting list of two or more postings reversed, tfs with it."""
     def edit(payload):
@@ -312,13 +307,27 @@ def bm25_first_cut(part):
     return lambda tmp_path: rewrite_payload(tmp_path / "bm25.bin", edit)
 
 
-def bm25_zero_lengths_b_0(tmp_path):
-    """Every doc length 0, and b 0, which once made every contribution NaN."""
+def bm25_zero_lengths(tmp_path):
+    """Every doc length 0, which with b 0 once made every contribution NaN."""
     def edit(payload):
         n = BM25_PREFIX.unpack_from(payload)[2]
         set_bm25_ints(payload, "doc_lengths", 0, [0] * n)
-        struct.pack_into("<d", payload, BM25_PREFIX.size - 8, 0.0)
     rewrite_payload(tmp_path / "bm25.bin", edit)
+
+
+def bm25_last(name, change):
+    """The last entry of integer array `name` of the BM25 index replaced by change(entry)."""
+    def edit(payload):
+        values = bm25_array(payload, name)
+        set_bm25_ints(payload, name, len(values) - 1, [change(values[-1])])
+    return lambda tmp_path: rewrite_payload(tmp_path / "bm25.bin", edit)
+
+
+def bm25_count(offset):
+    """The BM25 index's header count at `offset` claiming one more than the file holds."""
+    def edit(payload):
+        struct.pack_into("<Q", payload, offset, struct.unpack_from("<Q", payload, offset)[0] + 1)
+    return lambda tmp_path: rewrite_payload(tmp_path / "bm25.bin", edit)
 
 
 def store_edit(edit):
@@ -388,19 +397,27 @@ REPL = ["repl", "--index", "dense.bin", "--model", "model.bin", "--store", "stor
 
 PROBES = {
     # probe: (command, bad file, how it is made, where the error is)
-    "bm25 k1 is not finite": (BUILD_DATASET, "bm25.bin", bm25_k1(float("inf")), "k1 must be finite"),
-    "bm25 k1 overflows a score": (BUILD_DATASET, "bm25.bin", bm25_k1(1e308), "k1 1e+308 makes a BM25 score overflow"),
     "bm25 ordinal is negative": (BUILD_DATASET, "bm25.bin", bm25_ints("ordinals", 0, [-1]), "token "),
     "bm25 ordinal is n_passages": (BUILD_DATASET, "bm25.bin", bm25_ints("ordinals", 0, [12]), "token "),
     "bm25 tf is 0": (BUILD_DATASET, "bm25.bin", bm25_ints("tfs", 0, [0]), "token "),
     "bm25 posting list reversed": (BUILD_DATASET, "bm25.bin", bm25_reversed_postings, "token "),
     "bm25 doc length is negative": (BUILD_DATASET, "bm25.bin", bm25_ints("doc_lengths", 0, [-1]), "passage "),
-    "bm25 doc lengths are 0 and b is 0": (BUILD_DATASET, "bm25.bin", bm25_zero_lengths_b_0, "passage "),
+    "bm25 doc lengths are 0": (BUILD_DATASET, "bm25.bin", bm25_zero_lengths, "passage "),
+    "bm25 last tf is 0": (BUILD_DATASET, "bm25.bin", bm25_last("tfs", lambda tf: 0), "token "),
+    "bm25 last doc length is one more": (BUILD_DATASET, "bm25.bin", bm25_last("doc_lengths", lambda dl: dl + 1), "passage "),
+    "bm25 offsets end short of n_postings": (
+        BUILD_DATASET, "bm25.bin", bm25_last("offsets", lambda end: end - 1), "offsets must rise strictly from 0",
+    ),
+    "bm25 claims one more token": (BUILD_DATASET, "bm25.bin", bm25_count(16), "truncated "),
+    "bm25 claims one more posting": (BUILD_DATASET, "bm25.bin", bm25_count(24), "truncated tfs"),
     "bm25 n_passages exceeds doc_lengths": (BUILD_DATASET, "bm25.bin", bm25_first_cut("doc_lengths"), "truncated "),
     "bm25 n_passages exceeds passage_ids": (BUILD_DATASET, "bm25.bin", bm25_first_cut("passage_ids"), "truncated "),
     "bm25 index from another store": (BUILD_DATASET, "bm25.bin", bm25_from_another_store, "its 11 passage ids"),
     "bm25 is version 2": (
-        BUILD_DATASET, "bm25.bin", prefix_field("bm25.bin", "<I", 4, 2), "BM25 index version 2, this build reads 3",
+        BUILD_DATASET, "bm25.bin", prefix_field("bm25.bin", "<I", 4, 2), "BM25 index version 2, this build reads 4",
+    ),
+    "bm25 is version 3": (
+        BUILD_DATASET, "bm25.bin", prefix_field("bm25.bin", "<I", 4, 3), "BM25 index version 3, this build reads 4",
     ),
     "bm25 claims 2^31 passages": (
         BUILD_DATASET, "bm25.bin", prefix_field("bm25.bin", "<Q", 8, 2**31), "2147483648 passages",

@@ -359,6 +359,10 @@ class TestOptimizers:
         assert np.array_equal(model.w_q, expected[0])
         assert np.array_equal(model.w_p, expected[1])
 
+    def test_adam_hyperparameters_are_fixed_at_the_usual_defaults(self):
+        assert (AdamOptimizer.BETA1, AdamOptimizer.BETA2, AdamOptimizer.EPSILON) == (0.9, 0.999, 1e-8)
+        with pytest.raises(TypeError):
+            AdamOptimizer(learning_rate=0.01, beta1=0.5)
 
     def test_sgd_step(self):
         model = init_model(d=2, hash_dim=4, seed=0)
