@@ -9,6 +9,7 @@ or a numpy array, sized by counts in the header.
 
 from __future__ import annotations
 
+import itertools
 import struct
 import zlib
 from dataclasses import dataclass
@@ -43,7 +44,8 @@ def strings(values: Iterable[str]) -> bytes:
 
 def write(path: str | Path, fmt: Format, header: Sequence, parts: Iterable) -> None:
     """Write the prefix, each bytes-like part and the CRC, computed as they stream:
-    the payload is never joined into one copy.  A header value its struct
+    the payload is never joined into one copy, and a part is taken from
+    ``parts`` only once the one before it is written.  A header value its struct
     code cannot hold is a ValueError, raised before the file is opened; it
     names no path, since ``path`` may be a temp file the caller renames."""
     try:
@@ -52,7 +54,7 @@ def write(path: str | Path, fmt: Format, header: Sequence, parts: Iterable) -> N
         raise ValueError(f"{fmt.kind} header {tuple(header)} does not fit: {exc}") from None
     crc = 0
     with open(path, "wb") as f:
-        for part in (prefix, *parts):
+        for part in itertools.chain((prefix,), parts):
             f.write(part)
             crc = zlib.crc32(part, crc)
         f.write(_U32.pack(crc))

@@ -4,6 +4,11 @@ Texts become L2-normalized token-count vectors in a fixed hashed
 vocabulary (blake2b bucketing, stable across processes).  Two linear
 maps, one for questions and one for passages, project those sparse
 features to dense d-dimensional embeddings compared by dot product.
+
+The towers are Fortran-ordered: ``init_model`` gives float64 towers, the
+precision training steps in, and ``load_model`` gives the float32 towers
+that ``model.bin`` holds.  Both project to the same float64 embeddings:
+a float32 tower is widened, exactly, row by row as a batch needs it.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ FORMAT = binfile.Format("model", b"DPRM", 2, "II")
 
 DEFAULT_DIM = 128
 DEFAULT_HASH_DIM = 16384
+# tower rows drawn or saved at once: 8 float64 values fill a 64-byte cache line of w.T
+BLOCK_ROWS = 8
 
 
 def hash_token(token: str, hash_dim: int) -> int:
@@ -66,7 +73,8 @@ class EncoderModel:
     projections (``features @ w.T``) and gradients read and write it
     without copying.  Construction converts C-ordered towers; a C-ordered
     array assigned afterwards still computes the same numbers, only
-    slower.
+    slower.  A tower is float64 (``init_model``, training) or float32
+    (``load_model``); any other dtype is a ``DimensionError``.
     """
 
     d: int
@@ -80,6 +88,8 @@ class EncoderModel:
                 raise DimensionError(
                     f"{name} has shape {w.shape}, expected ({self.d}, {self.hash_dim})"
                 )
+            if w.dtype not in (np.float32, np.float64):
+                raise DimensionError(f"{name} has dtype {w.dtype}, expected float32 or float64")
         self.w_q = np.asfortranarray(self.w_q)
         self.w_p = np.asfortranarray(self.w_p)
 
@@ -90,16 +100,41 @@ def init_model(d: int = DEFAULT_DIM, hash_dim: int = DEFAULT_HASH_DIM, seed: int
         raise ValueError(f"d and hash_dim must be >= 1, got d={d}, hash_dim={hash_dim}")
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(hash_dim)
-    # one tower at a time, so only one C-ordered draw is alive at once
-    w_q = np.asfortranarray(rng.uniform(-bound, bound, size=(d, hash_dim)))
-    w_p = np.asfortranarray(rng.uniform(-bound, bound, size=(d, hash_dim)))
+    # consecutive draws continue one stream, so drawing BLOCK_ROWS rows at a
+    # time straight into the Fortran-ordered towers equals one draw per tower
+    w_q, w_p = (np.empty((d, hash_dim), order="F") for _ in range(2))
+    for w in (w_q, w_p):
+        for lo in range(0, d, BLOCK_ROWS):
+            w[lo : lo + BLOCK_ROWS] = rng.uniform(-bound, bound, size=(min(BLOCK_ROWS, d - lo), hash_dim))
     return EncoderModel(d=d, hash_dim=hash_dim, w_q=w_q, w_p=w_p)
 
 
+def compact_columns(features: sparse.csr_array) -> tuple[np.ndarray, sparse.csr_array]:
+    """(rows, compact): the sorted columns that ``features`` uses, and
+    ``features`` with each column renumbered to its position in ``rows``.
+
+    Renumbering keeps each row's entries in order, so ``compact @ m[rows]``
+    adds the same terms in the same order as ``features @ m``: the same bits.
+    """
+    used = np.zeros(features.shape[1], dtype=bool)
+    used[features.indices] = True
+    rows = np.flatnonzero(used)
+    columns = np.cumsum(used)[features.indices] - 1
+    return rows, sparse.csr_array((features.data, columns, features.indptr), shape=(features.shape[0], len(rows)))
+
+
 def _project(features: sparse.csr_array, w: np.ndarray) -> np.ndarray:
-    # sparse @ dense; row results are independent of batch composition.
-    # w.T of a Fortran-ordered tower is C-contiguous, so nothing is copied.
-    return features @ w.T
+    """``features @ w.T`` in float64; row results are independent of batch composition.
+
+    w.T of a Fortran-ordered tower is C-contiguous, so a float64 tower is
+    not copied.  Of a float32 tower only the rows the features use are
+    widened (``compact_columns``), so the product has the bits of the
+    float64 widening's.
+    """
+    if w.dtype == np.float64:
+        return features @ w.T
+    rows, compact = compact_columns(features)
+    return compact @ w.T[rows].astype(np.float64)
 
 
 def encode_questions(model: EncoderModel, texts: Sequence[str]) -> np.ndarray:
@@ -117,15 +152,21 @@ def encode_question(model: EncoderModel, text: str) -> np.ndarray:
 def save_model(model: EncoderModel, path: str | Path) -> None:
     """``FORMAT``: u32 d and u32 hash_dim, then both (d, hash_dim) matrices
     as float32 little-endian row-major (question tower first), whatever
-    the towers' memory order."""
-    towers = (np.ascontiguousarray(w, dtype="<f4") for w in (model.w_q, model.w_p))
-    binfile.write(path, FORMAT, (model.d, model.hash_dim), towers)
+    the towers' memory order.  The towers are converted ``BLOCK_ROWS``
+    rows at a time, so no whole-tower copy is made."""
+    blocks = (
+        np.ascontiguousarray(w[lo : lo + BLOCK_ROWS], dtype="<f4")
+        for w in (model.w_q, model.w_p)
+        for lo in range(0, model.d, BLOCK_ROWS)
+    )
+    binfile.write(path, FORMAT, (model.d, model.hash_dim), blocks)
 
 
 def load_model(path: str | Path) -> EncoderModel:
-    """Read a model written by save_model.  Weights come back as float64."""
+    """Read a model written by save_model.  The towers come back as the
+    file's float32 values, Fortran-ordered and writeable."""
     with binfile.Reader(path, FORMAT) as r:
         d, hash_dim = r.header
         towers = (r.array("<f4", d * hash_dim, "towers").reshape(d, hash_dim) for _ in range(2))
-        w_q, w_p = (w.astype(np.float64, order="F") for w in towers)
+        w_q, w_p = (w.astype(np.float32, order="F") for w in towers)
         return EncoderModel(d=d, hash_dim=hash_dim, w_q=w_q, w_p=w_p)

@@ -18,11 +18,10 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import Passage, PassageStore, render_encoder_input
 from .dataset import DatasetSplit, TrainingInstance
-from .encoder import EncoderModel, featurize_texts
+from .encoder import EncoderModel, compact_columns, featurize_texts
 from .evaluation import EvalConfig, evaluate
 from .flat_index import build_index
 
@@ -100,10 +99,10 @@ class FeatureTable:
     ``rows`` are the active rows: the sorted hash buckets that occur in
     some question or candidate text, the only rows of ``w_q.T`` and
     ``w_p.T`` to which a batch of these instances can give a nonzero
-    gradient.  The table's feature columns are positions in ``rows``, so
-    its batches multiply the compact towers ``w[:, rows]``.  Renumbering
-    keeps each row's entries in order, so such a product adds the same
-    terms in the same order as one over every hash bucket.
+    gradient.  The table's feature columns are positions in ``rows``
+    (``compact_columns``), so its batches multiply the compact towers
+    ``w[:, rows]`` and add the same terms in the same order as a product
+    over every hash bucket.
     """
 
     def __init__(self, instances: Sequence[TrainingInstance], hash_dim: int):
@@ -113,12 +112,7 @@ class FeatureTable:
         for text in _candidate_texts(instances):
             texts.setdefault(text, len(texts))
         self._texts = texts
-        features = featurize_texts(list(texts), hash_dim)
-        self.rows = np.unique(features.indices)
-        columns = np.searchsorted(self.rows, features.indices)
-        self._features = sparse.csr_array(
-            (features.data, columns, features.indptr), shape=(len(texts), len(self.rows))
-        )
+        self.rows, self._features = compact_columns(featurize_texts(list(texts), hash_dim))
 
     def batch(self, instances: Sequence[TrainingInstance]):
         """(question features (B, len(rows)), candidate features (C, len(rows))) of a batch."""
@@ -323,7 +317,9 @@ def train(
     be +0.0 and leave its initial bits: the towers equal those of
     training over every row, bit for bit.  Gradients and Adam moments
     take memory in proportion to the active buckets, not to
-    ``hash_dim``.
+    ``hash_dim``.  The compact model is float64 whatever ``model``'s
+    dtype, so a loaded float32 model steps as its float64 widening does;
+    the write-back rounds its towers to float32.
 
     Raises ``ValueError`` naming the epoch when an epoch's mean loss is
     not finite or the trained towers are not finite in float32, as a
@@ -340,7 +336,9 @@ def train(
     # features do not depend on the weights: featurize every text once
     features = FeatureTable(instances, model.hash_dim)
     rows = features.rows
-    active = EncoderModel(model.d, len(rows), model.w_q[:, rows], model.w_p[:, rows])
+    active = EncoderModel(
+        model.d, len(rows), *(w[:, rows].astype(np.float64, copy=False) for w in (model.w_q, model.w_p))
+    )
     for epoch in range(1, cfg.epochs + 1):
         start = time.perf_counter()
         perm = rng.permutation(len(instances))

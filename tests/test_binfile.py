@@ -49,6 +49,23 @@ def test_generator_parts_are_written_in_order(tmp_path):
     assert path.read_bytes() == other.read_bytes()
 
 
+def test_a_part_is_pulled_only_after_the_one_before_is_written(tmp_path):
+    # pulling the second part overwrites the first: the file keeps the
+    # first part's bytes only if they were written before that pull
+    first = bytearray(binfile.strings(["a", "é"]))
+
+    def parts():
+        yield first
+        first[:] = bytes(len(first))
+        yield np.array([1.5, -2.0])
+
+    path = tmp_path / "thing.bin"
+    binfile.write(path, THING, (2, 0.25), parts())
+    other = tmp_path / "other.bin"
+    write_thing(other)
+    assert path.read_bytes() == other.read_bytes()
+
+
 def edited(path, start, data, crc=True):
     raw = bytearray(path.read_bytes())
     raw[start : start + len(data)] = data

@@ -24,7 +24,7 @@ from deskdpr.encoder import (
 )
 from deskdpr.errors import DimensionError, ParseError, UnsupportedVersion
 
-from helpers import store_of
+from helpers import scratch_beyond_result, store_of
 
 
 class TestHashToken:
@@ -230,6 +230,35 @@ class TestInitModel:
         assert np.array_equal(model.w_q, rng.uniform(-bound, bound, size=(8, 32)))
         assert np.array_equal(model.w_p, rng.uniform(-bound, bound, size=(8, 32)))
 
+    @pytest.mark.parametrize("d", [1, encoder.BLOCK_ROWS - 1, encoder.BLOCK_ROWS + 5, 3 * encoder.BLOCK_ROWS + 1])
+    def test_equals_one_draw_per_tower(self, d):
+        # the towers are drawn BLOCK_ROWS rows at a time; d is no multiple of that
+        model = init_model(d=d, hash_dim=48, seed=11)
+        rng = np.random.default_rng(11)
+        bound = 1 / np.sqrt(48)
+        for w in (model.w_q, model.w_p):
+            oracle = rng.uniform(-bound, bound, size=(d, 48))
+            assert w.dtype == np.float64
+            assert w.tobytes(order="C") == oracle.tobytes()
+
+    def test_scratch_is_one_block_of_rows(self):
+        d, hash_dim = 61, 4096
+        model, scratch = scratch_beyond_result(init_model, d, hash_dim, 3)
+        assert model.w_q.nbytes == model.w_p.nbytes == d * hash_dim * 8
+        assert scratch <= encoder.BLOCK_ROWS * hash_dim * 8 + 16384
+
+
+class TestTowerDtype:
+    """A tower is float64 or float32; no other dtype reaches the projections."""
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.longdouble, np.int64, np.complex128, np.bool_])
+    @pytest.mark.parametrize("tower", ["w_q", "w_p"])
+    def test_other_dtypes_rejected(self, dtype, tower):
+        towers = {"w_q": np.zeros((2, 3)), "w_p": np.zeros((2, 3))}
+        towers[tower] = np.zeros((2, 3), dtype)
+        with pytest.raises(DimensionError, match=f"{tower} has dtype"):
+            EncoderModel(d=2, hash_dim=3, **towers)
+
 
 class TestTowerLayout:
     """Towers are (d, hash_dim) Fortran-ordered, so w.T is C-contiguous."""
@@ -317,11 +346,12 @@ class TestPersistence:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.d == 8 and loaded.hash_dim == 32
-        assert np.array_equal(loaded.w_q, model.w_q.astype(np.float32).astype(np.float64))
-        assert np.array_equal(loaded.w_p, model.w_p.astype(np.float32).astype(np.float64))
+        for w, saved in ((loaded.w_q, model.w_q), (loaded.w_p, model.w_p)):
+            assert w.dtype == np.float32
+            assert w.tobytes(order="C") == saved.astype(np.float32).tobytes(order="C")
 
     def test_second_save_is_byte_identical(self, tmp_path):
-        # float32 -> float64 -> float32 is exact, so resaving changes nothing
+        # the loaded towers are the file's float32 values, so resaving changes nothing
         model = init_model(d=8, hash_dim=32, seed=9)
         first = tmp_path / "a.bin"
         second = tmp_path / "b.bin"
@@ -341,6 +371,22 @@ class TestPersistence:
         assert raw[:16] == b"DPRM" + struct.pack("<III", 2, 8, 32)
         assert raw[16:-4] == expected
         assert raw[-4:] == struct.pack("<I", zlib.crc32(raw[:-4]))
+
+    def test_save_scratch_is_two_blocks_of_rows(self, tmp_path):
+        # the float32 towers are converted and written a block at a time
+        d, hash_dim = 61, 4096
+        model = init_model(d=d, hash_dim=hash_dim, seed=3)
+        _, scratch = scratch_beyond_result(save_model, model, tmp_path / "model.bin")
+        assert scratch <= 2 * encoder.BLOCK_ROWS * hash_dim * 4 + 16384
+
+    def test_load_scratch_is_the_files_bytes(self, tmp_path):
+        # beside the float32 towers it returns, loading holds only the file's bytes
+        d, hash_dim = 61, 4096
+        path = tmp_path / "model.bin"
+        save_model(init_model(d=d, hash_dim=hash_dim, seed=3), path)
+        model, scratch = scratch_beyond_result(load_model, path)
+        assert model.w_q.nbytes == model.w_p.nbytes == d * hash_dim * 4
+        assert scratch <= path.stat().st_size + 16384
 
     def test_loaded_weights_writeable(self, tmp_path):
         model = init_model(d=4, hash_dim=16, seed=0)
@@ -409,3 +455,27 @@ class TestPersistence:
         assert np.array_equal(
             encode_question(loaded, text), encode_question(quantized, text)
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(TEXTS, max_size=8),
+    st.integers(1, 12),
+    st.sampled_from([1, 7, 64, 1024]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1e-42, 1e-30, 1.0, 1e30]),
+)
+def test_loaded_model_encodes_as_its_float64_widening_bitwise(tmp_path_factory, texts, d, hash_dim, seed, scale):
+    rng = np.random.default_rng(seed)
+    towers = [rng.standard_normal((d, hash_dim)) * scale for _ in range(2)]
+    path = tmp_path_factory.mktemp("model") / "model.bin"
+    save_model(EncoderModel(d=d, hash_dim=hash_dim, w_q=towers[0], w_p=towers[1]), path)
+    loaded = load_model(path)
+    widened = EncoderModel(
+        d=d, hash_dim=hash_dim, w_q=loaded.w_q.astype(np.float64), w_p=loaded.w_p.astype(np.float64)
+    )
+    for encode in (encode_questions, encode_passages):
+        got, want = encode(loaded, texts), encode(widened, texts)
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape == (len(texts), d)
+        assert got.tobytes() == want.tobytes()

@@ -11,7 +11,15 @@ from hypothesis.extra.numpy import arrays
 from deskdpr.corpus import render_encoder_input
 from deskdpr.dataset import DatasetSplit
 from deskdpr import training
-from deskdpr.encoder import EncoderModel, encode_passages, encode_questions, featurize_texts, init_model
+from deskdpr.encoder import (
+    EncoderModel,
+    encode_passages,
+    encode_questions,
+    featurize_texts,
+    init_model,
+    load_model,
+    save_model,
+)
 from deskdpr.flat_index import FlatIndex, search
 from deskdpr.training import (
     AdamOptimizer,
@@ -635,6 +643,22 @@ class TestTrain:
         for ra, rb in zip(metrics_a, metrics_b):
             assert ra["mean_train_loss"] == rb["mean_train_loss"]
             assert ra["epoch"] == rb["epoch"]
+
+    def test_loaded_model_trains_as_its_float64_widening(self, tmp_path):
+        # a loaded model's float32 towers step in float64, as their widening's do
+        path = tmp_path / "model.bin"
+        save_model(init_model(d=16, hash_dim=512, seed=3), path)
+        loaded = load_model(path)
+        widened = EncoderModel(16, 512, loaded.w_q.astype(np.float64), loaded.w_p.astype(np.float64))
+        cfg = TrainConfig(batch_size=4, epochs=3, learning_rate=0.05, seed=3, d=16, hash_dim=512)
+        runs = [train(model, separable_split(8), None, cfg) for model in (loaded, widened)]
+        losses = [[row["mean_train_loss"] for row in metrics] for _, metrics in runs]
+        assert losses[0] == losses[1]
+        assert losses[0][-1] < losses[0][0]
+        assert runs[0][0].w_q.dtype == np.float32
+        for i, (trained, _) in enumerate(runs):
+            save_model(trained, tmp_path / f"trained{i}.bin")
+        assert (tmp_path / "trained0.bin").read_bytes() == (tmp_path / "trained1.bin").read_bytes()
 
     def test_trained_towers_keep_their_layout(self):
         trained, _ = self.run(epochs=2)
