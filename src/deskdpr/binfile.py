@@ -10,6 +10,7 @@ or a numpy array, sized by counts in the header.
 from __future__ import annotations
 
 import itertools
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -21,6 +22,8 @@ import numpy as np
 from .errors import CorruptIndex, UnsupportedVersion, reading
 
 _U32 = struct.Struct("<I")
+# the most bytes a Reader reads at once to compute the CRC
+CRC_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -63,52 +66,89 @@ def write(path: str | Path, fmt: Format, header: Sequence, parts: Iterable) -> N
 class Reader(reading):
     """``with Reader(path, fmt) as r:`` around a whole load.
 
-    Construction checks the length, the magic, the version and the CRC,
-    in that order, and sets ``r.header``; ``strings`` and ``array`` then
-    take the parts in file order, checking each count against the bytes
-    left before they allocate or loop.  As ``reading``, the block turns
-    a ValueError or TypeError into a ParseError naming the file; left
-    without one, it refuses bytes no part took.
+    Construction opens the file and checks the length, the magic, the
+    version and the CRC, in that order, and sets ``r.header``; the CRC is
+    computed over chunks of at most ``CRC_CHUNK`` bytes, so the file is
+    never held whole.  ``strings`` and ``array`` then read the parts in
+    file order, checking each count against the bytes left before they
+    allocate or loop.  As ``reading``, the block turns a ValueError or
+    TypeError into a ParseError naming the file; left without one, it
+    refuses bytes no part took.  The file is closed on every path.
     """
 
     def __init__(self, path: str | Path, fmt: Format):
         super().__init__(path)
         self.kind = fmt.kind
-        self._raw = raw = Path(path).read_bytes()
-        if len(raw) < fmt.prefix.size + _U32.size:
+        self._file = open(path, "rb")
+        try:
+            self._check(fmt)
+        except BaseException:
+            self._file.close()
+            raise
+
+    def _check(self, fmt: Format) -> None:
+        path, size = self.path, os.fstat(self._file.fileno()).st_size
+        if size < fmt.prefix.size + _U32.size:
             raise CorruptIndex(f"{path}: too short to be a {fmt.kind} file")
-        magic, version, *self.header = fmt.prefix.unpack_from(raw)
+        prefix = self._into(bytearray(fmt.prefix.size))
+        magic, version, *self.header = fmt.prefix.unpack(prefix)
         if magic != fmt.magic:
             raise CorruptIndex(f"{path}: bad magic {magic!r}, expected {fmt.magic!r}")
         if version != fmt.version:
             raise UnsupportedVersion(f"{path}: {fmt.kind} version {version}, this build reads {fmt.version}")
-        self._pos, self._end = fmt.prefix.size, len(raw) - _U32.size
-        if zlib.crc32(memoryview(raw)[: self._end]) != _U32.unpack_from(raw, self._end)[0]:
+        self._end = size - _U32.size
+        self._left = self._end - fmt.prefix.size
+        crc, chunk = zlib.crc32(prefix), memoryview(bytearray(min(CRC_CHUNK, size)))
+        for lo in range(0, self._left, len(chunk)):
+            crc = zlib.crc32(self._into(chunk[: self._left - lo]), crc)
+        if crc != _U32.unpack(self._into(bytearray(_U32.size)))[0]:
             raise CorruptIndex(f"{path}: checksum mismatch, file is damaged")
+        self._file.seek(fmt.prefix.size)
 
-    def _take(self, n_bytes: int, what: str) -> int:
-        """Where the next `n_bytes` start, once the bytes left are known to hold them."""
-        if n_bytes > self._end - self._pos:
-            raise CorruptIndex(f"{self.path}: truncated {what}: {n_bytes} bytes needed, {self._end - self._pos} left")
-        self._pos += n_bytes
-        return self._pos - n_bytes
+    def _into(self, buffer):
+        """`buffer`, filled with the file's next bytes."""
+        if self._file.readinto(buffer) != memoryview(buffer).nbytes:
+            raise self._shrank()
+        return buffer
+
+    def _shrank(self) -> CorruptIndex:
+        return CorruptIndex(f"{self.path}: the file shrank while it was read")
+
+    def _take(self, n_bytes: int, what: str) -> None:
+        """Count the next `n_bytes` as read, once the bytes left are known to hold them."""
+        if n_bytes > self._left:
+            raise CorruptIndex(f"{self.path}: truncated {what}: {n_bytes} bytes needed, {self._left} left")
+        self._left -= n_bytes
+
+    def need(self, n_bytes: int, what: str) -> None:
+        """Refuse unless the bytes left hold the next `n_bytes`: a caller
+        sizing its own arrays from the header checks here first."""
+        self._take(n_bytes, what)
+        self._left += n_bytes
 
     def strings(self, count: int, what: str) -> list[str]:
         """The next string table, of `count` strings."""
-        self._pos = self._take(_U32.size * count, what)  # each string has a length: the loop is bounded
-        values = []
+        self.need(_U32.size * count, what)  # each string has a length: the loop is bounded
+        read, values = self._file.read, []
         for _ in range(count):
-            (n_bytes,) = _U32.unpack_from(self._raw, self._take(_U32.size, what))
-            start = self._take(n_bytes, what)
-            values.append(self._raw[start : start + n_bytes].decode("utf-8"))
+            self._take(_U32.size, what)
+            n_bytes = int.from_bytes(read(_U32.size), "little")
+            self._take(n_bytes, what)
+            values.append(read(n_bytes).decode("utf-8"))
+        if self._file.tell() != self._end - self._left:  # a short read
+            raise self._shrank()
         return values
 
     def array(self, dtype: str, count: int, what: str) -> np.ndarray:
-        """The next `count` values of `dtype`: a read-only view of the file's bytes."""
+        """The next `count` values of `dtype`, read into a new writeable array."""
         dtype = np.dtype(dtype)
-        return np.frombuffer(self._raw, dtype, count, offset=self._take(count * dtype.itemsize, what))
+        self._take(count * dtype.itemsize, what)
+        return self._into(np.empty(count, dtype))
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        super().__exit__(exc_type, exc, tb)
-        if exc is None and self._pos != self._end:
-            raise CorruptIndex(f"{self.path}: {self._end - self._pos} bytes after the end of the {self.kind}")
+        try:
+            super().__exit__(exc_type, exc, tb)
+            if exc is None and self._left:
+                raise CorruptIndex(f"{self.path}: {self._left} bytes after the end of the {self.kind}")
+        finally:
+            self._file.close()

@@ -5,10 +5,10 @@ vocabulary (blake2b bucketing, stable across processes).  Two linear
 maps, one for questions and one for passages, project those sparse
 features to dense d-dimensional embeddings compared by dot product.
 
-The towers are Fortran-ordered: ``init_model`` gives float64 towers, the
-precision training steps in, and ``load_model`` gives the float32 towers
-that ``model.bin`` holds.  Both project to the same float64 embeddings:
-a float32 tower is widened, exactly, row by row as a batch needs it.
+The towers are Fortran-ordered float32, the precision ``model.bin``
+holds, whether ``init_model`` drew them or ``load_model`` read them.
+They project to float64 embeddings: a batch widens, exactly, only the
+tower rows its features use.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ FORMAT = binfile.Format("model", b"DPRM", 2, "II")
 
 DEFAULT_DIM = 128
 DEFAULT_HASH_DIM = 16384
-# tower rows drawn or saved at once: 8 float64 values fill a 64-byte cache line of w.T
+# tower rows drawn, saved or loaded at once: 8 float64 draws of a column fill a 64-byte cache line
 BLOCK_ROWS = 8
 
 
@@ -73,8 +73,9 @@ class EncoderModel:
     projections (``features @ w.T``) and gradients read and write it
     without copying.  Construction converts C-ordered towers; a C-ordered
     array assigned afterwards still computes the same numbers, only
-    slower.  A tower is float64 (``init_model``, training) or float32
-    (``load_model``); any other dtype is a ``DimensionError``.
+    slower.  A full model's towers are float32 (``init_model``,
+    ``load_model``); ``train`` steps a float64 model of the active rows.
+    Any other dtype is a ``DimensionError``.
     """
 
     d: int
@@ -95,14 +96,15 @@ class EncoderModel:
 
 
 def init_model(d: int = DEFAULT_DIM, hash_dim: int = DEFAULT_HASH_DIM, seed: int = 0) -> EncoderModel:
-    """Uniform(-1/sqrt(hash_dim), 1/sqrt(hash_dim)) init, question tower first."""
+    """Uniform(-1/sqrt(hash_dim), 1/sqrt(hash_dim)) init, question tower
+    first, each float64 draw rounded to the float32 towers."""
     if d < 1 or hash_dim < 1:
         raise ValueError(f"d and hash_dim must be >= 1, got d={d}, hash_dim={hash_dim}")
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(hash_dim)
     # consecutive draws continue one stream, so drawing BLOCK_ROWS rows at a
-    # time straight into the Fortran-ordered towers equals one draw per tower
-    w_q, w_p = (np.empty((d, hash_dim), order="F") for _ in range(2))
+    # time straight into the Fortran-ordered towers rounds one draw per tower
+    w_q, w_p = (np.empty((d, hash_dim), np.float32, order="F") for _ in range(2))
     for w in (w_q, w_p):
         for lo in range(0, d, BLOCK_ROWS):
             w[lo : lo + BLOCK_ROWS] = rng.uniform(-bound, bound, size=(min(BLOCK_ROWS, d - lo), hash_dim))
@@ -126,15 +128,11 @@ def compact_columns(features: sparse.csr_array) -> tuple[np.ndarray, sparse.csr_
 def _project(features: sparse.csr_array, w: np.ndarray) -> np.ndarray:
     """``features @ w.T`` in float64; row results are independent of batch composition.
 
-    w.T of a Fortran-ordered tower is C-contiguous, so a float64 tower is
-    not copied.  Of a float32 tower only the rows the features use are
-    widened (``compact_columns``), so the product has the bits of the
-    float64 widening's.
+    Only the tower rows the features use are widened (``compact_columns``),
+    so the product has the bits of the float64 widening's.
     """
-    if w.dtype == np.float64:
-        return features @ w.T
     rows, compact = compact_columns(features)
-    return compact @ w.T[rows].astype(np.float64)
+    return compact @ w.T[rows].astype(np.float64, copy=False)
 
 
 def encode_questions(model: EncoderModel, texts: Sequence[str]) -> np.ndarray:
@@ -164,9 +162,14 @@ def save_model(model: EncoderModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> EncoderModel:
     """Read a model written by save_model.  The towers come back as the
-    file's float32 values, Fortran-ordered and writeable."""
+    file's float32 values, Fortran-ordered and writeable, each read
+    ``BLOCK_ROWS`` rows at a time as ``save_model`` writes it."""
     with binfile.Reader(path, FORMAT) as r:
         d, hash_dim = r.header
-        towers = (r.array("<f4", d * hash_dim, "towers").reshape(d, hash_dim) for _ in range(2))
-        w_q, w_p = (w.astype(np.float32, order="F") for w in towers)
-        return EncoderModel(d=d, hash_dim=hash_dim, w_q=w_q, w_p=w_p)
+        r.need(2 * d * hash_dim * 4, "towers")
+        towers = [np.empty((d, hash_dim), np.float32, order="F") for _ in range(2)]
+        for w in towers:
+            for lo in range(0, d, BLOCK_ROWS):
+                block = w[lo : lo + BLOCK_ROWS]
+                block[...] = r.array("<f4", block.size, "towers").reshape(block.shape)
+        return EncoderModel(d, hash_dim, *towers)

@@ -207,6 +207,6 @@ def load_index(path: str | Path) -> FlatIndex:
     with binfile.Reader(path, FORMAT) as r:
         d, m = r.header
         ids = r.strings(m, "id table")
-        vectors = r.array("<f4", m * d, "vectors").reshape(m, d).copy()
+        vectors = r.array("<f4", m * d, "vectors").reshape(m, d)
         # FlatIndex refuses non-finite vectors, which a valid checksum does not rule out
         return FlatIndex(d=d, ids=ids, vectors=vectors)

@@ -318,8 +318,9 @@ def train(
     training over every row, bit for bit.  Gradients and Adam moments
     take memory in proportion to the active buckets, not to
     ``hash_dim``.  The compact model is float64 whatever ``model``'s
-    dtype, so a loaded float32 model steps as its float64 widening does;
-    the write-back rounds its towers to float32.
+    dtype, so a float32 model (as ``init_model`` and ``load_model`` give)
+    steps as its float64 widening does; the write-back rounds the active
+    rows to float32, so dev scoring sees the towers ``model.bin`` holds.
 
     Raises ``ValueError`` naming the epoch when an epoch's mean loss is
     not finite or the trained towers are not finite in float32, as a

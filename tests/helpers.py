@@ -5,8 +5,11 @@ import struct
 import tracemalloc
 import zlib
 
+import numpy as np
+
 from deskdpr.corpus import Passage, PassageStore
 from deskdpr.dataset import TrainingInstance, align_questions
+from deskdpr.encoder import EncoderModel
 from deskdpr.questions import Question
 
 
@@ -120,6 +123,12 @@ def set_bm25_ints(payload, name: str, first: int, values) -> None:
     code = BM25_INTS[name]
     at = bm25_parts(payload)[name] + struct.calcsize(code) * first
     struct.pack_into(f"<{len(values)}{code}", payload, at, *values)
+
+
+def widen(model: EncoderModel) -> EncoderModel:
+    """``model`` with its towers widened to float64, for tests that step or
+    perturb the towers in float64 (``init_model`` gives float32 towers)."""
+    return EncoderModel(model.d, model.hash_dim, *(w.astype(np.float64, order="F") for w in (model.w_q, model.w_p)))
 
 
 def scratch_beyond_result(fn, *args):

@@ -1,3 +1,5 @@
+import gc
+import os
 import struct
 import zlib
 
@@ -38,7 +40,7 @@ def test_round_trip(tmp_path):
     write_thing(path)
     names, values, scale = read_thing(path)
     assert names == ["a", "é"] and values.tolist() == [1.5, -2.0] and scale == 0.25
-    assert not values.flags.writeable  # a view of the file's bytes
+    assert values.flags.owndata and values.flags.writeable  # read into an array of its own
 
 
 def test_generator_parts_are_written_in_order(tmp_path):
@@ -93,6 +95,66 @@ def test_checks_length_magic_version_then_crc(tmp_path):
     edited(path, 8, b"\x03", crc=False)
     with pytest.raises(CorruptIndex, match="checksum mismatch"):
         read_thing(path)
+
+
+@pytest.mark.parametrize("count", [3, 2**40])
+def test_damaged_count_is_a_checksum_mismatch(tmp_path, count):
+    # the CRC covers the whole file and is checked before any part is read
+    path = tmp_path / "thing.bin"
+    write_thing(path)
+    edited(path, 8, struct.pack("<Q", count), crc=False)
+    with pytest.raises(CorruptIndex, match="checksum mismatch"):
+        read_thing(path)
+
+
+def cut(path):
+    path.write_bytes(path.read_bytes()[:27])
+
+
+CLOSING_CASES = {
+    "good load": (None, lambda path: None),
+    "too short": (CorruptIndex, cut),
+    "bad magic": (CorruptIndex, lambda path: edited(path, 0, b"XXXX", crc=False)),
+    "wrong version": (UnsupportedVersion, lambda path: edited(path, 4, b"\x09", crc=False)),
+    "checksum": (CorruptIndex, lambda path: edited(path, 8, b"\x03", crc=False)),
+    "not UTF-8": (ParseError, lambda path: edited(path, 28, b"\xff")),
+    "truncated part": (ParseError, lambda path: edited(path, 8, struct.pack("<Q", 3))),
+    "trailing bytes": (ParseError, lambda path: edited(path, 8, struct.pack("<Q", 1))),
+}
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
+@pytest.mark.parametrize("case", sorted(CLOSING_CASES))
+def test_file_closed_on_every_path(tmp_path, case):
+    # an unclosed file warns when it is collected; here that warning fails the test
+    error, damage = CLOSING_CASES[case]
+    path = tmp_path / "thing.bin"
+    write_thing(path)
+    damage(path)
+    if error is None:
+        read_thing(path)
+    else:
+        with pytest.raises(error):
+            read_thing(path)
+    gc.collect()
+
+
+@pytest.mark.parametrize("part", ["names", "values"])
+def test_file_shrinking_during_a_load_is_refused(tmp_path, part):
+    # the file is cut where `part` starts; 2000 values are more than the
+    # file object buffers ahead, so their read reaches the cut
+    path = tmp_path / "thing.bin"
+    write_thing(path, names=["a"] * 2000, values=[1.0] * 2000)
+    with pytest.raises(CorruptIndex, match="the file shrank while it was read"):
+        with binfile.Reader(path, THING) as r:
+            n, _ = r.header
+            if part == "names":
+                os.truncate(path, 24)
+                r.strings(n, "names")
+            else:
+                r.strings(n, "names")
+                os.truncate(path, 24 + 5 * n)
+                r.array("<f8", n, "values")
 
 
 def test_errors_are_parse_errors_naming_the_file(tmp_path):

@@ -659,6 +659,6 @@ class TestPeakMemory:
     def test_load_holds_one_block_beyond_its_index(self, store, tmp_path):
         path = tmp_path / "bm25.bin"
         save_bm25_index(build_index(store), path)
-        # what the index keeps: the file's bytes (ordinals and tfs are views of them) and 8 bytes a posting
+        # what the index keeps: the arrays read from the file, each its own, and 8 bytes a posting
         _, scratch = scratch_beyond_result(load_bm25_index, path)
         assert scratch < self.SLACK

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from deskdpr import bm25, encoder
+from deskdpr import binfile, bm25, encoder
 from deskdpr.bm25 import build_index, tokenize
 from deskdpr.encoder import (
     EncoderModel,
@@ -227,8 +227,8 @@ class TestInitModel:
         model = init_model(d=8, hash_dim=32, seed=4)
         rng = np.random.default_rng(4)
         bound = 1 / np.sqrt(32)
-        assert np.array_equal(model.w_q, rng.uniform(-bound, bound, size=(8, 32)))
-        assert np.array_equal(model.w_p, rng.uniform(-bound, bound, size=(8, 32)))
+        assert np.array_equal(model.w_q, rng.uniform(-bound, bound, size=(8, 32)).astype(np.float32))
+        assert np.array_equal(model.w_p, rng.uniform(-bound, bound, size=(8, 32)).astype(np.float32))
 
     @pytest.mark.parametrize("d", [1, encoder.BLOCK_ROWS - 1, encoder.BLOCK_ROWS + 5, 3 * encoder.BLOCK_ROWS + 1])
     def test_equals_one_draw_per_tower(self, d):
@@ -237,14 +237,15 @@ class TestInitModel:
         rng = np.random.default_rng(11)
         bound = 1 / np.sqrt(48)
         for w in (model.w_q, model.w_p):
-            oracle = rng.uniform(-bound, bound, size=(d, 48))
-            assert w.dtype == np.float64
+            oracle = rng.uniform(-bound, bound, size=(d, 48)).astype(np.float32)
+            assert w.dtype == np.float32
             assert w.tobytes(order="C") == oracle.tobytes()
 
     def test_scratch_is_one_block_of_rows(self):
+        # float32 towers, drawn one float64 block of rows at a time
         d, hash_dim = 61, 4096
         model, scratch = scratch_beyond_result(init_model, d, hash_dim, 3)
-        assert model.w_q.nbytes == model.w_p.nbytes == d * hash_dim * 8
+        assert model.w_q.nbytes == model.w_p.nbytes == d * hash_dim * 4
         assert scratch <= encoder.BLOCK_ROWS * hash_dim * 8 + 16384
 
 
@@ -379,14 +380,15 @@ class TestPersistence:
         _, scratch = scratch_beyond_result(save_model, model, tmp_path / "model.bin")
         assert scratch <= 2 * encoder.BLOCK_ROWS * hash_dim * 4 + 16384
 
-    def test_load_scratch_is_the_files_bytes(self, tmp_path):
-        # beside the float32 towers it returns, loading holds only the file's bytes
+    def test_load_scratch_is_one_block_of_rows(self, tmp_path):
+        # beside the float32 towers it returns, loading holds one block of
+        # rows or the reader's CRC chunk, never the file's bytes
         d, hash_dim = 61, 4096
         path = tmp_path / "model.bin"
         save_model(init_model(d=d, hash_dim=hash_dim, seed=3), path)
         model, scratch = scratch_beyond_result(load_model, path)
         assert model.w_q.nbytes == model.w_p.nbytes == d * hash_dim * 4
-        assert scratch <= path.stat().st_size + 16384
+        assert scratch <= encoder.BLOCK_ROWS * hash_dim * 4 + binfile.CRC_CHUNK
 
     def test_loaded_weights_writeable(self, tmp_path):
         model = init_model(d=4, hash_dim=16, seed=0)

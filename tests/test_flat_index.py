@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from deskdpr import flat_index
+from deskdpr import binfile, flat_index
 from deskdpr.encoder import encode_passages, encode_question, init_model
 from deskdpr.errors import (
     CorruptIndex,
@@ -28,7 +28,7 @@ from deskdpr.flat_index import (
     search_naive,
 )
 
-from helpers import random_text, scratch_beyond_result, store_of
+from helpers import random_text, scratch_beyond_result, store_of, widen
 
 
 def random_index(rng, m, d=16, duplicate_rows=0):
@@ -82,13 +82,14 @@ class TestBuildIndex:
             build_index(model, store_of())
 
     def test_rows_written_into_one_matrix(self, monkeypatch):
-        # beside the rows it returns, the build holds one batch's scratch, not a second copy of the rows
+        # beside the rows it returns, the build holds one batch's scratch, not a second copy of the rows;
+        # a batch's scratch includes the tower rows its features use, widened (up to 0.9 MB here)
         rng = random.Random(5)
-        store = store_of(*(random_text(rng, 40, vocab_size=400) for _ in range(3000)))
-        model = init_model(d=256, hash_dim=1024, seed=0)
+        store = store_of(*(random_text(rng, 40, vocab_size=400) for _ in range(6000)))
+        model = widen(init_model(d=256, hash_dim=1024, seed=0))
         monkeypatch.setattr(flat_index, "BUILD_BATCH_ROWS", 100)
         index, scratch = scratch_beyond_result(build_index, model, store)
-        assert index.vectors.nbytes == 3000 * 256 * 4
+        assert index.vectors.nbytes == 6000 * 256 * 4
         assert scratch < index.vectors.nbytes // 3
 
     def test_rows_overflowing_float32_rejected_without_a_warning(self):
@@ -291,3 +292,12 @@ class TestPersistence:
         save_index(random_index(rng, 3), path)
         loaded = load_index(path)
         assert loaded.vectors.flags.writeable
+
+    def test_load_scratch_is_the_readers_chunk(self, tmp_path):
+        # the vectors are read into the array the index keeps: beside the
+        # index, loading holds the reader's CRC chunk, never the file's bytes
+        path = tmp_path / "index.bin"
+        save_index(random_index(np.random.default_rng(18), 1000, d=256), path)
+        loaded, scratch = scratch_beyond_result(load_index, path)
+        assert loaded.vectors.nbytes == 1000 * 256 * 4
+        assert scratch <= binfile.CRC_CHUNK + 16384

@@ -36,7 +36,7 @@ from deskdpr.training import (
     train,
 )
 
-from helpers import factoid, instance, passage
+from helpers import factoid, instance, passage, widen
 
 LN2 = 0.6931471805599453
 LN4 = 1.3862943611198906
@@ -212,7 +212,7 @@ class TestGradients:
         assert report.loss == pytest.approx(batch_loss(model, instances).loss, abs=1e-15)
 
     def test_finite_differences(self):
-        model = init_model(d=4, hash_dim=32, seed=4)
+        model = widen(init_model(d=4, hash_dim=32, seed=4))
         instances = [
             instance(
                 factoid(f"q{i}", f"find marker{i}token now", ["x"]),
@@ -354,7 +354,7 @@ class TestOptimizers:
     def test_adam_matches_reference_formula_bitwise(self):
         # hash_dim spans two full row blocks and a partial one
         hash_dim = 2 * AdamOptimizer.BLOCK_ROWS + 77
-        model = init_model(d=8, hash_dim=hash_dim, seed=11)
+        model = widen(init_model(d=8, hash_dim=hash_dim, seed=11))
         rng = np.random.default_rng(11)
         steps = [
             (rng.normal(size=(8, hash_dim)), np.asfortranarray(rng.normal(scale=3.0, size=(8, hash_dim))))
@@ -660,6 +660,19 @@ class TestTrain:
             save_model(trained, tmp_path / f"trained{i}.bin")
         assert (tmp_path / "trained0.bin").read_bytes() == (tmp_path / "trained1.bin").read_bytes()
 
+    def test_dev_scoring_sees_the_towers_model_bin_stores(self, tmp_path):
+        # train steps float64 copies of the active rows, but writes them back
+        # into float32 towers before each dev scoring: what model.bin keeps
+        dev = separable_split(30, name="dev")
+        trained, metrics = self.run(dev=dev, epochs=3, n=10, lr=0.05)
+        assert trained.w_q.dtype == trained.w_p.dtype == np.float32
+        path = tmp_path / "model.bin"
+        save_model(trained, path)
+        loaded = load_model(path)
+        assert loaded.w_q.tobytes() == trained.w_q.tobytes() and loaded.w_p.tobytes() == trained.w_p.tobytes()
+        assert 0.0 < metrics[-1]["dev_hit_at_10"] < 1.0
+        assert metrics[-1]["dev_hit_at_10"] == dev_hit_at_k(loaded, dev)
+
     def test_trained_towers_keep_their_layout(self):
         trained, _ = self.run(epochs=2)
         assert trained.w_q.T.flags.c_contiguous and trained.w_p.T.flags.c_contiguous
@@ -704,10 +717,10 @@ class TestTrain:
             batch_size=3, epochs=3, learning_rate=lr, seed=4, d=d, hash_dim=hash_dim, optimizer=optimizer
         )
         split = DatasetSplit(name="train", instances=tuple(instances))
-        trained, _ = train(init_model(d=d, hash_dim=hash_dim, seed=4), split, None, cfg)
+        trained, _ = train(widen(init_model(d=d, hash_dim=hash_dim, seed=4)), split, None, cfg)
 
         # the reference: full-shape gradients and whole-array updates of every row
-        model = init_model(d=d, hash_dim=hash_dim, seed=4)
+        model = widen(init_model(d=d, hash_dim=hash_dim, seed=4))
         initial = (model.w_q.copy(), model.w_p.copy())
         params = [model.w_q, model.w_p]
         m = [np.zeros_like(p) for p in params]
