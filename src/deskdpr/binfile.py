@@ -71,9 +71,12 @@ class Reader(reading):
     computed over chunks of at most ``CRC_CHUNK`` bytes, so the file is
     never held whole.  ``strings`` and ``array`` then read the parts in
     file order, checking each count against the bytes left before they
-    allocate or loop.  As ``reading``, the block turns a ValueError or
-    TypeError into a ParseError naming the file; left without one, it
-    refuses bytes no part took.  The file is closed on every path.
+    allocate or loop.  The parts are read in a second pass, so a file
+    whose size or modification time changed between the checks and the
+    end of the block is refused, as is one that shrank while a part was
+    read.  As ``reading``, the block turns a ValueError or TypeError into
+    a ParseError naming the file; left without one, it refuses bytes no
+    part took.  The file is closed on every path.
     """
 
     def __init__(self, path: str | Path, fmt: Format):
@@ -87,7 +90,8 @@ class Reader(reading):
             raise
 
     def _check(self, fmt: Format) -> None:
-        path, size = self.path, os.fstat(self._file.fileno()).st_size
+        self._stat = os.fstat(self._file.fileno())
+        path, size = self.path, self._stat.st_size
         if size < fmt.prefix.size + _U32.size:
             raise CorruptIndex(f"{path}: too short to be a {fmt.kind} file")
         prefix = self._into(bytearray(fmt.prefix.size))
@@ -148,7 +152,14 @@ class Reader(reading):
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
             super().__exit__(exc_type, exc, tb)
+            if exc is None and _identity(os.fstat(self._file.fileno())) != _identity(self._stat):
+                raise CorruptIndex(f"{self.path}: the file changed while it was read")
             if exc is None and self._left:
                 raise CorruptIndex(f"{self.path}: {self._left} bytes after the end of the {self.kind}")
         finally:
             self._file.close()
+
+
+def _identity(stat: os.stat_result) -> tuple[int, int]:
+    """What an in-place rewrite of a file changes: its size and modification time."""
+    return stat.st_size, stat.st_mtime_ns

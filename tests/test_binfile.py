@@ -157,6 +157,23 @@ def test_file_shrinking_during_a_load_is_refused(tmp_path, part):
                 r.array("<f8", n, "values")
 
 
+def test_file_rewritten_in_place_during_a_load_is_refused(tmp_path):
+    # same length, new bytes after the CRC pass; the mtime is moved on
+    # explicitly, since a filesystem may stamp more coarsely than this takes
+    path = tmp_path / "thing.bin"
+    write_thing(path)
+    with pytest.raises(CorruptIndex, match="the file changed while it was read"):
+        with binfile.Reader(path, THING) as r:
+            n, _ = r.header
+            with open(path, "r+b") as f:
+                f.seek(-20, os.SEEK_END)
+                f.write(struct.pack("<2d", 9.5, 9.5))
+            mtime = os.stat(path).st_mtime_ns
+            os.utime(path, ns=(mtime, mtime + 10**9))
+            r.strings(n, "names")
+            r.array("<f8", n, "values")
+
+
 def test_errors_are_parse_errors_naming_the_file(tmp_path):
     path = tmp_path / "thing.bin"
     path.write_bytes(b"THNG")
