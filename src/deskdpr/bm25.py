@@ -2,10 +2,10 @@
 
 Scoring uses the non-negative IDF variant ln((N - df + 0.5)/(df + 0.5) + 1)
 with the constants ``K1`` = 1.2 and ``B`` = 0.75.  No stemming, no stopword
-removal.  The postings are flat numpy arrays, int32 passage ordinals and tfs
-beside each posting's precomputed float64 score contribution, so a query is
-one gather-and-add per query token into a float64 accumulator, bit-identical
-to scoring passage by passage.  An index holds fewer than 2^31 passages.
+removal.  The postings are flat numpy arrays of int32 passage ordinals and
+tfs.  A query scores the postings of its own tokens from their tfs and adds
+them into a float64 accumulator, bit-identical to scoring passage by
+passage.  An index holds fewer than 2^31 passages.
 
 Building and loading an index work through the postings in blocks of
 ``BLOCK_POSTINGS``, so no step holds a scratch array as long as the
@@ -86,12 +86,10 @@ class InvertedIndex:
     """Okapi BM25 postings in flat numpy arrays, plus length statistics.
 
     Token ``t`` has id ``i = token_ids[t]`` and owns positions
-    ``offsets[i]:offsets[i + 1]`` (int64) of three parallel arrays:
-    ``ordinals`` (int32, strictly increasing), ``tfs`` (int32, >= 1) and
-    ``contributions`` (float64, ``idf(t) * _tf_part(tf, dl, avg)``
-    per posting).  The contributions are computed here, in blocks, with the
-    same float64 operations in the same order as ``bm25_score``, so a query
-    only gathers and adds them and gets the same score bits.
+    ``offsets[i]:offsets[i + 1]`` (int64) of two parallel arrays: ``ordinals``
+    (int32, strictly increasing) and ``tfs`` (int32, >= 1).  ``terms`` scores
+    a token's postings when a query reads them, from each token's idf and
+    each passage's ``K1 * _norm(dl, avg)``.
     """
 
     def __init__(
@@ -118,25 +116,24 @@ class InvertedIndex:
         dfs = np.diff(offsets).tolist()
         # math.log, not np.log: numpy's vectorized log may differ by an ulp
         self._idf = np.array([math.log((self.n_passages - df + 0.5) / (df + 0.5) + 1.0) for df in dfs])
-        self.contributions = np.empty(len(ordinals))
-        # _tf_part's operations elementwise, block by block: tf * (K1 + 1) / (tf + K1 * norm)
-        with np.errstate(invalid="ignore"):  # 0/0 when no passage has a token, and then nothing is gathered
-            k1_norm = _norm(np.asarray(doc_lengths, dtype=np.int64), self.avg_doc_length)
-        k1_norm *= K1  # per passage, then gathered: the same products as per posting
-        for block in _blocks(len(ordinals)):
-            denominator = k1_norm[ordinals[block]]
-            denominator += tfs[block]
-            part = self.contributions[block]
-            np.multiply(tfs[block], K1 + 1.0, out=part)
-            part /= denominator
-            # the idf of only the tokens whose postings the block holds, each repeated over its share
-            first = int(np.searchsorted(offsets, block.start, side="right")) - 1
-            last = int(np.searchsorted(offsets, block.stop))
-            part *= np.repeat(self._idf[first:last], np.diff(offsets[first : last + 1].clip(block.start, block.stop)))
+        with np.errstate(invalid="ignore"):  # 0/0 when no passage has a token, and then no posting reads it
+            self._k1_norm = K1 * _norm(np.asarray(doc_lengths, dtype=np.int64), self.avg_doc_length)
 
     def _span(self, token: str) -> slice:
         i = self.token_ids.get(token)
         return slice(0, 0) if i is None else slice(self.offsets[i], self.offsets[i + 1])
+
+    def terms(self, token: str) -> tuple[np.ndarray, np.ndarray]:
+        """The token's postings: ordinals and BM25 terms, by ``_tf_part``'s float64 operations, then the idf."""
+        span = self._span(token)
+        ordinals = self.ordinals[span].astype(np.intp)  # numpy's fast path in take and add.at
+        terms = self.tfs[span].astype(np.float64)
+        denominator = self._k1_norm.take(ordinals)
+        denominator += terms
+        terms *= K1 + 1.0
+        terms /= denominator
+        terms *= self.idf(token)
+        return ordinals, terms
 
     def idf(self, token: str) -> float:
         i = self.token_ids.get(token)
@@ -199,7 +196,7 @@ def build_index(store: PassageStore) -> InvertedIndex:
     keys *= n
     keys += np.repeat(np.arange(n, dtype=POSTING_DTYPE), doc_lengths)  # 4 bytes an occurrence, not 8
     offsets, ordinals, tfs = count_keys(keys, n, len(vocabulary))
-    del keys  # before the contributions take their memory
+    del keys  # 8 bytes an occurrence, freed before the index's arrays of one value a passage
     passage_ids = [p.passage_id for p in store]
     return InvertedIndex(vocabulary, offsets, ordinals, tfs, doc_lengths, passage_ids)
 
@@ -237,7 +234,7 @@ def bm25_top_k(index: InvertedIndex, query: str, k: int) -> RetrievalResult:
 
     Only passages with score > 0 are returned; ties break toward the
     lower passage ordinal.  Each query token, repeats included and in
-    query order, adds its contributions into one float64 accumulator.  A
+    query order, adds its ``terms`` into one float64 accumulator.  A
     token adds to a passage at most once and the first add onto 0.0 is
     exact, so scores match bm25_score bit for bit.
     """
@@ -245,9 +242,8 @@ def bm25_top_k(index: InvertedIndex, query: str, k: int) -> RetrievalResult:
         raise ValueError(f"k must be >= 1, got {k}")
     acc = np.zeros(index.n_passages)
     for token in tokenize(query):
-        span = index._span(token)
-        np.add.at(acc, index.ordinals[span], index.contributions[span])  # no intp copy of the int32 ordinals
-    # every contribution is > 0, so the touched passages are exactly these
+        np.add.at(acc, *index.terms(token))
+    # every term is > 0, so the touched passages are exactly these
     candidates = np.flatnonzero(acc > 0.0)
     if len(candidates) > k:
         kth = np.partition(acc[candidates], len(candidates) - k)[len(candidates) - k]
@@ -347,8 +343,12 @@ def load_bm25_index(path: str | Path) -> InvertedIndex:
 def _first_bad_posting(offsets: np.ndarray, ordinals: np.ndarray, tfs: np.ndarray, n: int) -> int | None:
     """The first posting whose ordinal does not rise strictly within its list
     or lie in ``[0, n)``, or whose tf is below 1; None if every one is valid."""
-    rising = np.empty(len(ordinals), dtype=bool)
-    rising[1:] = ordinals[1:] > ordinals[:-1]
-    rising[offsets[:-1]] = True  # a list's first posting follows no other
-    valid = rising & (ordinals >= 0) & (ordinals < n) & (tfs >= 1)
-    return None if valid.all() else int(np.argmin(valid))
+    for block in _blocks(len(ordinals)):
+        lo, hi = max(block.start - 1, 0), block.stop  # from the previous block's last posting on
+        valid = np.concatenate(([True], ordinals[lo + 1 : hi] > ordinals[lo : hi - 1]))
+        # a list's first posting follows no other
+        valid[offsets[np.searchsorted(offsets, lo) : np.searchsorted(offsets, hi)] - lo] = True
+        valid &= (ordinals[lo:hi] >= 0) & (ordinals[lo:hi] < n) & (tfs[lo:hi] >= 1)
+        if not valid.all():
+            return lo + int(np.argmin(valid))
+    return None

@@ -131,10 +131,10 @@ def widen(model: EncoderModel) -> EncoderModel:
     return EncoderModel(model.d, model.hash_dim, *(w.astype(np.float64, order="F") for w in (model.w_q, model.w_p)))
 
 
-def scratch_beyond_result(fn, *args):
-    """``fn(*args)`` and how many bytes its traced peak rose above what its
-    result holds.  The cyclic collector is paused, so a collection run
-    inside the call cannot add its own transient allocations."""
+def traced(fn, *args):
+    """``fn(*args)``, the bytes its result holds and the call's traced peak.
+    The cyclic collector is paused, so a collection run inside the call
+    cannot add its own transient allocations."""
     gc.disable()
     tracemalloc.start()
     try:
@@ -143,4 +143,11 @@ def scratch_beyond_result(fn, *args):
     finally:
         tracemalloc.stop()
         gc.enable()
+    return result, held, peak
+
+
+def scratch_beyond_result(fn, *args):
+    """``fn(*args)`` and how many bytes its traced peak rose above what its
+    result holds."""
+    result, held, peak = traced(fn, *args)
     return result, peak - held

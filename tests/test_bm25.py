@@ -37,9 +37,9 @@ from helpers import (
     passage,
     random_text,
     rewrite_payload,
-    scratch_beyond_result,
     set_bm25_ints,
     store_of,
+    traced,
     yesno,
 )
 
@@ -49,6 +49,11 @@ LN2 = 0.6931471805599453
 def postings(index):
     """Every token's posting list, as a dict of (ordinal, tf) lists."""
     return {token: index.posting_list(token) for token in index.token_ids}
+
+
+def all_terms(index):
+    """Every posting's BM25 term, token after token in id order."""
+    return np.concatenate([np.empty(0), *(index.terms(token)[1] for token in index.token_ids)])
 
 
 class TestTokenize:
@@ -242,13 +247,14 @@ def check_against_counter_reference(texts):
     assert index.ordinals.dtype == index.tfs.dtype == np.int32
     # a one-token query's score is 0.0 plus the one term, exactly
     terms = [bm25_score(index, [token], ordinal).hex() for token, plist in zip(vocabulary, want) for ordinal, _ in plist]
-    assert [c.hex() for c in index.contributions.tolist()] == terms
+    assert [c.hex() for c in all_terms(index).tolist()] == terms
     with tempfile.TemporaryDirectory() as tmp:
         save_bm25_index(index, Path(tmp) / "bm25.bin")
         loaded = load_bm25_index(Path(tmp) / "bm25.bin")
-    for name in ("offsets", "ordinals", "tfs", "contributions"):
+    for name in ("offsets", "ordinals", "tfs"):
         a, b = getattr(index, name), getattr(loaded, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert all_terms(loaded).tobytes() == all_terms(index).tobytes()
     assert loaded.doc_lengths == index.doc_lengths
 
 
@@ -514,7 +520,7 @@ class TestPersistence:
         assert postings(loaded) == postings(index)
         assert loaded.doc_lengths == index.doc_lengths
         assert loaded.passage_ids == index.passage_ids
-        assert loaded.contributions.tobytes() == index.contributions.tobytes()
+        assert all_terms(loaded).tobytes() == all_terms(index).tobytes()
         query = texts[0].split()[:3]
         for ordinal in range(len(texts)):
             assert bm25_score(loaded, query, ordinal) == bm25_score(index, query, ordinal)
@@ -607,8 +613,9 @@ class TestBlocks:
             save_bm25_index(built, tmp_path / "bm25.bin")
             loaded = load_bm25_index(tmp_path / "bm25.bin")
         for index in (built, loaded):
-            for name in ("offsets", "ordinals", "tfs", "contributions"):
+            for name in ("offsets", "ordinals", "tfs"):
                 assert getattr(index, name).tobytes() == getattr(whole, name).tobytes(), name
+            assert all_terms(index).tobytes() == all_terms(whole).tobytes()
             for query in queries:
                 got = [(h.passage_id, h.score.hex()) for h in bm25_top_k(index, query, 10)]
                 assert got == [(h.passage_id, h.score.hex()) for h in bm25_top_k(whole, query, 10)]
@@ -621,10 +628,11 @@ class TestBlocks:
         with mock.patch.object(bm25, "BLOCK_POSTINGS", block_postings), warnings.catch_warnings():
             warnings.simplefilter("error")
             index = build_index(store_of(*self.EXTREME_TEXTS))
+            terms = all_terms(index)
         idf = np.repeat([index.idf(t) for t in index.token_ids], np.diff(index.offsets))
-        assert np.isfinite(index.contributions).all()
-        assert (index.contributions > 0).all()
-        assert (index.contributions <= idf * (bm25.K1 + 1.0)).all()
+        assert np.isfinite(terms).all()
+        assert (terms > 0).all()
+        assert (terms <= idf * (bm25.K1 + 1.0)).all()
 
     @pytest.mark.parametrize("block_postings", [1, 2, 7])
     def test_tf_raised_in_the_last_block_refused_on_load(self, tmp_path, block_postings):
@@ -638,10 +646,23 @@ class TestBlocks:
             with pytest.raises(ParseError, match=r"^\S+: passage 'd4#0': doc length 3, but its postings' tfs sum to 4$"):
                 load_bm25_index(path)
 
+    @pytest.mark.parametrize("block_postings", [1, 2, 7])
+    def test_ordinal_repeated_across_a_block_boundary_refused_on_load(self, tmp_path, block_postings):
+        # b's posting list is ordinals 1 and 2 of [a: 0 | b: 0, 1 | c: 1]; in blocks of 1 or 2, 2 starts a block
+        path = tmp_path / "bm25.bin"
+        save_bm25_index(build_index(store_of("a b", "b c")), path)
+        rewrite_payload(path, lambda payload: set_bm25_ints(payload, "ordinals", 2, [0]))
+        with mock.patch.object(bm25, "BLOCK_POSTINGS", block_postings):
+            with pytest.raises(ParseError, match=r"^\S+: token 'b': posting \[0, 1\]: ordinals must rise strictly within"):
+                load_bm25_index(path)
+
 
 class TestPeakMemory:
-    """Beside what it returns, a build or a load holds one block's scratch
-    arrays and a few arrays of one value a passage, never scratch arrays as
+    """An index holds its int32 ordinals and tfs, 8 bytes a posting, beside
+    arrays of one value a token or a passage.  A build peaks at its int64
+    occurrence keys; a load holds one block's scratch arrays and a few
+    arrays of one value a passage; a query holds its accumulator and a few
+    arrays as long as the postings it reads.  None holds a scratch array as
     long as the postings (8 bytes a posting is 2.8 MiB here)."""
 
     SLACK = 1 << 20
@@ -651,14 +672,30 @@ class TestPeakMemory:
         rng = random.Random(41)
         return store_of(*(random_text(rng, 80, vocab_size=400) for _ in range(5000)))  # about 360k postings
 
-    def test_build_holds_one_block_beyond_its_index(self, store):
-        index, scratch = scratch_beyond_result(build_index, store)
-        assert 8 * len(index.ordinals) > 2 * self.SLACK  # scratch 8 bytes a posting long would show
-        assert scratch < self.SLACK
+    def test_build_holds_8_bytes_a_posting_and_peaks_below_16(self, store):
+        index, held, peak = traced(build_index, store)
+        n_postings = len(index.ordinals)
+        assert 8 * n_postings > 2 * self.SLACK  # 8 bytes a posting more, held or scratch, would show
+        # ordinals and tfs; offsets and idfs, one a token; K1 * norm, one a passage
+        assert held <= 8 * n_postings + 16 * (len(index.token_ids) + 1) + 8 * index.n_passages + self.SLACK
+        assert peak <= 16 * n_postings + self.SLACK
 
     def test_load_holds_one_block_beyond_its_index(self, store, tmp_path):
         path = tmp_path / "bm25.bin"
         save_bm25_index(build_index(store), path)
-        # what the index keeps: the arrays read from the file, each its own, and 8 bytes a posting
-        _, scratch = scratch_beyond_result(load_bm25_index, path)
-        assert scratch < self.SLACK
+        index, held, peak = traced(load_bm25_index, path)
+        # one block's int64 tfs and bool masks, and a few arrays of one value a passage
+        bound = 8 * bm25.BLOCK_POSTINGS + 16 * index.n_passages + (1 << 15)
+        assert len(index.ordinals) > bound  # one bool a posting would show
+        assert peak - held < bound
+
+    @pytest.mark.parametrize("query", ["tok7", "tok7 tok1 tok2 tok3 tok7"])
+    def test_query_holds_its_accumulator_and_arrays_as_long_as_its_postings(self, store, query):
+        index = build_index(store)
+        bm25_top_k(index, query, 10)  # the tokenizer's table learns the query's characters
+        _, _, peak = traced(bm25_top_k, index, query, 10)
+        read = sum(len(index.posting_list(token)) for token in tokenize(query))
+        # the float64 accumulator and its bool mask, one a passage; a few 8-byte arrays a posting read
+        bound = 9 * index.n_passages + 4 * 8 * read + (1 << 14)
+        assert 8 * len(index.ordinals) > 2 * bound  # one float64 a posting would show
+        assert peak <= bound
