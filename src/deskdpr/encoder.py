@@ -9,6 +9,9 @@ The towers are Fortran-ordered float32, the precision ``model.bin``
 holds, whether ``init_model`` drew them or ``load_model`` read them.
 They project to float64 embeddings: a batch widens, exactly, only the
 tower rows its features use.
+
+scipy is imported where a sparse array is first built, so code that
+never featurizes, such as the CLI's data-prep stages, loads numpy only.
 """
 
 from __future__ import annotations
@@ -16,14 +19,16 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from . import binfile
 from .bm25 import count_keys, token_ids
 from .errors import DimensionError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 # version 2 is version 1 with the CRC-32 trailer
 FORMAT = binfile.Format("model", b"DPRM", 2, "II")
@@ -64,6 +69,7 @@ def featurize_texts(texts: Sequence[str], hash_dim: int = DEFAULT_HASH_DIM) -> s
     # the counts are integers, so every sum of squares is exact
     rows = np.repeat(np.arange(len(lengths)), np.diff(indptr))
     data /= np.sqrt(np.bincount(rows, weights=data * data))[rows]
+    from scipy import sparse
     return sparse.csr_array((data, indices, indptr), shape=(len(lengths), hash_dim))
 
 
@@ -125,6 +131,7 @@ def compact_columns(features: sparse.csr_array) -> tuple[np.ndarray, sparse.csr_
     used[features.indices] = True
     rows = np.flatnonzero(used)
     columns = np.cumsum(used)[features.indices] - 1
+    from scipy import sparse
     return rows, sparse.csr_array((features.data, columns, features.indptr), shape=(features.shape[0], len(rows)))
 
 

@@ -996,3 +996,57 @@ class TestRepl:
     def test_blank_lines_ignored(self, pipeline, monkeypatch, capsys):
         rc, out = self.run_repl(pipeline, monkeypatch, capsys, "\n\n:quit\n")
         assert rc == 0
+
+
+# Run in a fresh interpreter, so no earlier test has loaded scipy.
+_DATA_PREP_WITHOUT_SCIPY = """
+import contextlib, io, sys
+
+import deskdpr.encoder, deskdpr.evaluation, deskdpr.flat_index, deskdpr.training
+assert "scipy" not in sys.modules, "importing the library loaded scipy"
+
+from deskdpr import cli
+
+corpus, questions, root = sys.argv[1:]
+steps = [
+    ["--help"],
+    ["ingest", "--corpus", corpus, "--out", f"{root}/passages.jsonl", "--chunk-size", "20"],
+    ["index-bm25", "--corpus", f"{root}/passages.jsonl", "--out", f"{root}/bm25.jsonl"],
+    ["build-dataset", "--questions", questions, "--store", f"{root}/passages.jsonl",
+     "--index", f"{root}/bm25.jsonl", "--out-dir", f"{root}/dataset"],
+]
+for argv in steps:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+assert "scipy" not in sys.modules, "a data-prep stage loaded scipy"
+
+import numpy as np
+from deskdpr.encoder import featurize_texts, hash_token
+
+features = featurize_texts(["alpha beta alpha", "", "beta"], 16384)
+assert "scipy.sparse" in sys.modules
+from scipy import sparse
+
+alpha, beta = hash_token("alpha", 16384), hash_token("beta", 16384)
+assert alpha != beta
+order = sorted([alpha, beta])
+row0 = np.array([2.0 if b == alpha else 1.0 for b in order]) / np.sqrt(5.0)
+expected = sparse.csr_array(
+    (np.concatenate([row0, [1.0]]), np.array(order + [beta]), np.array([0, 2, 2, 3])), shape=(3, 16384)
+)
+assert type(features) is sparse.csr_array and features.shape == expected.shape
+for part in ("indptr", "indices", "data"):
+    assert np.array_equal(getattr(features, part), getattr(expected, part)), part
+"""
+
+
+class TestScipyDeferred:
+    def test_data_prep_loads_no_scipy_and_featurizing_does(self, tmp_path):
+        corpus, questions = write_fixture(tmp_path)
+        proc = subprocess.run(
+            [sys.executable, "-c", _DATA_PREP_WITHOUT_SCIPY, str(corpus), str(questions), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "dataset" / "train.json").exists()
