@@ -7,9 +7,12 @@ tfs.  A query scores the postings of its own tokens from their tfs and adds
 them into a float64 accumulator, bit-identical to scoring passage by
 passage.  An index holds fewer than 2^31 passages.
 
-Building and loading an index work through the postings in blocks of
-``BLOCK_POSTINGS``, so no step holds a scratch array as long as the
-postings beside the arrays the index keeps.
+Building an index counts blocks of whole passages, about
+``BLOCK_POSTINGS`` occurrences each, twice: once for the dfs, once to place
+the postings.  Beside the index it holds one int32 token id an occurrence,
+and nothing as long as the occurrences in int64.  Loading checks the
+postings in blocks of ``BLOCK_POSTINGS``.  No step holds a scratch array as
+long as the postings beside the arrays the index keeps.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ FORMAT = binfile.Format("BM25 index", b"BM25", 4, "QQQ")
 K1, B = 1.2, 0.75
 # the dtype of ordinals and tfs, in memory and on disk
 POSTING_DTYPE = np.dtype("<i4")
-# postings (or occurrence keys) worked through at once: 128 KiB a float64 array.  Blocks of 512 KiB
-# arrays, freed below longer-lived ones in the brk heap, left holes there of a few MiB.
+# postings a load checks, or occurrences a build counts, at once: 128 KiB a float64 array, and under
+# 1 MiB of a build's scratch.  Blocks of 512 KiB arrays, freed below longer-lived ones in the brk heap,
+# left holes there of a few MiB.
 BLOCK_POSTINGS = 1 << 14
 
 
@@ -62,18 +66,19 @@ def tokenize(text: str) -> list[str]:
 
 
 def token_ids(texts: Iterable[str]) -> tuple[list[str], np.ndarray, list[int]]:
-    """The vocabulary in first-seen order, every token occurrence's id in a
-    writable int64 array, text after text, and each text's token count."""
+    """The vocabulary in first-seen order, every token occurrence's id in an
+    int32 array (4 bytes an occurrence), text after text, and each text's
+    token count."""
     ids: defaultdict[str, int] = defaultdict()
     ids.default_factory = ids.__len__  # a new token's id is len(ids)
-    occurrences = array("q")  # 8 bytes per occurrence, handed to numpy without a copy
+    occurrences = array("i")  # 4 bytes an occurrence, handed to numpy without a copy
     lengths: list[int] = []
     for text in texts:
         tokens = tokenize(text)
         occurrences.fromlist(list(map(ids.__getitem__, tokens)))  # faster than extend's item-by-item growth
         lengths.append(len(tokens))
     ids.default_factory = None  # the factory is bound to ids: break the cycle so ids is freed on return
-    return list(ids), np.frombuffer(occurrences, dtype=np.int64), lengths
+    return list(ids), np.frombuffer(occurrences, dtype=np.int32), lengths
 
 
 def _check_passage_count(n: int) -> None:
@@ -153,50 +158,93 @@ class InvertedIndex:
         return 0
 
 
-def count_keys(keys: np.ndarray, width: int, n_groups: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Count each distinct int64 key ``group * width + member``, reusing ``keys``' memory.
+def _runs(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal values starts in the sorted ``values``, then ``len(values)``."""
+    starts = np.ones(len(values) + 1, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=starts[1:-1])
+    return starts.nonzero()[0]
+
+
+def key_dtype(n_groups: int, bits: int) -> np.dtype:
+    """int32 if it holds every key ``group << bits | member`` of ``n_groups``
+    groups, else int64: a sort of int32 keys takes about half the time."""
+    return np.dtype(np.int32 if n_groups << bits <= 1 << 31 else np.int64)
+
+
+def count_keys(keys: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Count each distinct key ``group << bits | member``, for members below ``2 ** bits``.
 
     Sorted, the keys run group by group and, within a group, member by
     member, so a run of equal keys is one (group, member) pair and its
-    length the pair's count.  Returns int64 ``offsets``, group g's pairs
-    being ``offsets[g]:offsets[g + 1]``, then each pair's member and count
-    as ``POSTING_DTYPE``.  ``keys`` is left overwritten.  The runs are
-    found in blocks, so the only scratch array as long as ``keys`` is one
-    bool per key.
+    length the pair's count.  Returns each pair's group (rising, in the
+    keys' dtype), then its member and count as ``POSTING_DTYPE``.  ``keys``
+    is left sorted; the scratch arrays are one bool a key and a few arrays
+    of one value a pair.
     """
     keys.sort()
-    starts = np.ones(len(keys) + 1, dtype=bool)  # where each run of equal keys starts, then the end
-    np.not_equal(keys[1:], keys[:-1], out=starts[1:-1])
-    distinct = keys[: np.count_nonzero(starts) - 1]
-    counts = np.empty(len(distinct), dtype=POSTING_DTYPE)
-    done = end = 0  # the runs found so far, and where the last of them ends
-    for block in _blocks(len(keys)):
-        # the runs whose last key is in the block: each ends where the next starts
-        ends = np.flatnonzero(starts[block.start + 1 : block.stop + 1])
-        ends += block.start + 1
-        # each run's key moves to the front; `done` never passes the block, so no unread key is overwritten
-        distinct[done : done + len(ends)] = keys[ends - 1]
-        counts[done : done + len(ends)] = np.diff(ends, prepend=end)
-        done, end = done + len(ends), ends[-1] if len(ends) else end
-    del starts
-    offsets = np.searchsorted(distinct, np.arange(n_groups + 1, dtype=np.int64) * width)
-    members = np.remainder(distinct, width, out=distinct).astype(POSTING_DTYPE)
-    return offsets, members, counts
+    runs = _runs(keys)
+    groups = keys[runs[:-1]]
+    members = (groups & ((1 << bits) - 1)).astype(POSTING_DTYPE)
+    groups >>= bits
+    return groups, members, (runs[1:] - runs[:-1]).astype(POSTING_DTYPE)
+
+
+def _passage_blocks(ends: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Consecutive runs ``(lo, hi)`` of whole passages, covering them all:
+    passage p's occurrences are ``ends[p]:ends[p + 1]``, and a run holds at
+    most ``BLOCK_POSTINGS`` of them unless it is one longer passage."""
+    lo, n = 0, len(ends) - 1
+    while lo < n:
+        hi = max(int(np.searchsorted(ends, ends[lo] + BLOCK_POSTINGS, side="right")) - 1, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _block_postings(ids: np.ndarray, n_tokens: int, ends: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """The postings of passages ``lo:hi``, token by token, by ``count_keys``:
+    each of the block's tokens, where its postings start and how many there
+    are, then every posting's ordinal and tf."""
+    bits = (hi - lo - 1).bit_length()
+    keys = ids[ends[lo] : ends[hi]].astype(key_dtype(n_tokens, bits))
+    keys <<= bits
+    keys |= np.repeat(np.arange(hi - lo, dtype=keys.dtype), ends[lo + 1 : hi + 1] - ends[lo:hi])
+    tokens, ordinals, tfs = count_keys(keys, bits)
+    runs = _runs(tokens)
+    ordinals += lo
+    return tokens[runs[:-1]], runs[:-1], runs[1:] - runs[:-1], ordinals, tfs
 
 
 def build_index(store: PassageStore) -> InvertedIndex:
-    """Tokenize every passage text and build the inverted index: each
-    occurrence is the key ``token id * n + ordinal``, and ``count_keys``
-    turns the keys into postings."""
+    """Tokenize every passage text and build the inverted index in two passes
+    over blocks of whole passages, in passage order.  Pass 1 adds each
+    block's postings into their tokens' dfs, which give ``offsets``.  Pass 2
+    counts each block again and places each token's postings after those
+    earlier blocks placed, so every posting list rises by ordinal.  Beside
+    the index, the build holds one int32 id an occurrence and one block's
+    scratch: nothing as long as the occurrences in int64."""
     n = len(store)
     if n == 0:
         raise EmptyCorpus("cannot build a BM25 index over an empty store")
     _check_passage_count(n)
-    vocabulary, keys, doc_lengths = token_ids(p.text for p in store)
-    keys *= n
-    keys += np.repeat(np.arange(n, dtype=POSTING_DTYPE), doc_lengths)  # 4 bytes an occurrence, not 8
-    offsets, ordinals, tfs = count_keys(keys, n, len(vocabulary))
-    del keys  # 8 bytes an occurrence, freed before the index's arrays of one value a passage
+    vocabulary, ids, doc_lengths = token_ids(p.text for p in store)
+    ends = np.zeros(n + 1, dtype=np.int64)  # passage p's occurrences are ends[p]:ends[p + 1]
+    np.cumsum(doc_lengths, out=ends[1:])
+    offsets = np.zeros(len(vocabulary) + 1, dtype=np.int64)
+    for lo, hi in _passage_blocks(ends):  # each token's df, one after its own position, sums to its offset
+        tokens, _, dfs, _, _ = _block_postings(ids, len(vocabulary), ends, lo, hi)
+        offsets[tokens + 1] += dfs
+    np.cumsum(offsets, out=offsets)
+    ordinals = np.empty(offsets[-1], dtype=POSTING_DTYPE)
+    tfs = np.empty(offsets[-1], dtype=POSTING_DTYPE)
+    placed = offsets[:-1].copy()  # where each token's next posting goes
+    for lo, hi in _passage_blocks(ends):
+        tokens, starts, dfs, block_ordinals, block_tfs = _block_postings(ids, len(vocabulary), ends, lo, hi)
+        at = np.repeat(placed[tokens] - starts, dfs)  # a token's k-th posting in the block goes to placed + k
+        at += np.arange(len(block_ordinals))
+        ordinals[at] = block_ordinals
+        tfs[at] = block_tfs
+        placed[tokens] += dfs
+    del ids, ends, placed  # freed before the index's arrays of one value a passage
     passage_ids = [p.passage_id for p in store]
     return InvertedIndex(vocabulary, offsets, ordinals, tfs, doc_lengths, passage_ids)
 

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import binfile
-from .bm25 import count_keys, token_ids
+from .bm25 import count_keys, key_dtype, token_ids
 from .errors import DimensionError
 
 if TYPE_CHECKING:
@@ -61,13 +61,16 @@ def featurize_texts(texts: Sequence[str], hash_dim: int = DEFAULT_HASH_DIM) -> s
     if hash_dim < 1:
         raise ValueError(f"hash_dim must be >= 1, got {hash_dim}")
     vocabulary, ids, lengths = token_ids(texts)
-    buckets = np.array([hash_token(token, hash_dim) for token in vocabulary], dtype=np.int64)
-    keys = np.repeat(np.arange(0, len(lengths) * hash_dim, hash_dim, dtype=np.int64), lengths)
-    keys += buckets[ids]
-    indptr, indices, counts = count_keys(keys, hash_dim, len(lengths))
+    bits = (hash_dim - 1).bit_length()
+    dtype = key_dtype(len(lengths), bits)
+    buckets = np.array([hash_token(token, hash_dim) for token in vocabulary], dtype=dtype)
+    keys = np.repeat(np.arange(len(lengths), dtype=dtype) << bits, lengths)
+    keys |= buckets.take(ids)  # take, not [], has numpy's fast path for int32 ids
+    rows, indices, counts = count_keys(keys, bits)
+    indptr = np.searchsorted(rows, np.arange(len(lengths) + 1, dtype=dtype))
+    rows = rows.astype(np.intp)  # numpy's fast path in bincount and indexing
     data = counts.astype(np.float64)
     # the counts are integers, so every sum of squares is exact
-    rows = np.repeat(np.arange(len(lengths)), np.diff(indptr))
     data /= np.sqrt(np.bincount(rows, weights=data * data))[rows]
     from scipy import sparse
     return sparse.csr_array((data, indices, indptr), shape=(len(lengths), hash_dim))

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deskdpr import bm25
@@ -211,9 +211,42 @@ def test_build_equals_counter_reference(texts):
 @pytest.mark.parametrize("block_postings", [1, 2, 7])
 @settings(max_examples=50, deadline=None)
 @given(texts=BUILD_TEXTS)
+@example(texts=["alpha", ""]).via("an empty passage after a full block")
+@example(texts=["alpha beta", ""]).via("a block of empty passages only, at 1 posting a block")
+@example(texts=["beta", " ".join(["alpha", "beta", "p53"] * 3), "p53 alpha"]).via("a passage longer than a block")
+@example(texts=["", "--", "\u00b7 --"]).via("no passage has a token")
 def test_build_equals_counter_reference_in_small_blocks(block_postings, texts):
     with mock.patch.object(bm25, "BLOCK_POSTINGS", block_postings):
         check_against_counter_reference(texts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lengths=st.lists(st.integers(0, 9), min_size=1, max_size=20), block_postings=st.integers(1, 12))
+def test_passage_blocks_cover_the_passages_in_order(lengths, block_postings):
+    ends = np.concatenate(([0], np.cumsum(lengths)))
+    with mock.patch.object(bm25, "BLOCK_POSTINGS", block_postings):
+        blocks = list(bm25._passage_blocks(ends))
+    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+    assert blocks[-1][1] == len(lengths)
+    for lo, hi in blocks:
+        # at most a block of occurrences, unless one passage holds more
+        assert lo < hi and (sum(lengths[lo:hi]) <= block_postings or hi == lo + 1)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 6)), max_size=60))
+def test_count_keys_equals_counter(dtype, pairs):
+    keys = np.array([group << 3 | member for group, member in pairs], dtype=dtype)
+    groups, members, counts = bm25.count_keys(keys, 3)
+    want = sorted(Counter(pairs).items())
+    assert groups.dtype == dtype and members.dtype == counts.dtype == np.int32
+    assert list(zip(zip(groups.tolist(), members.tolist()), counts.tolist())) == want
+
+
+@pytest.mark.parametrize("n_groups, bits, dtype", [(1 << 31, 0, np.int32), (1 << 27, 4, np.int32), (1 << 27 | 1, 4, np.int64)])
+def test_key_dtype_holds_the_largest_key(n_groups, bits, dtype):
+    assert bm25.key_dtype(n_groups, bits) == dtype
 
 
 def test_token_ids_leaves_no_reference_cycle():
@@ -235,7 +268,7 @@ def test_token_ids_leaves_no_reference_cycle():
 def check_against_counter_reference(texts):
     """Build, save and load an index of the texts; check every array against Counter's counts."""
     _, ids, _ = token_ids(texts)
-    assert ids.dtype == np.int64 and ids.flags.writeable  # build_index rewrites it in place
+    assert ids.dtype == np.int32
     index = build_index(store_of(*texts))
     counts = [Counter(tokenize(text)) for text in texts]
     vocabulary = list(dict.fromkeys(token for c in counts for token in c))
@@ -659,11 +692,12 @@ class TestBlocks:
 
 class TestPeakMemory:
     """An index holds its int32 ordinals and tfs, 8 bytes a posting, beside
-    arrays of one value a token or a passage.  A build peaks at its int64
-    occurrence keys; a load holds one block's scratch arrays and a few
-    arrays of one value a passage; a query holds its accumulator and a few
-    arrays as long as the postings it reads.  None holds a scratch array as
-    long as the postings (8 bytes a posting is 2.8 MiB here)."""
+    arrays of one value a token or a passage.  A build holds one int32 id an
+    occurrence and one block's scratch arrays beside the index; a load holds
+    one block's scratch arrays and a few arrays of one value a passage; a
+    query holds its accumulator and a few arrays as long as the postings it
+    reads.  None holds a scratch array as long as the postings (8 bytes a
+    posting is 2.8 MiB here)."""
 
     SLACK = 1 << 20
 
@@ -679,6 +713,16 @@ class TestPeakMemory:
         # ordinals and tfs; offsets and idfs, one a token; K1 * norm, one a passage
         assert held <= 8 * n_postings + 16 * (len(index.token_ids) + 1) + 8 * index.n_passages + self.SLACK
         assert peak <= 16 * n_postings + self.SLACK
+
+    def test_build_holds_4_bytes_an_occurrence_beside_the_index(self):
+        # each passage repeats its few tokens, so a scratch array as long as the occurrences shows against the postings
+        rng = random.Random(43)
+        store = store_of(*(random_text(rng, 100, vocab_size=20) for _ in range(10000)))
+        index, _, peak = traced(build_index, store)
+        n_occurrences, n_postings = sum(index.doc_lengths), len(index.ordinals)
+        assert n_occurrences >= 3 * n_postings and 4 * n_occurrences > 2 * self.SLACK
+        # int32 ids, ordinals and tfs; one block's keys and counts, under 64 bytes an occurrence
+        assert peak <= 4 * n_occurrences + 8 * n_postings + 64 * bm25.BLOCK_POSTINGS + self.SLACK
 
     def test_load_holds_one_block_beyond_its_index(self, store, tmp_path):
         path = tmp_path / "bm25.bin"
