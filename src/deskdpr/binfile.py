@@ -40,17 +40,24 @@ class Format:
         return struct.Struct("<4sI" + self.header)
 
 
-def strings(values: Iterable[str]) -> bytes:
-    """A string table."""
-    return b"".join(_U32.pack(len(encoded)) + encoded for encoded in (v.encode("utf-8") for v in values))
+def strings(values: Iterable[str]) -> bytearray:
+    """A string table, grown in one bytearray: its scratch is about its own
+    size, not a bytes object a string."""
+    table = bytearray()
+    for value in values:
+        encoded = value.encode("utf-8")
+        table += _U32.pack(len(encoded))
+        table += encoded
+    return table
 
 
 def write(path: str | Path, fmt: Format, header: Sequence, parts: Iterable) -> None:
     """Write the prefix, each bytes-like part and the CRC, computed as they stream:
     the payload is never joined into one copy, and a part is taken from
-    ``parts`` only once the one before it is written.  A header value its struct
-    code cannot hold is a ValueError, raised before the file is opened; it
-    names no path, since ``path`` may be a temp file the caller renames."""
+    ``parts`` only once the one before it is written and let go.  A header
+    value its struct code cannot hold is a ValueError, raised before the file
+    is opened; it names no path, since ``path`` may be a temp file the caller
+    renames."""
     try:
         prefix = fmt.prefix.pack(fmt.magic, fmt.version, *header)
     except struct.error as exc:
@@ -60,6 +67,7 @@ def write(path: str | Path, fmt: Format, header: Sequence, parts: Iterable) -> N
         for part in itertools.chain((prefix,), parts):
             f.write(part)
             crc = zlib.crc32(part, crc)
+            del part  # freed before the next part is made
         f.write(_U32.pack(crc))
 
 

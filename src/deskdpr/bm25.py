@@ -3,16 +3,20 @@
 Scoring uses the non-negative IDF variant ln((N - df + 0.5)/(df + 0.5) + 1)
 with the constants ``K1`` = 1.2 and ``B`` = 0.75.  No stemming, no stopword
 removal.  The postings are flat numpy arrays of int32 passage ordinals and
-tfs.  A query scores the postings of its own tokens from their tfs and adds
-them into a float64 accumulator, bit-identical to scoring passage by
-passage.  An index holds fewer than 2^31 passages.
+of tfs in ``tf_dtype``, the narrowest unsigned type that holds the longest
+doc length: uint8, one byte a tf, while every passage has under 256 tokens.
+``bm25.bin`` keeps int32 tfs.  A query scores the postings of its own
+tokens from their tfs and adds them into a float64 accumulator,
+bit-identical to scoring passage by passage.  An index holds fewer than
+2^31 passages.
 
 Building an index counts blocks of whole passages, about
 ``BLOCK_POSTINGS`` occurrences each, twice: once for the dfs, once to place
 the postings.  Beside the index it holds one int32 token id an occurrence,
-and nothing as long as the occurrences in int64.  Loading checks the
-postings in blocks of ``BLOCK_POSTINGS``.  No step holds a scratch array as
-long as the postings beside the arrays the index keeps.
+and nothing as long as the occurrences in int64.  Loading reads, checks and
+narrows the tfs, and saving widens them, in blocks of ``BLOCK_POSTINGS``.
+No step holds a scratch array as long as the postings beside the arrays the
+index keeps.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .results import RetrievalResult, hits_from_ranking
 # version 1 was JSON Lines, version 2 held int64 ordinals and tfs, version 3 also k1 and b
 FORMAT = binfile.Format("BM25 index", b"BM25", 4, "QQQ")
 K1, B = 1.2, 0.75
-# the dtype of ordinals and tfs, in memory and on disk
+# the dtype of ordinals in memory and on disk, and of tfs on disk
 POSTING_DTYPE = np.dtype("<i4")
 # postings a load checks, or occurrences a build counts, at once: 128 KiB a float64 array, and under
 # 1 MiB of a build's scratch.  Blocks of 512 KiB arrays, freed below longer-lived ones in the brk heap,
@@ -81,6 +85,12 @@ def token_ids(texts: Iterable[str]) -> tuple[list[str], np.ndarray, list[int]]:
     return list(ids), np.frombuffer(occurrences, dtype=np.int32), lengths
 
 
+def tf_dtype(longest: int) -> np.dtype:
+    """The dtype of tfs in memory: the narrowest that holds ``longest`` >= 0,
+    the longest doc length, so uint8 under 256 tokens, then uint16 or uint32."""
+    return np.min_scalar_type(int(longest))
+
+
 def _check_passage_count(n: int) -> None:
     """Refuse a passage count whose ordinals do not fit ``POSTING_DTYPE``."""
     if n > np.iinfo(POSTING_DTYPE).max:
@@ -92,7 +102,8 @@ class InvertedIndex:
 
     Token ``t`` has id ``i = token_ids[t]`` and owns positions
     ``offsets[i]:offsets[i + 1]`` (int64) of two parallel arrays: ``ordinals``
-    (int32, strictly increasing) and ``tfs`` (int32, >= 1).  ``terms`` scores
+    (int32, strictly increasing) and ``tfs`` (>= 1; ``tf_dtype`` of the
+    longest doc length when built or loaded).  ``terms`` scores
     a token's postings when a query reads them, from each token's idf and
     each passage's ``K1 * _norm(dl, avg)``.
     """
@@ -235,7 +246,7 @@ def build_index(store: PassageStore) -> InvertedIndex:
         offsets[tokens + 1] += dfs
     np.cumsum(offsets, out=offsets)
     ordinals = np.empty(offsets[-1], dtype=POSTING_DTYPE)
-    tfs = np.empty(offsets[-1], dtype=POSTING_DTYPE)
+    tfs = np.empty(offsets[-1], dtype=tf_dtype(max(doc_lengths)))
     placed = offsets[:-1].copy()  # where each token's next posting goes
     for lo, hi in _passage_blocks(ends):
         tokens, starts, dfs, block_ordinals, block_tfs = _block_postings(ids, len(vocabulary), ends, lo, hi)
@@ -342,15 +353,20 @@ def mine_hard_negatives(
 def save_bm25_index(index: InvertedIndex, path: str | Path) -> None:
     """``FORMAT`` (version 4): u64 n_passages, n_tokens and n_postings; the
     tokens in id order, the passage ids; then int64 doc lengths and offsets,
-    then int32 ordinals and tfs."""
+    then int32 ordinals and tfs.  The tfs are widened to int32 a block of
+    ``BLOCK_POSTINGS`` at a time, as ``binfile.write`` takes each part."""
     header = (index.n_passages, len(index.token_ids), len(index.ordinals))
-    parts = (
-        binfile.strings(index.token_ids),
-        binfile.strings(index.passage_ids),
-        *(np.ascontiguousarray(a, dtype="<i8") for a in (index.doc_lengths, index.offsets)),
-        *(np.ascontiguousarray(a, dtype=POSTING_DTYPE) for a in (index.ordinals, index.tfs)),
-    )
-    binfile.write(path, FORMAT, header, parts)
+
+    def parts() -> Iterator:
+        yield binfile.strings(index.token_ids)
+        yield binfile.strings(index.passage_ids)
+        for a in (index.doc_lengths, index.offsets):
+            yield np.ascontiguousarray(a, dtype="<i8")
+        yield np.ascontiguousarray(index.ordinals, dtype=POSTING_DTYPE)
+        for block in _blocks(len(index.tfs)):
+            yield index.tfs[block].astype(POSTING_DTYPE)
+
+    binfile.write(path, FORMAT, header, parts())
 
 
 def load_bm25_index(path: str | Path) -> InvertedIndex:
@@ -359,7 +375,11 @@ def load_bm25_index(path: str | Path) -> InvertedIndex:
     Every value is checked, since a query indexes arrays with it: fewer
     than 2^31 passages, every token owns at least one posting, ordinals lie
     in ``[0, n_passages)`` and rise strictly within each posting list, tfs
-    are >= 1, and each doc length is the sum of its passage's tfs.
+    are >= 1, and each doc length is the sum of its passage's tfs.  The tfs
+    are read a block of ``BLOCK_POSTINGS`` at a time, checked and summed as
+    the file's int32 values, and only then stored in ``tf_dtype`` of the
+    longest doc length.  A tf too large for that dtype exceeds its passage's
+    doc length, so the sums refuse it, and every message quotes the file.
     """
     with binfile.Reader(path, FORMAT) as r:
         n, n_tokens, n_postings = r.header
@@ -368,19 +388,24 @@ def load_bm25_index(path: str | Path) -> InvertedIndex:
         passage_ids = r.strings(n, "passage ids")
         doc_lengths = r.array("<i8", n, "doc lengths")
         offsets = r.array("<i8", n_tokens + 1, "offsets")
-        ordinals, tfs = (r.array(POSTING_DTYPE, n_postings, what) for what in ("ordinals", "tfs"))
+        ordinals = r.array(POSTING_DTYPE, n_postings, "ordinals")
+        r.need(n_postings * POSTING_DTYPE.itemsize, "tfs")
         if offsets[0] != 0 or offsets[-1] != n_postings or (offsets[1:] <= offsets[:-1]).any():
             raise ValueError(f"offsets must rise strictly from 0 to n_postings {n_postings}")
-        bad = _first_bad_posting(offsets, ordinals, tfs, n)
-        if bad is not None:
-            r.at = ("token", repr(tokens[int(np.searchsorted(offsets, bad, side="right")) - 1]))
-            raise ValueError(
-                f"posting [{ordinals[bad]}, {tfs[bad]}]: ordinals must rise strictly "
-                f"within [0, {n}) and tfs be >= 1"
-            )
+        tfs = np.empty(n_postings, dtype=tf_dtype(doc_lengths.max(initial=0)))
         sums = np.zeros(n, dtype=np.int64)
         for block in _blocks(n_postings):
-            np.add.at(sums, ordinals[block], tfs[block].astype(np.int64))  # int64 on both sides: numpy's fast path
+            block_tfs = r.array(POSTING_DTYPE, block.stop - block.start, "tfs")
+            bad = _first_bad_posting(offsets, ordinals, block_tfs, block, n)
+            if bad is not None:
+                r.at = ("token", repr(tokens[int(np.searchsorted(offsets, bad, side="right")) - 1]))
+                raise ValueError(
+                    f"posting [{ordinals[bad]}, {block_tfs[bad - block.start]}]: ordinals must rise strictly "
+                    f"within [0, {n}) and tfs be >= 1"
+                )
+            block_tfs = block_tfs.astype(np.int64)  # the int32 block is freed before add.at's own scratch
+            np.add.at(sums, ordinals[block], block_tfs)  # int64 on both sides: numpy's fast path
+            tfs[block] = block_tfs
         if (sums != doc_lengths).any():
             bad = int(np.argmax(sums != doc_lengths))
             r.at = ("passage", repr(passage_ids[bad]))
@@ -388,15 +413,14 @@ def load_bm25_index(path: str | Path) -> InvertedIndex:
         return InvertedIndex(tokens, offsets, ordinals, tfs, doc_lengths.tolist(), passage_ids)
 
 
-def _first_bad_posting(offsets: np.ndarray, ordinals: np.ndarray, tfs: np.ndarray, n: int) -> int | None:
-    """The first posting whose ordinal does not rise strictly within its list
-    or lie in ``[0, n)``, or whose tf is below 1; None if every one is valid."""
-    for block in _blocks(len(ordinals)):
-        lo, hi = max(block.start - 1, 0), block.stop  # from the previous block's last posting on
-        valid = np.concatenate(([True], ordinals[lo + 1 : hi] > ordinals[lo : hi - 1]))
-        # a list's first posting follows no other
-        valid[offsets[np.searchsorted(offsets, lo) : np.searchsorted(offsets, hi)] - lo] = True
-        valid &= (ordinals[lo:hi] >= 0) & (ordinals[lo:hi] < n) & (tfs[lo:hi] >= 1)
-        if not valid.all():
-            return lo + int(np.argmin(valid))
-    return None
+def _first_bad_posting(offsets: np.ndarray, ordinals: np.ndarray, tfs: np.ndarray, block: slice, n: int) -> int | None:
+    """The first posting in ``block`` whose ordinal does not rise strictly
+    within its list or lie in ``[0, n)``, or whose tf, in the block's
+    ``tfs``, is below 1; None if every one is valid."""
+    lo, hi = max(block.start - 1, 0), block.stop  # from the previous block's last posting on
+    valid = np.concatenate(([True], ordinals[lo + 1 : hi] > ordinals[lo : hi - 1]))
+    # a list's first posting follows no other
+    valid[offsets[np.searchsorted(offsets, lo) : np.searchsorted(offsets, hi)] - lo] = True
+    valid = valid[block.start - lo :]
+    valid &= (ordinals[block] >= 0) & (ordinals[block] < n) & (tfs >= 1)
+    return None if valid.all() else block.start + int(np.argmin(valid))

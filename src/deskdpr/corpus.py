@@ -213,12 +213,14 @@ def save_store(store: PassageStore, path: str | Path) -> None:
     one-string table; string tables of the passage ids, doc ids, titles and
     texts, in the order ``Passage`` declares them; then int64 chunk indexes."""
     passages = store.passages
-    parts = (
-        binfile.strings([store.corpus_checksum]),
-        *(binfile.strings(getattr(p, key) for p in passages) for key in ("passage_id", "doc_id", "title", "text")),
-        np.array([p.chunk_index for p in passages], dtype="<i8"),
-    )
-    binfile.write(path, FORMAT, (len(passages), store.chunk_size), parts)
+
+    def parts() -> Iterator:  # one table at a time: each is made once the one before it is written
+        yield binfile.strings([store.corpus_checksum])
+        for key in ("passage_id", "doc_id", "title", "text"):
+            yield binfile.strings(getattr(p, key) for p in passages)
+        yield np.array([p.chunk_index for p in passages], dtype="<i8")
+
+    binfile.write(path, FORMAT, (len(passages), store.chunk_size), parts())
 
 
 def load_store(path: str | Path) -> PassageStore:

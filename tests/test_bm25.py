@@ -204,6 +204,10 @@ BUILD_TEXTS = st.lists(st.lists(st.sampled_from(BUILD_WORDS), max_size=12).map("
 
 @settings(max_examples=150, deadline=None)
 @given(texts=BUILD_TEXTS)
+@example(texts=["alpha " * 255, "beta alpha"]).via("a tf of 255, the most a uint8 tf holds")
+@example(texts=["alpha " * 256, "beta alpha"]).via("a passage of 256 tokens: uint16 tfs")
+@example(texts=["alpha " * 65535, "beta alpha"]).via("a tf of 65,535, the most a uint16 tf holds")
+@example(texts=["alpha " * 65536, "beta alpha"]).via("a passage of 65,536 tokens: uint32 tfs")
 def test_build_equals_counter_reference(texts):
     check_against_counter_reference(texts)
 
@@ -266,7 +270,9 @@ def test_token_ids_leaves_no_reference_cycle():
 
 
 def check_against_counter_reference(texts):
-    """Build, save and load an index of the texts; check every array against Counter's counts."""
+    """Build, save and load an index of the texts; check every array against
+    Counter's counts, the tfs' dtype against the longest passage, the file
+    against a save of int32 tfs, and the top-k scores against bm25_score."""
     _, ids, _ = token_ids(texts)
     assert ids.dtype == np.int32
     index = build_index(store_of(*texts))
@@ -277,18 +283,27 @@ def check_against_counter_reference(texts):
     assert index.offsets.tolist() == [sum(map(len, want[:i])) for i in range(len(want) + 1)]
     assert index.ordinals.tolist() == [ordinal for plist in want for ordinal, _ in plist]
     assert index.tfs.tolist() == [tf for plist in want for _, tf in plist]
-    assert index.ordinals.dtype == index.tfs.dtype == np.int32
+    assert index.ordinals.dtype == np.int32
+    assert index.tfs.dtype == np.min_scalar_type(max(sum(c.values()) for c in counts))
     # a one-token query's score is 0.0 plus the one term, exactly
     terms = [bm25_score(index, [token], ordinal).hex() for token, plist in zip(vocabulary, want) for ordinal, _ in plist]
     assert [c.hex() for c in all_terms(index).tolist()] == terms
+    int32_tfs = bm25.InvertedIndex(
+        vocabulary, index.offsets, index.ordinals, index.tfs.astype(np.int32), index.doc_lengths, index.passage_ids
+    )
     with tempfile.TemporaryDirectory() as tmp:
         save_bm25_index(index, Path(tmp) / "bm25.bin")
+        save_bm25_index(int32_tfs, Path(tmp) / "int32.bin")
+        assert (Path(tmp) / "bm25.bin").read_bytes() == (Path(tmp) / "int32.bin").read_bytes()
         loaded = load_bm25_index(Path(tmp) / "bm25.bin")
     for name in ("offsets", "ordinals", "tfs"):
         a, b = getattr(index, name), getattr(loaded, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert all_terms(loaded).tobytes() == all_terms(index).tobytes()
     assert loaded.doc_lengths == index.doc_lengths
+    for idx in (index, loaded):
+        for hit in bm25_top_k(idx, " ".join(vocabulary), len(texts)):
+            assert hit.score.hex() == bm25_score(idx, vocabulary, idx.passage_ids.index(hit.passage_id)).hex()
 
 
 class TestScore:
@@ -622,6 +637,16 @@ class TestPersistence:
         with pytest.raises(ParseError, match=r"^\S+: passage 'd1#0': doc length 4, but its postings' tfs sum to 3$"):
             load_bm25_index(path)
 
+    def test_tf_past_a_uint16_index_refused_with_the_files_sum(self, tmp_path):
+        # a's tf of 300 in passage 0, the first posting, made 65,536: a uint16 tf would wrap to 0
+        path = tmp_path / "bm25.bin"
+        index = build_index(store_of("a " * 300 + "b", "b c"))
+        assert index.tfs.dtype == np.uint16 and index.posting_list("a") == [(0, 300)]
+        save_bm25_index(index, path)
+        rewrite_payload(path, lambda payload: set_bm25_ints(payload, "tfs", 0, [65536]))
+        with pytest.raises(ParseError, match=r"^\S+: passage 'd0#0': doc length 301, but its postings' tfs sum to 65537$"):
+            load_bm25_index(path)
+
     def test_idf_identical_after_reload(self, tmp_path):
         index = build_index(store_of("a b", "b c", "c d"))
         path = tmp_path / "bm25.bin"
@@ -691,13 +716,14 @@ class TestBlocks:
 
 
 class TestPeakMemory:
-    """An index holds its int32 ordinals and tfs, 8 bytes a posting, beside
+    """An index holds its int32 ordinals and its tfs in ``tf_dtype``, 5 bytes
+    a posting while every passage has under 256 tokens and at most 8, beside
     arrays of one value a token or a passage.  A build holds one int32 id an
     occurrence and one block's scratch arrays beside the index; a load holds
     one block's scratch arrays and a few arrays of one value a passage; a
     query holds its accumulator and a few arrays as long as the postings it
-    reads.  None holds a scratch array as long as the postings (8 bytes a
-    posting is 2.8 MiB here)."""
+    reads.  None holds a scratch array as long as the postings (5 bytes a
+    posting is 1.7 MiB here)."""
 
     SLACK = 1 << 20
 
@@ -713,6 +739,13 @@ class TestPeakMemory:
         # ordinals and tfs; offsets and idfs, one a token; K1 * norm, one a passage
         assert held <= 8 * n_postings + 16 * (len(index.token_ids) + 1) + 8 * index.n_passages + self.SLACK
         assert peak <= 16 * n_postings + self.SLACK
+
+    def test_build_holds_5_bytes_a_posting_under_256_tokens(self, store):
+        index, held, _ = traced(build_index, store)
+        n_postings = len(index.ordinals)
+        assert max(index.doc_lengths) < 256 and 3 * n_postings > self.SLACK  # int32 tfs would show
+        # int32 ordinals and uint8 tfs; offsets and idfs, one a token; K1 * norm, one a passage
+        assert held <= 5 * n_postings + 16 * (len(index.token_ids) + 1) + 8 * index.n_passages + self.SLACK
 
     def test_build_holds_4_bytes_an_occurrence_beside_the_index(self):
         # each passage repeats its few tokens, so a scratch array as long as the occurrences shows against the postings

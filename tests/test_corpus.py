@@ -29,7 +29,7 @@ from deskdpr.corpus import (
 )
 from deskdpr.errors import DuplicateId, EmptyDocument, ParseError, UnsupportedVersion
 
-from helpers import SPACE_LIKE, rewrite_payload, store_of
+from helpers import SPACE_LIKE, rewrite_payload, store_of, traced
 
 
 class TestCleanDocument:
@@ -257,6 +257,17 @@ class TestStorePersistence:
         binfile.write(path, STORE_FORMAT, (2, 100), parts)
         with pytest.raises(DuplicateId, match=f"^{re.escape(str(path))}: duplicate passage_id 'd0#0'"):
             load_store(path)
+
+    def test_save_holds_one_string_table_at_a_time(self, tmp_path):
+        # ids, doc ids, titles and texts of 100 characters each: four string tables of 416,000 bytes
+        store = PassageStore(
+            Passage(passage_id=f"{i:098d}#0", doc_id=f"{i:098d}", title=f"{i:0100d}", text=f"{i:0100d}", chunk_index=0)
+            for i in range(4000)
+        )
+        table = len(binfile.strings(p.text for p in store))
+        _, held, peak = traced(save_store, store, tmp_path / "store.jsonl")
+        # the table being written, and a quarter of one for its growth and the chunk indexes
+        assert peak - held <= table + table // 4
 
     def test_unsupported_version_rejected(self, tmp_path):
         store = store_of("one")

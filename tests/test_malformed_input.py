@@ -405,6 +405,11 @@ PROBES = {
     "bm25 doc lengths are 0": (BUILD_DATASET, "bm25.bin", bm25_zero_lengths, "passage "),
     "bm25 last tf is 0": (BUILD_DATASET, "bm25.bin", bm25_last("tfs", lambda tf: 0), "token "),
     "bm25 last doc length is one more": (BUILD_DATASET, "bm25.bin", bm25_last("doc_lengths", lambda dl: dl + 1), "passage "),
+    # every passage has at most 10 tokens, so tfs are uint8 in memory, where 256 would wrap to 0
+    "bm25 tf is 256 in a uint8 index": (
+        BUILD_DATASET, "bm25.bin", bm25_ints("tfs", 0, [256]),
+        "passage 'doc0000#0': doc length 10, but its postings' tfs sum to 265\n",
+    ),
     "bm25 offsets end short of n_postings": (
         BUILD_DATASET, "bm25.bin", bm25_last("offsets", lambda end: end - 1), "offsets must rise strictly from 0",
     ),
