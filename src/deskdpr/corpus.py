@@ -43,7 +43,7 @@ class Document:
     body: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Passage:
     passage_id: str
     doc_id: str

@@ -5,10 +5,10 @@ vocabulary (blake2b bucketing, stable across processes).  Two linear
 maps, one for questions and one for passages, project those sparse
 features to dense d-dimensional embeddings compared by dot product.
 
-The towers are Fortran-ordered float32, the precision ``model.bin``
-holds, whether ``init_model`` drew them or ``load_model`` read them.
-They project to float64 embeddings: a batch widens, exactly, only the
-tower rows its features use.
+The towers are Fortran-ordered float32, whether ``init_model`` drew them
+or ``load_model`` read them, and ``model.bin`` holds each as it is in
+memory: ``w.T``, a row of d floats per hash bucket.  They project to
+float64 embeddings: a batch widens, exactly, only the rows it uses.
 
 scipy is imported where a sparse array is first built, so code that
 never featurizes, such as the CLI's data-prep stages, loads numpy only.
@@ -30,12 +30,12 @@ from .errors import DimensionError
 if TYPE_CHECKING:
     from scipy import sparse
 
-# version 2 is version 1 with the CRC-32 trailer
-FORMAT = binfile.Format("model", b"DPRM", 2, "II")
+# version 2 added the CRC-32 trailer; version 3 stores each tower as w.T, not w
+FORMAT = binfile.Format("model", b"DPRM", 3, "II")
 
 DEFAULT_DIM = 128
 DEFAULT_HASH_DIM = 16384
-# tower rows drawn, saved or loaded at once: 8 float64 draws of a column fill a 64-byte cache line
+# tower rows drawn at once: 8 float64 draws of a column fill a 64-byte cache line
 BLOCK_ROWS = 8
 # embedding columns one sparse product computes; each product walks every
 # feature again, so 8 columns took 1.5x the time of a whole gather at d=128
@@ -167,28 +167,20 @@ def encode_question(model: EncoderModel, text: str) -> np.ndarray:
 
 
 def save_model(model: EncoderModel, path: str | Path) -> None:
-    """``FORMAT``: u32 d and u32 hash_dim, then both (d, hash_dim) matrices
-    as float32 little-endian row-major (question tower first), whatever
-    the towers' memory order.  The towers are converted ``BLOCK_ROWS``
-    rows at a time, so no whole-tower copy is made."""
-    blocks = (
-        np.ascontiguousarray(w[lo : lo + BLOCK_ROWS], dtype="<f4")
-        for w in (model.w_q, model.w_p)
-        for lo in range(0, model.d, BLOCK_ROWS)
-    )
-    binfile.write(path, FORMAT, (model.d, model.hash_dim), blocks)
+    """``FORMAT``: u32 d and u32 hash_dim, then each tower as ``w.T``,
+    question tower first: little-endian float32, one row of d values per
+    hash bucket.  A float32 Fortran-ordered tower is written without a
+    copy; any other tower is converted whole, one tower at a time."""
+    towers = (np.ascontiguousarray(w.T, dtype="<f4") for w in (model.w_q, model.w_p))
+    binfile.write(path, FORMAT, (model.d, model.hash_dim), towers)
 
 
 def load_model(path: str | Path) -> EncoderModel:
-    """Read a model written by save_model.  The towers come back as the
-    file's float32 values, Fortran-ordered and writeable, each read
-    ``BLOCK_ROWS`` rows at a time as ``save_model`` writes it."""
+    """Read a model written by save_model.  Each tower is read with one
+    array into its (hash_dim, d) rows, so it comes back as the file's
+    float32 values, Fortran-ordered and writeable."""
     with binfile.Reader(path, FORMAT) as r:
         d, hash_dim = r.header
         r.need(2 * d * hash_dim * 4, "towers")
-        towers = [np.empty((d, hash_dim), np.float32, order="F") for _ in range(2)]
-        for w in towers:
-            for lo in range(0, d, BLOCK_ROWS):
-                block = w[lo : lo + BLOCK_ROWS]
-                block[...] = r.array("<f4", block.size, "towers").reshape(block.shape)
-        return EncoderModel(d, hash_dim, *towers)
+        w_q, w_p = (r.array("<f4", hash_dim * d, "towers").reshape(hash_dim, d).T for _ in range(2))
+        return EncoderModel(d, hash_dim, w_q, w_p)

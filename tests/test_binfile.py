@@ -1,15 +1,18 @@
 import gc
 import os
+import re
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from deskdpr import binfile
+from deskdpr import binfile, bm25, corpus, encoder, flat_index
 from deskdpr.errors import CorruptIndex, ParseError, UnsupportedVersion
 
 THING = binfile.Format("thing", b"THNG", 3, "Qd")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_thing(path, names=("a", "é"), values=(1.5, -2.0)):
@@ -213,3 +216,20 @@ def test_header_value_out_of_range_is_a_value_error_before_writing(tmp_path, cou
     with pytest.raises(ValueError, match=f"^thing header \\({count}, 0.25\\) does not fit"):
         binfile.write(path, THING, (count, 0.25), (binfile.strings(["a"]),))
     assert not path.exists()
+
+
+# each binary artifact the README's "File formats" table names, and its current format
+ARTIFACT_FORMATS = {
+    "passages.bin": corpus.FORMAT,
+    "bm25.bin": bm25.FORMAT,
+    "model.bin": encoder.FORMAT,
+    "dense.bin": flat_index.FORMAT,
+}
+
+
+@pytest.mark.parametrize("artifact", list(ARTIFACT_FORMATS))
+def test_readme_names_each_format_magic_and_version(artifact):
+    fmt = ARTIFACT_FORMATS[artifact]
+    rows = [line for line in README.read_text(encoding="utf-8").splitlines() if line.startswith(f"| `{artifact}` |")]
+    assert len(rows) == 1, rows
+    assert re.search(rf"`{fmt.magic.decode()}` magic, version {fmt.version}\b", rows[0]), rows[0]

@@ -360,35 +360,48 @@ class TestPersistence:
         save_model(load_model(first), second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_c_ordered_tower_saves_the_same_bytes(self, tmp_path):
+        # a C-ordered tower assigned after construction is converted on save
+        model = init_model(d=8, hash_dim=32, seed=9)
+        save_model(model, tmp_path / "a.bin")
+        model.w_q = np.ascontiguousarray(model.w_q)
+        save_model(model, tmp_path / "b.bin")
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+        loaded = load_model(tmp_path / "b.bin")
+        for w, saved in ((loaded.w_q, model.w_q), (loaded.w_p, model.w_p)):
+            assert w.dtype == np.float32 and w.flags.f_contiguous and w.flags.writeable
+            assert w.tobytes(order="C") == saved.tobytes(order="C")
+
     def test_body_is_row_major_towers(self, tmp_path):
-        # the file keeps the v1 body whatever the towers' memory order; v2 adds the CRC trailer
+        # version 3: each tower as w.T, one row of d floats per hash bucket, whatever its memory order
         model = init_model(d=8, hash_dim=32, seed=9)
         path = tmp_path / "model.bin"
         save_model(model, path)
         expected = b"".join(
-            np.array(w.tolist(), dtype="<f4").tobytes() for w in (model.w_q, model.w_p)
+            np.array(w.T.tolist(), dtype="<f4").tobytes() for w in (model.w_q, model.w_p)
         )
         raw = path.read_bytes()
-        assert raw[:16] == b"DPRM" + struct.pack("<III", 2, 8, 32)
+        assert raw[:16] == b"DPRM" + struct.pack("<III", 3, 8, 32)
         assert raw[16:-4] == expected
         assert raw[-4:] == struct.pack("<I", zlib.crc32(raw[:-4]))
 
-    def test_save_scratch_is_two_blocks_of_rows(self, tmp_path):
-        # the float32 towers are converted and written a block at a time
+    def test_save_copies_no_rows_of_float32_towers(self, tmp_path):
+        # float32 Fortran-ordered towers are written as they are, well under
+        # one block of BLOCK_ROWS rows (131072 bytes here)
         d, hash_dim = 61, 4096
         model = init_model(d=d, hash_dim=hash_dim, seed=3)
         _, scratch = scratch_beyond_result(save_model, model, tmp_path / "model.bin")
-        assert scratch <= 2 * encoder.BLOCK_ROWS * hash_dim * 4 + 16384
+        assert scratch <= 16384
 
-    def test_load_scratch_is_one_block_of_rows(self, tmp_path):
-        # beside the float32 towers it returns, loading holds one block of
-        # rows or the reader's CRC chunk, never the file's bytes
+    def test_load_scratch_is_the_crc_chunk(self, tmp_path):
+        # beside the float32 towers it returns, loading holds at most the
+        # reader's CRC chunk, never the file's bytes or a block of rows
         d, hash_dim = 61, 4096
         path = tmp_path / "model.bin"
         save_model(init_model(d=d, hash_dim=hash_dim, seed=3), path)
         model, scratch = scratch_beyond_result(load_model, path)
         assert model.w_q.nbytes == model.w_p.nbytes == d * hash_dim * 4
-        assert scratch <= encoder.BLOCK_ROWS * hash_dim * 4 + binfile.CRC_CHUNK
+        assert scratch <= binfile.CRC_CHUNK
 
     def test_loaded_weights_writeable(self, tmp_path):
         model = init_model(d=4, hash_dim=16, seed=0)

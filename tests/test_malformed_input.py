@@ -8,11 +8,14 @@ import shutil
 import struct
 import tracemalloc
 import zlib
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from deskdpr import binfile
 from deskdpr.bm25 import build_index as build_bm25_index
 from deskdpr.bm25 import load_bm25_index, save_bm25_index
 from deskdpr.cli import main
@@ -353,7 +356,7 @@ def store_as_json_lines(tmp_path):
     store = load_store(path)
     meta = {"format": "deskdpr-passages", "version": 1, "chunk_size": store.chunk_size,
             "corpus_checksum": store.corpus_checksum, "count": len(store)}
-    write_jsonl(path, [meta, *map(vars, store)])
+    write_jsonl(path, [meta, *map(asdict, store)])
 
 
 def store_without_first_passage(tmp_path):
@@ -375,6 +378,14 @@ def dense_id_not_utf8(tmp_path):
     payload = bytearray(path.read_bytes()[:-4])
     payload[24] = 0xFF  # after magic, version, d, M and the id's u32 length
     path.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
+
+
+def model_as_version_2(tmp_path):
+    """The model as version 2 wrote it: each tower's (d, hash_dim) rows, under a valid CRC."""
+    path = tmp_path / "model.bin"
+    model = load_model(path)
+    towers = (np.ascontiguousarray(w, dtype="<f4") for w in (model.w_q, model.w_p))
+    binfile.write(path, binfile.Format("model", b"DPRM", 2, "II"), (model.d, model.hash_dim), towers)
 
 
 def bad_input_checksums(tmp_path):
@@ -457,6 +468,8 @@ PROBES = {
         BUILD_DATASET, "questions.json", edit_questions(first_question("exact_answer", "\ud800")), "question 0: ",
     ),
     "dense vector entry is inf": (EVALUATE, "dense.bin", dense_entry_inf, ""),
+    "model is version 2": (INDEX_DENSE, "model.bin", model_as_version_2, "model version 2, this build reads 3"),
+    "evaluate model is version 2": (EVALUATE, "model.bin", model_as_version_2, "model version 2, this build reads 3"),
     "dense id is not UTF-8": (EVALUATE, "dense.bin", dense_id_not_utf8, "not valid UTF-8: "),
 }
 
