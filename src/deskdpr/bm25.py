@@ -3,20 +3,21 @@
 Scoring uses the non-negative IDF variant ln((N - df + 0.5)/(df + 0.5) + 1)
 with the constants ``K1`` = 1.2 and ``B`` = 0.75.  No stemming, no stopword
 removal.  The postings are flat numpy arrays of int32 passage ordinals and
-of tfs in ``tf_dtype``, the narrowest unsigned type that holds the longest
-doc length: uint8, one byte a tf, while every passage has under 256 tokens.
+of tfs in the narrowest type that holds the longest doc length, by
+``np.min_scalar_type``: uint8 while every passage has under 256 tokens.
 ``bm25.bin`` keeps int32 tfs.  A query scores the postings of its own
 tokens from their tfs and adds them into a float64 accumulator,
 bit-identical to scoring passage by passage.  An index holds fewer than
 2^31 passages.
 
-Building an index counts blocks of whole passages, about
-``BLOCK_POSTINGS`` occurrences each, twice: once for the dfs, once to place
-the postings.  Beside the index it holds one int32 token id an occurrence,
-and nothing as long as the occurrences in int64.  Loading reads, checks and
-narrows the tfs, and saving widens them, in blocks of ``BLOCK_POSTINGS``.
-No step holds a scratch array as long as the postings beside the arrays the
-index keeps.
+Building an index counts the (token, passage) pairs of runs of whole
+passages, about ``BLOCK_POSTINGS`` occurrences each, by ``count_pairs``, the
+sort-and-count step the featurizer shares.  It walks the runs twice, for
+the dfs and to place the postings, so beside the index it holds one int32
+token id an occurrence, and nothing as long as the occurrences in int64.
+Loading reads, checks and narrows the tfs, and saving widens them, in
+blocks of ``BLOCK_POSTINGS``.  No step holds a scratch array as long as the
+postings beside the arrays the index keeps.
 """
 
 from __future__ import annotations
@@ -85,12 +86,6 @@ def token_ids(texts: Iterable[str]) -> tuple[list[str], np.ndarray, list[int]]:
     return list(ids), np.frombuffer(occurrences, dtype=np.int32), lengths
 
 
-def tf_dtype(longest: int) -> np.dtype:
-    """The dtype of tfs in memory: the narrowest that holds ``longest`` >= 0,
-    the longest doc length, so uint8 under 256 tokens, then uint16 or uint32."""
-    return np.min_scalar_type(int(longest))
-
-
 def _check_passage_count(n: int) -> None:
     """Refuse a passage count whose ordinals do not fit ``POSTING_DTYPE``."""
     if n > np.iinfo(POSTING_DTYPE).max:
@@ -102,8 +97,8 @@ class InvertedIndex:
 
     Token ``t`` has id ``i = token_ids[t]`` and owns positions
     ``offsets[i]:offsets[i + 1]`` (int64) of two parallel arrays: ``ordinals``
-    (int32, strictly increasing) and ``tfs`` (>= 1; ``tf_dtype`` of the
-    longest doc length when built or loaded).  ``terms`` scores
+    (int32, strictly increasing) and ``tfs`` (>= 1; ``np.min_scalar_type``
+    of the longest doc length when built or loaded).  ``terms`` scores
     a token's postings when a query reads them, from each token's idf and
     each passage's ``K1 * _norm(dl, avg)``.
     """
@@ -176,58 +171,48 @@ def _runs(values: np.ndarray) -> np.ndarray:
     return starts.nonzero()[0]
 
 
-def key_dtype(n_groups: int, bits: int) -> np.dtype:
-    """int32 if it holds every key ``group << bits | member`` of ``n_groups``
-    groups, else int64: a sort of int32 keys takes about half the time."""
-    return np.dtype(np.int32 if n_groups << bits <= 1 << 31 else np.int64)
+def count_pairs(groups: np.ndarray, members: np.ndarray, n_groups: int, n_members: int) -> tuple[np.ndarray, ...]:
+    """Count each distinct pair of ``groups[i] < n_groups`` and ``members[i] < n_members``.
 
-
-def count_keys(keys: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Count each distinct key ``group << bits | member``, for members below ``2 ** bits``.
-
-    Sorted, the keys run group by group and, within a group, member by
-    member, so a run of equal keys is one (group, member) pair and its
-    length the pair's count.  Returns each pair's group (rising, in the
-    keys' dtype), then its member and count as ``POSTING_DTYPE``.  ``keys``
-    is left sorted; the scratch arrays are one bool a key and a few arrays
-    of one value a pair.
+    Each pair is one key ``group << bits | member``, int32 if every key
+    fits (a sort of int32 keys takes about half the time of int64), else
+    int64.  Sorted, the keys run group by group and, within a group, member
+    by member, so a run of equal keys is one pair and its length the pair's
+    count.  Returns each pair's group (rising, in the keys' dtype), then its
+    member and count as int32.  The scratch arrays are the keys, one bool a
+    key and a few arrays of one value a pair.
     """
+    bits = (n_members - 1).bit_length()
+    keys = groups.astype(np.int32 if n_groups << bits <= 1 << 31 else np.int64)
+    keys <<= bits
+    keys |= members
     keys.sort()
     runs = _runs(keys)
     groups = keys[runs[:-1]]
-    members = (groups & ((1 << bits) - 1)).astype(POSTING_DTYPE)
+    members = (groups & ((1 << bits) - 1)).astype(np.int32)
     groups >>= bits
-    return groups, members, (runs[1:] - runs[:-1]).astype(POSTING_DTYPE)
+    return groups, members, (runs[1:] - runs[:-1]).astype(np.int32)
 
 
-def _passage_blocks(ends: np.ndarray) -> Iterator[tuple[int, int]]:
-    """Consecutive runs ``(lo, hi)`` of whole passages, covering them all:
-    passage p's occurrences are ``ends[p]:ends[p + 1]``, and a run holds at
-    most ``BLOCK_POSTINGS`` of them unless it is one longer passage."""
+def _block_postings(ids: np.ndarray, n_tokens: int, ends: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """The postings of runs of whole passages, in order, by ``count_pairs``:
+    passage p's occurrences are ``ids[ends[p]:ends[p + 1]]``, and a run holds
+    at most ``BLOCK_POSTINGS`` of them unless it is one longer passage.  For
+    each run: its tokens (rising), their dfs in it, then each posting's ordinal and tf, token by token."""
     lo, n = 0, len(ends) - 1
     while lo < n:
         hi = max(int(np.searchsorted(ends, ends[lo] + BLOCK_POSTINGS, side="right")) - 1, lo + 1)
-        yield lo, hi
+        passages = np.repeat(np.arange(hi - lo, dtype=np.int32), np.diff(ends[lo : hi + 1]))
+        tokens, ordinals, tfs = count_pairs(ids[ends[lo] : ends[hi]], passages, n_tokens, hi - lo)
+        runs = _runs(tokens)
+        ordinals += lo
+        yield tokens[runs[:-1]], np.diff(runs), ordinals, tfs
         lo = hi
-
-
-def _block_postings(ids: np.ndarray, n_tokens: int, ends: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, ...]:
-    """The postings of passages ``lo:hi``, token by token, by ``count_keys``:
-    each of the block's tokens, where its postings start and how many there
-    are, then every posting's ordinal and tf."""
-    bits = (hi - lo - 1).bit_length()
-    keys = ids[ends[lo] : ends[hi]].astype(key_dtype(n_tokens, bits))
-    keys <<= bits
-    keys |= np.repeat(np.arange(hi - lo, dtype=keys.dtype), ends[lo + 1 : hi + 1] - ends[lo:hi])
-    tokens, ordinals, tfs = count_keys(keys, bits)
-    runs = _runs(tokens)
-    ordinals += lo
-    return tokens[runs[:-1]], runs[:-1], runs[1:] - runs[:-1], ordinals, tfs
 
 
 def build_index(store: PassageStore) -> InvertedIndex:
     """Tokenize every passage text and build the inverted index in two passes
-    over blocks of whole passages, in passage order.  Pass 1 adds each
+    over ``_block_postings``, in passage order.  Pass 1 adds each
     block's postings into their tokens' dfs, which give ``offsets``.  Pass 2
     counts each block again and places each token's postings after those
     earlier blocks placed, so every posting list rises by ordinal.  Beside
@@ -241,16 +226,15 @@ def build_index(store: PassageStore) -> InvertedIndex:
     ends = np.zeros(n + 1, dtype=np.int64)  # passage p's occurrences are ends[p]:ends[p + 1]
     np.cumsum(doc_lengths, out=ends[1:])
     offsets = np.zeros(len(vocabulary) + 1, dtype=np.int64)
-    for lo, hi in _passage_blocks(ends):  # each token's df, one after its own position, sums to its offset
-        tokens, _, dfs, _, _ = _block_postings(ids, len(vocabulary), ends, lo, hi)
-        offsets[tokens + 1] += dfs
+    for tokens, dfs, _, _ in _block_postings(ids, len(vocabulary), ends):
+        offsets[tokens + 1] += dfs  # each token's df, one after its own position, sums to its offset
     np.cumsum(offsets, out=offsets)
     ordinals = np.empty(offsets[-1], dtype=POSTING_DTYPE)
-    tfs = np.empty(offsets[-1], dtype=tf_dtype(max(doc_lengths)))
+    tfs = np.empty(offsets[-1], dtype=np.min_scalar_type(max(doc_lengths)))
     placed = offsets[:-1].copy()  # where each token's next posting goes
-    for lo, hi in _passage_blocks(ends):
-        tokens, starts, dfs, block_ordinals, block_tfs = _block_postings(ids, len(vocabulary), ends, lo, hi)
-        at = np.repeat(placed[tokens] - starts, dfs)  # a token's k-th posting in the block goes to placed + k
+    for tokens, dfs, block_ordinals, block_tfs in _block_postings(ids, len(vocabulary), ends):
+        # a token's k-th posting in the block goes to placed + k; its first is at cumsum(dfs) - dfs
+        at = np.repeat(placed[tokens] + dfs - np.cumsum(dfs), dfs)
         at += np.arange(len(block_ordinals))
         ordinals[at] = block_ordinals
         tfs[at] = block_tfs
@@ -377,9 +361,10 @@ def load_bm25_index(path: str | Path) -> InvertedIndex:
     in ``[0, n_passages)`` and rise strictly within each posting list, tfs
     are >= 1, and each doc length is the sum of its passage's tfs.  The tfs
     are read a block of ``BLOCK_POSTINGS`` at a time, checked and summed as
-    the file's int32 values, and only then stored in ``tf_dtype`` of the
-    longest doc length.  A tf too large for that dtype exceeds its passage's
-    doc length, so the sums refuse it, and every message quotes the file.
+    the file's int32 values, and only then stored in ``np.min_scalar_type``
+    of the longest doc length.  A tf too large for that dtype exceeds its
+    passage's doc length, so the sums refuse it, and every message quotes
+    the file.
     """
     with binfile.Reader(path, FORMAT) as r:
         n, n_tokens, n_postings = r.header
@@ -392,7 +377,7 @@ def load_bm25_index(path: str | Path) -> InvertedIndex:
         r.need(n_postings * POSTING_DTYPE.itemsize, "tfs")
         if offsets[0] != 0 or offsets[-1] != n_postings or (offsets[1:] <= offsets[:-1]).any():
             raise ValueError(f"offsets must rise strictly from 0 to n_postings {n_postings}")
-        tfs = np.empty(n_postings, dtype=tf_dtype(doc_lengths.max(initial=0)))
+        tfs = np.empty(n_postings, dtype=np.min_scalar_type(doc_lengths.max(initial=0)))
         sums = np.zeros(n, dtype=np.int64)
         for block in _blocks(n_postings):
             block_tfs = r.array(POSTING_DTYPE, block.stop - block.start, "tfs")

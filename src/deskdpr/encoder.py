@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import binfile
-from .bm25 import count_keys, key_dtype, token_ids
+from .bm25 import count_pairs, token_ids
 from .errors import DimensionError
 
 if TYPE_CHECKING:
@@ -57,17 +57,16 @@ def featurize(text: str, hash_dim: int = DEFAULT_HASH_DIM) -> sparse.csr_array:
 
 
 def featurize_texts(texts: Sequence[str], hash_dim: int = DEFAULT_HASH_DIM) -> sparse.csr_array:
-    """Stacked hashed-count rows, one per text, each L2-normalized."""
-    if hash_dim < 1:
-        raise ValueError(f"hash_dim must be >= 1, got {hash_dim}")
+    """Stacked hashed-count rows, one per text, each L2-normalized, of each text's (row, bucket) pairs
+    counted by ``count_pairs``.  ``hash_dim`` is at most 2^31, so a bucket is an int32 column index."""
+    if not 1 <= hash_dim <= 1 << 31:
+        raise ValueError(f"hash_dim must be in [1, 2^31], got {hash_dim}")
     vocabulary, ids, lengths = token_ids(texts)
-    bits = (hash_dim - 1).bit_length()
-    dtype = key_dtype(len(lengths), bits)
-    buckets = np.array([hash_token(token, hash_dim) for token in vocabulary], dtype=dtype)
-    keys = np.repeat(np.arange(len(lengths), dtype=dtype) << bits, lengths)
-    keys |= buckets.take(ids)  # take, not [], has numpy's fast path for int32 ids
-    rows, indices, counts = count_keys(keys, bits)
-    indptr = np.searchsorted(rows, np.arange(len(lengths) + 1, dtype=dtype))
+    buckets = np.array([hash_token(token, hash_dim) for token in vocabulary], dtype=np.int32)
+    rows = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+    # take, not [], has numpy's fast path for int32 ids
+    rows, indices, counts = count_pairs(rows, buckets.take(ids), len(lengths), hash_dim)
+    indptr = np.searchsorted(rows, np.arange(len(lengths) + 1, dtype=rows.dtype))
     rows = rows.astype(np.intp)  # numpy's fast path in bincount and indexing
     data = counts.astype(np.float64)
     # the counts are integers, so every sum of squares is exact

@@ -49,8 +49,8 @@ class TrainConfig:
         # updating it only when lr * +0.0 is +0.0: lr finite and not signed
         if not math.isfinite(self.learning_rate) or math.copysign(1.0, self.learning_rate) < 0:
             raise ValueError(f"learning_rate must be finite and >= 0 (not -0.0), got {self.learning_rate}")
-        if self.d < 1 or self.hash_dim < 1:
-            raise ValueError(f"d and hash_dim must be >= 1, got d={self.d}, hash_dim={self.hash_dim}")
+        if self.d < 1 or not 1 <= self.hash_dim <= 1 << 31:  # featurize_texts' bucket ids are int32
+            raise ValueError(f"d must be >= 1 and hash_dim in [1, 2^31], got d={self.d}, hash_dim={self.hash_dim}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
 

@@ -226,31 +226,38 @@ def test_build_equals_counter_reference_in_small_blocks(block_postings, texts):
 
 @settings(max_examples=200, deadline=None)
 @given(lengths=st.lists(st.integers(0, 9), min_size=1, max_size=20), block_postings=st.integers(1, 12))
-def test_passage_blocks_cover_the_passages_in_order(lengths, block_postings):
+def test_block_postings_cover_the_passages_in_order(lengths, block_postings):
     ends = np.concatenate(([0], np.cumsum(lengths)))
+    ids = np.arange(ends[-1], dtype=np.int32)  # every occurrence its own token, so each posting is one occurrence
     with mock.patch.object(bm25, "BLOCK_POSTINGS", block_postings):
-        blocks = list(bm25._passage_blocks(ends))
-    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
-    assert blocks[-1][1] == len(lengths)
-    for lo, hi in blocks:
-        # at most a block of occurrences, unless one passage holds more
-        assert lo < hi and (sum(lengths[lo:hi]) <= block_postings or hi == lo + 1)
+        blocks = [np.sort(ordinals).tolist() for _, _, ordinals, _ in bm25._block_postings(ids, len(ids), ends)]
+    passages = [p for p, n in enumerate(lengths) for _ in range(n)]
+    assert [p for block in blocks for p in block] == passages  # in order, each occurrence once
+    for block in filter(None, blocks):
+        # whole passages, at most a block of occurrences unless one passage holds more
+        assert block == [p for p in passages if block[0] <= p <= block[-1]]
+        assert len(block) <= block_postings or block[0] == block[-1]
 
 
-@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("n_groups, dtype", [(41, np.int32), (1 << 28 | 1, np.int64)])
 @settings(max_examples=100, deadline=None)
 @given(pairs=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 6)), max_size=60))
-def test_count_keys_equals_counter(dtype, pairs):
-    keys = np.array([group << 3 | member for group, member in pairs], dtype=dtype)
-    groups, members, counts = bm25.count_keys(keys, 3)
+def test_count_pairs_equals_counter(n_groups, dtype, pairs):
+    groups = np.array([group for group, _ in pairs], dtype=np.int32)
+    members = np.array([member for _, member in pairs], dtype=np.int32)
+    groups, members, counts = bm25.count_pairs(groups, members, n_groups, 7)
     want = sorted(Counter(pairs).items())
     assert groups.dtype == dtype and members.dtype == counts.dtype == np.int32
     assert list(zip(zip(groups.tolist(), members.tolist()), counts.tolist())) == want
 
 
-@pytest.mark.parametrize("n_groups, bits, dtype", [(1 << 31, 0, np.int32), (1 << 27, 4, np.int32), (1 << 27 | 1, 4, np.int64)])
-def test_key_dtype_holds_the_largest_key(n_groups, bits, dtype):
-    assert bm25.key_dtype(n_groups, bits) == dtype
+@pytest.mark.parametrize("n_groups, dtype", [(1 << 27, np.int32), (1 << 27 | 1, np.int64)])
+def test_count_pairs_keys_hold_the_largest_pair(n_groups, dtype):
+    # 16 members take 4 bits, so the largest key is (n_groups - 1) << 4 | 15
+    groups, members = np.array([n_groups - 1, 0, n_groups - 1]), np.array([15, 0, 15])
+    groups, members, counts = bm25.count_pairs(groups, members, n_groups, 16)
+    assert groups.dtype == dtype
+    assert (groups.tolist(), members.tolist(), counts.tolist()) == ([0, n_groups - 1], [0, 15], [1, 2])
 
 
 def test_token_ids_leaves_no_reference_cycle():
@@ -716,14 +723,14 @@ class TestBlocks:
 
 
 class TestPeakMemory:
-    """An index holds its int32 ordinals and its tfs in ``tf_dtype``, 5 bytes
-    a posting while every passage has under 256 tokens and at most 8, beside
-    arrays of one value a token or a passage.  A build holds one int32 id an
-    occurrence and one block's scratch arrays beside the index; a load holds
-    one block's scratch arrays and a few arrays of one value a passage; a
-    query holds its accumulator and a few arrays as long as the postings it
-    reads.  None holds a scratch array as long as the postings (5 bytes a
-    posting is 1.7 MiB here)."""
+    """An index holds its int32 ordinals and its tfs in ``np.min_scalar_type`` of
+    the longest doc length, 5 bytes a posting while every passage has under
+    256 tokens and at most 8, beside arrays of one value a token or a
+    passage.  A build holds one int32 id an occurrence and one block's
+    scratch arrays beside the index; a load holds one block's scratch arrays
+    and a few arrays of one value a passage; a query holds its accumulator
+    and a few arrays as long as the postings it reads.  None holds a scratch
+    array as long as the postings (5 bytes a posting is 1.7 MiB here)."""
 
     SLACK = 1 << 20
 

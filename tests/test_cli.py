@@ -735,6 +735,20 @@ class TestTrain:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_hash_dim_above_2_to_the_31_exits_2_before_allocating(self, pipeline, tmp_path, capsys, monkeypatch):
+        def refuse(**kwargs):
+            raise AssertionError(f"init_model called with {kwargs}")
+
+        monkeypatch.setattr(cli, "init_model", refuse)  # d x hash_dim float32 a tower would not fit in memory
+        rc = main([
+            "train",
+            "--train", str(pipeline["dataset"] / "train.json"),
+            "--out", str(tmp_path / "m.bin"),
+            "--hash-dim", "2147483649",
+        ])
+        assert rc == 2
+        assert "hash_dim" in capsys.readouterr().err
+
     @pytest.mark.parametrize("setting", [("--lr", "nan"), ("--lr", "inf"), "learning_rate=inf"])
     def test_non_finite_learning_rate_writes_nothing(self, pipeline, tmp_path, capsys, setting):
         argv = [

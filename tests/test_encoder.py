@@ -113,6 +113,9 @@ class TestFeaturize:
     def test_bad_hash_dim_rejected(self):
         with pytest.raises(ValueError):
             featurize("a", hash_dim=0)
+        # above 2^31, a bucket id would not fit the int32 column indices
+        with pytest.raises(ValueError, match=r"hash_dim must be in \[1, 2\^31\]"):
+            featurize_texts(["alpha beta beta gamma p53 x", "ΟΔΟΣ dosr"], 2**31 + 1)
 
 
 def featurize_texts_by_row(texts, hash_dim):
@@ -147,7 +150,8 @@ TEXTS = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(TEXTS, max_size=12), st.sampled_from([1, 7, 64, 16384]))
+# 2^31 buckets need int64 keys from two texts on
+@given(st.lists(TEXTS, max_size=12), st.sampled_from([1, 7, 64, 16384, 2**31]))
 def test_featurize_texts_equals_per_row_loop_bitwise(texts, hash_dim):
     batch = featurize_texts(texts, hash_dim)
     expected = featurize_texts_by_row(texts, hash_dim)

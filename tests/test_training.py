@@ -509,6 +509,8 @@ class TestTrainConfig:
             TrainConfig(optimizer="rmsprop")
         with pytest.raises(ValueError):
             TrainConfig(d=0)
+        with pytest.raises(ValueError, match="hash_dim in"):
+            TrainConfig(hash_dim=2**31 + 1)  # featurize_texts' bucket ids are int32
 
 
 def per_epoch_dev_hit(model, split, k):
