@@ -1,9 +1,9 @@
 """Retrieval quality: hit@k plus micro-averaged set precision/recall/F1.
 
-hit@k counts a question as answered when the top-k contains a relevant
-passage, where relevance is either answer-string containment or gold
-passage identity, per the configured mode.  Precision/recall/F1 always
-compare retrieved passage-id sets against the gold positives.
+Each ranking is judged once, through the rank of its first relevant
+passage (answer-string containment or gold passage identity, per the
+configured mode); hit@k is that rank being at most k.  Precision/recall/F1
+compare the top k's distinct passage ids against the gold positive.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .dataset import TrainingInstance
 from .encoder import EncoderModel, encode_questions
 from .errors import EmptyEvaluation
 from .flat_index import FlatIndex, search_many
-from .questions import Question, answer_exclusion_strings, contains_answer
+from .questions import answer_exclusion_strings, contains_answer
 from .results import RetrievalResult
 
 log = logging.getLogger(__name__)
@@ -51,27 +51,6 @@ class EvalReport:
     meta: dict[str, str] = field(default_factory=dict)
 
 
-def judge_hit(
-    result: RetrievalResult,
-    question: Question,
-    store: PassageStore,
-    mode: str = "gold_passage_id",
-    gold_ids: frozenset[str] = frozenset(),
-) -> bool:
-    """Whether any retrieved passage answers the question.
-
-    answer_string: any answer (gold snippets for yes/no questions) is in
-    a retrieved passage's text by ``contains_answer``.
-    gold_passage_id: any retrieved id is in gold_ids.
-    """
-    if mode not in MATCH_MODES:
-        raise ValueError(f"match_mode must be one of {MATCH_MODES}, got {mode!r}")
-    if mode == "gold_passage_id":
-        return any(hit.passage_id in gold_ids for hit in result)
-    needles = answer_exclusion_strings(question)
-    return any(contains_answer(store.get(hit.passage_id).text, needles) for hit in result)
-
-
 def evaluate_results(
     results: Sequence[RetrievalResult],
     instances: Sequence[TrainingInstance],
@@ -82,33 +61,36 @@ def evaluate_results(
     """Score pre-computed rankings; results[i] belongs to instances[i].
 
     Each result must cover at least max(k_values) hits (or the whole
-    collection if smaller).  Retrieved-vs-gold set metrics are
-    micro-averaged: totals are summed over questions before dividing.
+    collection if smaller).  answer_string mode finds an answer (gold
+    snippets for yes/no questions) by ``contains_answer``, gold_passage_id
+    the positive's id.  Set metrics are micro-averaged: totals are summed
+    over questions before dividing.
     """
     if not instances:
         raise EmptyEvaluation("no questions to evaluate")
     if len(results) != len(instances):
         raise ValueError(f"{len(results)} results for {len(instances)} instances")
+    k_max = max(cfg.k_values)
+    judged = []  # (top k_max ids, gold id, rank of the first relevant passage, else k_max + 1)
+    for result, inst in zip(results, instances):
+        ids = result.ids()[:k_max]
+        gold = inst.positive.passage_id
+        if cfg.match_mode == "gold_passage_id":
+            relevant = (pid == gold for pid in ids)
+        else:
+            needles = answer_exclusion_strings(inst.question)
+            relevant = (contains_answer(store.get(pid).text, needles) for pid in ids)
+        first = next((rank for rank, hit in enumerate(relevant, start=1) if hit), k_max + 1)
+        judged.append((ids, gold, first))
     per_k: dict[int, dict[str, float]] = {}
     for k in cfg.k_values:
-        hits = 0
-        true_positives = 0
-        retrieved_total = 0
-        gold_total = 0
-        for result, inst in zip(results, instances):
-            gold = frozenset({inst.positive.passage_id})
-            top = RetrievalResult(hits=list(result)[:k])
-            if judge_hit(top, inst.question, store, cfg.match_mode, gold):
-                hits += 1
-            retrieved_ids = set(top.ids())
-            true_positives += len(retrieved_ids & gold)
-            retrieved_total += len(retrieved_ids)
-            gold_total += len(gold)
+        true_positives = sum(gold in ids[:k] for ids, gold, _ in judged)
+        retrieved_total = sum(len(set(ids[:k])) for ids, _, _ in judged)
         precision = true_positives / retrieved_total if retrieved_total else 0.0
-        recall = true_positives / gold_total if gold_total else 0.0
+        recall = true_positives / len(instances)
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         per_k[k] = {
-            "hit_rate": hits / len(instances),
+            "hit_rate": sum(first <= k for _, _, first in judged) / len(instances),
             "precision": precision,
             "recall": recall,
             "f1": f1,

@@ -59,7 +59,6 @@ class TrainConfig:
 class BatchLossReport:
     loss: float
     per_question_loss: tuple[float, ...]
-    positive_ranks: tuple[int, ...]
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -152,11 +151,9 @@ def _report_from_scores(s: np.ndarray) -> BatchLossReport:
     shifted = s - s.max(axis=1, keepdims=True)
     logsumexp = s.max(axis=1) + np.log(np.exp(shifted).sum(axis=1))
     per_question = logsumexp - positive_scores
-    ranks = 1 + (s > positive_scores[:, None]).sum(axis=1)
     return BatchLossReport(
         loss=float(per_question.mean()),
         per_question_loss=tuple(float(v) for v in per_question),
-        positive_ranks=tuple(int(r) for r in ranks),
     )
 
 

@@ -2,19 +2,22 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deskdpr.encoder import init_model
 from deskdpr.errors import EmptyEvaluation
 from deskdpr.evaluation import (
+    MATCH_MODES,
     EvalConfig,
     EvalReport,
     evaluate,
     evaluate_results,
-    judge_hit,
     write_report,
 )
 from deskdpr.flat_index import FlatIndex, build_index, search
-from deskdpr.results import RetrievalResult, hits_from_ranking
+from deskdpr.questions import contains_answer
+from deskdpr.results import hits_from_ranking
 
 from helpers import factoid, instance, store_of, yesno
 
@@ -50,51 +53,117 @@ class TestEvalConfig:
             EvalConfig(match_mode="fuzzy")
 
 
-class TestJudgeHit:
+def hit_rates(store, q, pids, k_values, mode="answer_string", positive="d0#0"):
+    """hit@k per k of one question whose ranking is ``pids``."""
+    cfg = EvalConfig(k_values=k_values, match_mode=mode)
+    report = evaluate_results([ranking(*pids)], [instance(q, store.get(positive))], store, cfg)
+    return {k: row["hit_rate"] for k, row in report.per_k.items()}
+
+
+class TestHitAtK:
     def test_answer_string_found_at_rank_three(self):
         store = store_of("nothing here", "still nothing", "the answer token appears")
         q = factoid("q1", "find it", ["answer token"])
-        result = ranking("d0#0", "d1#0", "d2#0")
-        assert judge_hit(result, q, store, mode="answer_string")
+        assert hit_rates(store, q, ("d0#0", "d1#0", "d2#0"), (2, 3)) == {2: 0.0, 3: 1.0}
 
     def test_answer_string_absent(self):
         store = store_of("nothing here", "still nothing")
         q = factoid("q1", "find it", ["answer token"])
-        assert not judge_hit(ranking("d0#0", "d1#0"), q, store, mode="answer_string")
+        assert hit_rates(store, q, ("d0#0", "d1#0"), (1, 2)) == {1: 0.0, 2: 0.0}
 
     def test_empty_result_never_hits(self):
         store = store_of("anything")
         q = factoid("q1", "find it", ["anything"])
-        empty = RetrievalResult(hits=[])
-        assert not judge_hit(empty, q, store, mode="answer_string")
-        assert not judge_hit(empty, q, store, mode="gold_passage_id", gold_ids=frozenset({"d0#0"}))
+        for mode in MATCH_MODES:
+            assert hit_rates(store, q, (), (1, 5), mode) == {1: 0.0, 5: 0.0}
 
     def test_gold_id_mode(self):
         store = store_of("a", "b")
         q = factoid("q1", "find it", ["zzz"])
-        gold = frozenset({"d1#0"})
-        assert judge_hit(ranking("d0#0", "d1#0"), q, store, gold_ids=gold)
-        assert not judge_hit(ranking("d0#0"), q, store, gold_ids=gold)
+        gold = {"mode": "gold_passage_id", "positive": "d1#0"}
+        assert hit_rates(store, q, ("d0#0", "d1#0"), (1, 2), **gold) == {1: 0.0, 2: 1.0}
+        assert hit_rates(store, q, ("d0#0",), (1, 2), **gold) == {1: 0.0, 2: 0.0}
 
     def test_yesno_judged_by_snippets(self):
         # a bare "yes" answer must not count as containment evidence
         store = store_of("yes it is widely known", "statins lower ldl cholesterol")
         q = yesno("q1", "do statins lower ldl", "yes", snippets=["statins lower ldl"])
-        assert judge_hit(ranking("d1#0"), q, store, mode="answer_string")
-        assert not judge_hit(ranking("d0#0"), q, store, mode="answer_string")
+        assert hit_rates(store, q, ("d1#0",), (1,)) == {1: 1.0}
+        assert hit_rates(store, q, ("d0#0",), (1,)) == {1: 0.0}
 
     def test_snippet_matches_with_whitespace_collapsed(self):
         # the rule alignment used to pick the positive
         store = store_of("gamma alpha beta delta", "alphabeta")
         q = yesno("q1", "is alpha beta", "yes", snippets=["alpha  beta"])
-        assert judge_hit(ranking("d0#0"), q, store, mode="answer_string")
-        assert not judge_hit(ranking("d1#0"), q, store, mode="answer_string")
+        assert hit_rates(store, q, ("d0#0",), (1,)) == {1: 1.0}
+        assert hit_rates(store, q, ("d1#0",), (1,)) == {1: 0.0}
 
-    def test_unknown_mode_rejected(self):
-        store = store_of("a")
-        q = factoid("q1", "find it", ["a"])
-        with pytest.raises(ValueError):
-            judge_hit(ranking("d0#0"), q, store, mode="fuzzy")
+
+WORDS = ("yes", "no", "alpha", "beta", "gamma")
+phrases = st.lists(st.sampled_from(WORDS), min_size=1, max_size=2).map(" ".join)
+
+
+@st.composite
+def evaluation_cases(draw):
+    """A store, questions with rankings over it (repeats and short ones
+    included) and a config."""
+    texts = st.lists(st.sampled_from(WORDS), min_size=1, max_size=4).map(" ".join)
+    store = store_of(*draw(st.lists(texts, min_size=1, max_size=6)))
+    ids = [p.passage_id for p in store]
+    k_values = tuple(sorted(draw(st.sets(st.integers(1, 6), min_size=1, max_size=3))))
+    instances, results = [], []
+    for i in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            answer = draw(st.sampled_from(("yes", "no")))
+            q = yesno(f"q{i}", "is it", answer, snippets=draw(st.lists(phrases, max_size=2)))
+        else:
+            q = factoid(f"q{i}", "what is it", draw(st.lists(phrases, min_size=1, max_size=2)))
+        instances.append(instance(q, store.get(draw(st.sampled_from(ids)))))
+        results.append(ranking(*draw(st.lists(st.sampled_from(ids), max_size=max(k_values) + 2))))
+    return store, instances, results, EvalConfig(k_values, draw(st.sampled_from(MATCH_MODES)))
+
+
+def defined_report(results, instances, store, cfg):
+    """Each figure by its definition, judged afresh for every k: a hit has
+    some relevant passage in the top k; precision, recall and F1 compare
+    the top k's distinct ids with the one gold id, summed over questions."""
+    per_k = {}
+    for k in cfg.k_values:
+        hits = true_positives = retrieved = 0
+        for result, inst in zip(results, instances):
+            top = result.ids()[:k]
+            gold = inst.positive.passage_id
+            q = inst.question
+            needles = q.gold_snippets if q.qtype == "yesno" else q.answers
+            if cfg.match_mode == "gold_passage_id":
+                hits += gold in top
+            else:
+                hits += any(contains_answer(store.get(pid).text, needles) for pid in top)
+            true_positives += gold in set(top)
+            retrieved += len(set(top))
+        precision = true_positives / retrieved if retrieved else 0.0
+        recall = true_positives / len(instances)
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        per_k[k] = {
+            "hit_rate": hits / len(instances),
+            "precision": precision,
+            "recall": recall,
+            "f1": f1,
+        }
+    return per_k
+
+
+@settings(max_examples=300, deadline=None)
+@given(evaluation_cases())
+def test_evaluate_results_equals_its_definition_bitwise(case):
+    store, instances, results, cfg = case
+    report = evaluate_results(results, instances, store, cfg)
+
+    def bits(per_k):
+        return {k: {name: value.hex() for name, value in row.items()} for k, row in per_k.items()}
+
+    assert bits(report.per_k) == bits(defined_report(results, instances, store, cfg))
+    assert report.n_questions == len(instances)
 
 
 class TestEvaluateResults:
