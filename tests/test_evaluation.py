@@ -98,6 +98,16 @@ class TestHitAtK:
         assert hit_rates(store, q, ("d0#0",), (1,)) == {1: 1.0}
         assert hit_rates(store, q, ("d1#0",), (1,)) == {1: 0.0}
 
+    def test_answer_past_largest_k_is_a_miss(self):
+        store = store_of("a", "b", "c", "the answer token")
+        q = factoid("q1", "find it", ["answer token"])
+        assert hit_rates(store, q, ("d0#0", "d1#0", "d2#0", "d3#0"), (1, 3)) == {1: 0.0, 3: 0.0}
+
+    def test_short_ranking_hit_holds_at_larger_k(self):
+        store = store_of("the answer token")
+        q = factoid("q1", "find it", ["answer token"])
+        assert hit_rates(store, q, ("d0#0",), (1, 5)) == {1: 1.0, 5: 1.0}
+
 
 WORDS = ("yes", "no", "alpha", "beta", "gamma")
 phrases = st.lists(st.sampled_from(WORDS), min_size=1, max_size=2).map(" ".join)
@@ -230,6 +240,15 @@ class TestEvaluateResults:
         cfg = EvalConfig(k_values=(1,), match_mode="answer_string")
         report = evaluate_results(results, instances, store, cfg)
         assert report.per_k[1]["hit_rate"] == 0.5
+
+    def test_repeated_ids_retrieved_once(self):
+        store, instances = self.make()
+        # d0 twice then d2: 1 distinct id at k=2, 2 at k=3
+        results = [ranking("d0#0", "d0#0", "d2#0")]
+        report = evaluate_results(results, instances[:1], store, EvalConfig(k_values=(2, 3)))
+        assert report.per_k[2]["precision"] == 1.0
+        assert report.per_k[3]["precision"] == 0.5
+        assert report.per_k[3]["recall"] == 1.0
 
     def test_empty_rejected(self):
         store, _ = self.make()
