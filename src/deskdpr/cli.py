@@ -8,11 +8,12 @@ runner does the rest.  Option values resolve in precedence order:
 command-line flag, then --config file (key=value lines; unknown keys and
 values outside a flag's choices are refused), then the DPR_SEED
 environment variable for the seed, then built-in defaults.  A stage
-refuses to run (exit 3) when an input's bytes or the inputs recorded in
-its manifest changed since it was written.  Each artifact goes to a temp
-file beside its target; its manifest, with the artifact's sha256, is
-written the same way, and both are moved into place with ``os.replace``,
-manifest first.  Exit codes: 0 on success, 2 on usage or validation
+refuses to run when one of its output paths names an input or another
+output (exit 2), or when an input's bytes or the inputs recorded in its
+manifest changed since it was written (exit 3).  Each artifact goes to
+a temp file beside its target; its manifest, with the artifact's sha256,
+is written the same way, and both are moved into place with
+``os.replace``, manifest first.  Exit codes: 0 on success, 2 on usage or validation
 problems and malformed input files, 1 on unexpected internal errors.
 """
 
@@ -25,6 +26,7 @@ import sys
 import traceback
 from dataclasses import dataclass, fields
 from functools import partial
+from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Sequence
@@ -35,11 +37,11 @@ from .bm25 import load_bm25_index, save_bm25_index
 from .corpus import PassageStore, ingest_corpus, load_store, save_store
 from .dataset import align_questions, attach_negatives, check_fractions, emit_dpr_json, load_dpr_json, split_instances
 from .encoder import encode_question, init_model, load_model, save_model
-from .errors import DeskdprError, StaleInput
+from .errors import DeskdprError, StaleInput, reading
 from .evaluation import MATCH_MODES, REPORT_FORMATS, EvalConfig, evaluate, write_report
 from .flat_index import build_index as build_dense_index
 from .flat_index import load_index, save_index, search
-from .manifest import read_manifest, records_input, verify_inputs, write_artifacts
+from .manifest import RunManifest, cached_sha256, verify_inputs, write_artifacts
 from .questions import parse_bioasq
 from .training import OPTIMIZERS, TrainConfig, save_metrics, train
 
@@ -77,8 +79,9 @@ class Option:
 class Stage:
     """A subcommand: its flags in manifest order, and the function doing its own work.
 
-    run(values, write) gets every flag's value, the seed and the inputs'
-    sha256 cache ``digests`` by key; write({path: writer}) commits the
+    run(values, write) gets every flag's value, the seed, the inputs'
+    sha256 cache ``digests`` and ``manifests``, each input's manifest (None
+    when it has none), by key; write({path: writer}) commits the
     stage's outputs, calling writer(tmp_path).
     """
 
@@ -99,16 +102,17 @@ def _load_config(path: str | None) -> dict[str, str]:
         raise ValueError(f"config file not found: {path}")
     known = {f.key for stage in STAGES for f in (*stage.flags, SEED) if isinstance(f, Option)}
     out: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"{path}: line {lineno}: expected key=value, got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        if key.strip() not in known:
-            raise ValueError(f"{path}: line {lineno}: unknown config key {key.strip()!r}")
-        out[key.strip()] = value.strip()
+    with reading(path) as r:
+        for r.at, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if "=" not in stripped:
+                raise ValueError(f"expected key=value, got {stripped!r}")
+            key, _, value = stripped.partition("=")
+            if key.strip() not in known:
+                raise ValueError(f"unknown config key {key.strip()!r}")
+            out[key.strip()] = value.strip()
     return out
 
 
@@ -161,12 +165,17 @@ def _run(stage: Stage, args: argparse.Namespace) -> int:
                 raise ValueError(f"{f.what} not found: {value}")
             inputs.append(value)
         values[f.key] = value
+    # an output may not replace an input or another output
+    paths = {f: Path(values[f.key]).resolve() for f in stage.flags
+             if isinstance(f, PathFlag) and values[f.key] is not None}
+    for f, g in combinations(paths, 2):
+        if paths[f] == paths[g] and not (f.what and g.what):
+            raise ValueError(f"{values[f.key]}: {f.flag} and {g.flag} name the same file")
     digests: dict[str, str] = {}
-    for path in inputs:
-        verify_inputs(path, digests)
+    manifests = {path: verify_inputs(path, digests) for path in inputs}
     snapshot = {k: ",".join(map(str, v)) if isinstance(v, tuple) else v for k, v in values.items()}
     write = partial(write_artifacts, command=stage.name, config=snapshot, seed=seed, inputs=inputs, digests=digests)
-    stage.run(SimpleNamespace(**values, seed=seed, digests=digests), write)
+    stage.run(SimpleNamespace(**values, seed=seed, digests=digests, manifests=manifests), write)
     return 0
 
 
@@ -175,10 +184,10 @@ def _check_built_from(v, store: PassageStore, index_ids: list[str]) -> bool:
     records another store; return whether it has a manifest that vouches for the store."""
     if index_ids != [p.passage_id for p in store]:
         raise ValueError(f"{v.index}: its {len(index_ids)} passage ids are not the store's {len(store)} in store order")
-    built_from_store = records_input(v.index, v.store, v.digests)
-    if built_from_store is False:
+    manifest = v.manifests[v.index]
+    if manifest is not None and cached_sha256(v.store, v.digests) not in manifest.input_checksums.values():
         raise ValueError(f"{v.index}: built from another store; its manifest does not record the sha256 of {v.store}")
-    return bool(built_from_store)
+    return manifest is not None
 
 
 # -- each stage's own work ------------------------------------------------------
@@ -242,9 +251,8 @@ def _index_dense(v, write) -> None:
     print(f"wrote {v.out}: {len(index)} vectors of dimension {index.d}")
 
 
-def _model_meta(model_path: str) -> dict[str, str]:
+def _model_meta(manifest: RunManifest | None) -> dict[str, str]:
     """Report metadata from the model's manifest, if one exists."""
-    manifest = read_manifest(model_path)
     config = {} if manifest is None else manifest.config
     meta = {"encoder": "hashed-bow"}
     for name, key in (("epochs", "epochs"), ("batch", "batch_size")):
@@ -260,7 +268,7 @@ def _evaluate(v, write) -> None:
     _check_built_from(v, store, index.ids)
     instances, dropped = align_questions(parse_bioasq(v.questions), store)
     model = load_model(v.model)  # after aligning, so the alignment haystack is gone by then
-    report = evaluate(model, index, store, instances, cfg, meta=_model_meta(v.model))
+    report = evaluate(model, index, store, instances, cfg, meta=_model_meta(v.manifests[v.model]))
     write({v.out: partial(write_report, report, fmt=v.format)})
     for k in v.k:
         row = report.per_k[k]

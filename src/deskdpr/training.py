@@ -62,7 +62,7 @@ class BatchLossReport:
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max shift."""
+    """Row-wise softmax with max shift: the reference for ``batch_gradients``' softmax."""
     shifted = scores - scores.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
@@ -144,24 +144,21 @@ def _batch_matrices(model: EncoderModel, instances: Sequence[TrainingInstance], 
     return x, y, q, p, s
 
 
-def _report_from_scores(s: np.ndarray) -> BatchLossReport:
-    b = s.shape[0]
-    rows = np.arange(b)
-    positive_scores = s[rows, rows]
-    shifted = s - s.max(axis=1, keepdims=True)
-    logsumexp = s.max(axis=1) + np.log(np.exp(shifted).sum(axis=1))
-    per_question = logsumexp - positive_scores
-    return BatchLossReport(
-        loss=float(per_question.mean()),
-        per_question_loss=tuple(float(v) for v in per_question),
-    )
+def _loss_and_softmax(s: np.ndarray) -> tuple[BatchLossReport, np.ndarray]:
+    """The loss report of score matrix ``s`` and ``softmax_rows(s)``, from one exp and one row sum."""
+    m = s.max(axis=1, keepdims=True)
+    e = np.exp(s - m)
+    total = e.sum(axis=1, keepdims=True)
+    per_question = (m + np.log(total))[:, 0] - np.diagonal(s)
+    report = BatchLossReport(loss=float(per_question.mean()), per_question_loss=tuple(float(v) for v in per_question))
+    return report, e / total
 
 
 def batch_loss(model: EncoderModel, instances: Sequence[TrainingInstance]) -> BatchLossReport:
     """NLL of the positive column for each question, averaged."""
     if len(instances) < 2:
         raise ValueError("in-batch negatives need at least 2 instances per batch")
-    return _report_from_scores(_batch_matrices(model, instances, None)[4])
+    return _loss_and_softmax(_batch_matrices(model, instances, None)[4])[0]
 
 
 def batch_gradients(
@@ -182,9 +179,8 @@ def batch_gradients(
     if len(instances) < 2:
         raise ValueError("in-batch negatives need at least 2 instances per batch")
     x, y, q, p, s = _batch_matrices(model, instances, features)
-    report = _report_from_scores(s)
+    report, g = _loss_and_softmax(s)
     b = s.shape[0]
-    g = softmax_rows(s)
     g[np.arange(b), np.arange(b)] -= 1.0
     g /= b
     return report, (x.T @ (g @ p)).T, (y.T @ (g.T @ q)).T

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from deskdpr.corpus import load_store
 from deskdpr.dataset import align_questions
 from deskdpr.encoder import init_model, save_model
 from deskdpr.flat_index import load_index
-from deskdpr.manifest import manifest_path, read_manifest
+from deskdpr.manifest import MANIFEST_SUFFIX, manifest_path, read_manifest
 from deskdpr.synthetic import generate, write_corpus_jsonl, write_questions_json
 from helpers import snapshot_dir, store_of
 
@@ -456,6 +457,21 @@ class TestStaleness:
         assert str(pipeline["model"]) in hashed
         assert len(hashed) == len(set(hashed))
 
+    def test_each_input_manifest_read_once_per_stage(self, pipeline, tmp_path, monkeypatch, capsys):
+        reads = []
+        read_text = Path.read_text
+
+        def counting(path, *args, **kwargs):
+            if path.name.endswith(MANIFEST_SUFFIX):
+                reads.append(path)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        assert main(evaluate_argv(pipeline, tmp_path / "report.json")) == 0
+        capsys.readouterr()
+        # questions.json is a raw input, with no manifest to read
+        assert sorted(reads) == sorted(manifest_path(pipeline[name]) for name in ("model", "dense", "store"))
+
 
 def build_dataset_argv(pipeline, out_dir):
     return [
@@ -507,6 +523,31 @@ class TestAtomicWrites:
         assert read_manifest(out).config["format"] == "markdown_table"
         assert out.read_text(encoding="utf-8").startswith("| Encoder |")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "report.json.manifest.json"]
+
+
+class TestOutputCollisions:
+    @pytest.mark.parametrize("command", ["train", "index-bm25"])
+    def test_output_naming_an_input_or_another_output_writes_nothing(self, pipeline, tmp_path, capsys, command):
+        store, model = tmp_path / "passages.jsonl", tmp_path / "m.bin"
+        shutil.copyfile(pipeline["store"], store)
+        argv, message = {
+            # one file under two spellings
+            "train": (["train", "--train", str(pipeline["dataset"] / "train.json"), "--out", str(model),
+                       "--metrics", str(tmp_path / "sub" / ".." / "m.bin")], f"{model}: --out and --metrics"),
+            "index-bm25": (["index-bm25", "--corpus", str(store), "--out", str(store)], f"{store}: --corpus and --out"),
+        }[command]
+        before = snapshot_dir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message} name the same file\n"
+        assert snapshot_dir(tmp_path) == before
+
+    def test_two_inputs_may_name_the_same_file(self, pipeline, tmp_path, capsys):
+        train = str(pipeline["dataset"] / "train.json")
+        argv = ["train", "--train", train, "--dev", train, "--out", str(tmp_path / "m.bin"), "--epochs", "1",
+                "--d", "8", "--hash-dim", "64"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert (tmp_path / "m.bin").exists()
 
 
 class TestConfigChecks:

@@ -9,6 +9,7 @@ import struct
 import tracemalloc
 import zlib
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from deskdpr.encoder import init_model, load_model, save_model
 from deskdpr.errors import DeskdprError, DuplicateId, ParseError, UnsupportedVersion, reading
 from deskdpr.flat_index import build_index as build_dense_index
 from deskdpr.flat_index import load_index, save_index
-from deskdpr.manifest import manifest_path, read_manifest, write_manifest
+from deskdpr.manifest import manifest_path, read_manifest, write_artifacts
 from deskdpr.questions import parse_bioasq
 from deskdpr.synthetic import generate, write_corpus_jsonl, write_questions_json
 from helpers import BM25_INTS, BM25_PREFIX, bm25_array, bm25_parts, rewrite_payload, set_bm25_ints, snapshot_dir
@@ -161,7 +162,8 @@ def test_reader_returns_or_raises_a_library_error(good, tmp_path, name, data):
     reader, lines = READERS[name]
     path = tmp_path / name
     if name.endswith(".manifest.json"):
-        write_manifest(tmp_path / "store.jsonl", "ingest", {"chunk_size": 10}, 0, [good["corpus.jsonl"]])
+        write_artifacts({tmp_path / "store.jsonl": partial(shutil.copy, good["store.jsonl"])},
+                        "ingest", {"chunk_size": 10}, 0, [good["corpus.jsonl"]])
         doc = json.loads(path.read_text(encoding="utf-8"))
     else:
         doc = jsonl_doc(good[name]) if lines else json.loads(good[name].read_text(encoding="utf-8"))
@@ -390,7 +392,7 @@ def model_as_version_2(tmp_path):
 
 def bad_input_checksums(tmp_path):
     store = tmp_path / "store.jsonl"
-    write_manifest(store, "ingest", {"chunk_size": 10}, 0, [])
+    write_artifacts({store: partial(shutil.copy, store)}, "ingest", {"chunk_size": 10}, 0, [])
     raw = json.loads(manifest_path(store).read_text(encoding="utf-8"))
     raw["input_checksums"] = []
     write_json(manifest_path(store), raw)
@@ -471,6 +473,10 @@ PROBES = {
     "model is version 2": (INDEX_DENSE, "model.bin", model_as_version_2, "model version 2, this build reads 3"),
     "evaluate model is version 2": (EVALUATE, "model.bin", model_as_version_2, "model version 2, this build reads 3"),
     "dense id is not UTF-8": (EVALUATE, "dense.bin", dense_id_not_utf8, "not valid UTF-8: "),
+    "config is not UTF-8": (
+        [*INDEX_BM25, "--config", "config.txt"], "config.txt",
+        lambda tmp_path: (tmp_path / "config.txt").write_bytes(b"seed=1\n# \xff\n"), "not valid UTF-8: ",
+    ),
 }
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -11,8 +12,13 @@ from deskdpr.manifest import (
     sha256_file,
     verify_inputs,
     write_artifacts,
-    write_manifest,
 )
+
+
+def write_one(artifact, body="artifact body\n", **kwargs):
+    """Write `body` as `artifact` with its manifest, through write_artifacts."""
+    kwargs = {"command": "ingest", "config": {}, "seed": 0, "inputs": [], **kwargs}
+    write_artifacts({artifact: lambda tmp: tmp.write_text(body, encoding="utf-8")}, **kwargs)
 
 
 class TestSha256:
@@ -46,13 +52,7 @@ class TestWriteRead:
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text('{"doc_id": "d1"}\n', encoding="utf-8")
         artifact = tmp_path / "passages.jsonl"
-        write_manifest(
-            artifact,
-            command="ingest",
-            config={"chunk_size": 100},
-            seed=7,
-            inputs=[corpus],
-        )
+        write_one(artifact, config={"chunk_size": 100}, seed=7, inputs=[corpus])
         manifest = read_manifest(artifact)
         assert manifest is not None
         assert manifest.command == "ingest"
@@ -61,12 +61,20 @@ class TestWriteRead:
         assert manifest.input_checksums == {str(corpus): sha256_file(corpus)}
         assert manifest.tool_version == deskdpr.__version__
         assert manifest.created_utc
+        assert manifest.output_sha256 == sha256_file(artifact)
 
-    def test_written_before_artifact_exists(self, tmp_path):
+    def test_written_before_artifact_exists(self, tmp_path, monkeypatch):
         artifact = tmp_path / "artifact.bin"
-        path = write_manifest(artifact, command="train", config={}, seed=None, inputs=[])
-        assert path.exists()
-        assert not artifact.exists()
+        replace = deskdpr.manifest.os.replace
+        present = []
+
+        def recording(src, dst):
+            replace(src, dst)
+            present.append(sorted(p.name for p in tmp_path.iterdir() if not p.name.endswith(".tmp")))
+
+        monkeypatch.setattr(deskdpr.manifest.os, "replace", recording)
+        write_one(artifact, command="train", seed=None)
+        assert present == [["artifact.bin.manifest.json"], ["artifact.bin", "artifact.bin.manifest.json"]]
 
     def test_absent_manifest_reads_none(self, tmp_path):
         assert read_manifest(tmp_path / "never-written.bin") is None
@@ -85,7 +93,7 @@ class TestWriteRead:
 
     def test_json_layout(self, tmp_path):
         artifact = tmp_path / "artifact.bin"
-        write_manifest(artifact, command="train", config={"lr": 0.01}, seed=0, inputs=[])
+        write_one(artifact, command="train", config={"lr": 0.01})
         raw = json.loads(manifest_path(artifact).read_text(encoding="utf-8"))
         assert set(raw) == {
             "command",
@@ -94,6 +102,7 @@ class TestWriteRead:
             "input_checksums",
             "tool_version",
             "created_utc",
+            "output_sha256",
         }
 
 
@@ -102,8 +111,7 @@ class TestVerifyInputs:
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text("original content\n", encoding="utf-8")
         artifact = tmp_path / "store.jsonl"
-        artifact.write_text("artifact body\n", encoding="utf-8")
-        write_manifest(artifact, command="ingest", config={}, seed=0, inputs=[corpus])
+        write_one(artifact, inputs=[corpus])
         return corpus, artifact
 
     def test_unchanged_inputs_pass(self, tmp_path):
@@ -133,10 +141,7 @@ class TestOutputChecksum:
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text("original content\n", encoding="utf-8")
         artifact = tmp_path / "store.jsonl"
-        write_artifacts(
-            {artifact: lambda tmp: tmp.write_text("artifact body\n", encoding="utf-8")},
-            command="ingest", config={}, seed=0, inputs=[corpus],
-        )
+        write_one(artifact, inputs=[corpus])
         return corpus, artifact
 
     def test_recorded(self, tmp_path):
@@ -178,9 +183,12 @@ class TestOutputChecksum:
         digests = {}
         verify_inputs(artifact, digests)
         assert digests == {str(artifact): sha256_file(artifact), str(corpus): sha256_file(corpus)}
-        monkeypatch.setattr("deskdpr.manifest.sha256_file", lambda path: pytest.fail(f"hashed {path} again"))
+        hashed = []
+        monkeypatch.setattr("deskdpr.manifest.sha256_file", lambda path: hashed.append(path) or sha256_file(path))
         verify_inputs(artifact, digests)
-        write_manifest(tmp_path / "next.jsonl", "index-bm25", {}, 0, [artifact, corpus], digests=digests)
+        write_one(tmp_path / "next.jsonl", command="index-bm25", inputs=[artifact, corpus], digests=digests)
+        # only the new artifact's own bytes, in its temp file, are hashed
+        assert hashed == [tmp_path / f".next.jsonl.{os.getpid()}.tmp"]
         assert read_manifest(tmp_path / "next.jsonl").input_checksums == {
             str(artifact): digests[str(artifact)],
             str(corpus): digests[str(corpus)],

@@ -194,6 +194,22 @@ class TestGradients:
         assert g_wq.shape == (4, 32) and g_wp.shape == (4, 32)
         assert report.loss == pytest.approx(batch_loss(model, instances).loss, abs=1e-15)
 
+    def test_one_exp_per_batch_gives_the_oracles_bits(self, monkeypatch):
+        model = init_model(d=4, hash_dim=32, seed=3)
+        instances = hard_negative_split(3)
+        x, y, q, p, s = training._batch_matrices(model, instances, None)
+        g = softmax_rows(s)
+        g[np.arange(3), np.arange(3)] -= 1.0
+        g /= 3
+        loss = batch_loss(model, instances)
+        exp, shapes = np.exp, []
+        monkeypatch.setattr(np, "exp", lambda a: shapes.append(a.shape) or exp(a))
+        report, g_wq, g_wp = batch_gradients(model, instances)
+        assert shapes == [s.shape]
+        assert report == loss
+        assert np.array_equal(g_wq, (x.T @ (g @ p)).T)
+        assert np.array_equal(g_wp, (y.T @ (g.T @ q)).T)
+
     def test_finite_differences(self):
         model = widen(init_model(d=4, hash_dim=32, seed=4))
         instances = [
